@@ -194,17 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="EXPLAIN rendering (default: text)",
     )
     query.add_argument(
-        "--no-planner", action="store_true",
-        help="disable the cost-based planner (naive evaluation)",
-    )
-    query.add_argument(
-        "--exec-mode", choices=("iterator", "batched", "adaptive"),
-        default="iterator",
-        help="physical execution strategy: iterator (row at a time), "
-             "batched (vectorized columnar batches), or adaptive "
-             "(batched with mid-query re-planning; default: iterator)",
-    )
-    query.add_argument(
         "--repeat", type=int, default=1, metavar="N",
         help="execute the query N times and report the mean latency "
              "(default 1)",
@@ -684,12 +673,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     sparql = args.sparql
     if sparql.startswith("@"):
         sparql = Path(sparql[1:]).read_text(encoding="utf-8")
-    planner = not args.no_planner
-    if not planner and args.exec_mode != "iterator":
-        raise ReproError(
-            f"--exec-mode {args.exec_mode} requires the planner "
-            "(drop --no-planner)"
-        )
     repeat = max(1, args.repeat)
     warmup = max(0, args.warmup)
     tracker = None
@@ -700,9 +683,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         )
     try:
         if not args.via_pg:
-            engine = SparqlEngine(
-                graph, planner=planner, exec_mode=args.exec_mode
-            )
+            engine = SparqlEngine(graph)
             if args.explain or args.analyze:
                 return _print_explain(
                     engine, sparql, args.explain_format, args.analyze
@@ -720,11 +701,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             print("translated Cypher:")
             for line in cypher.splitlines():
                 print("   ", line)
-            engine = CypherEngine(
-                PropertyGraphStore(result.graph),
-                planner=planner,
-                exec_mode=args.exec_mode,
-            )
+            engine = CypherEngine(PropertyGraphStore(result.graph))
             if args.explain or args.analyze:
                 return _print_explain(
                     engine, cypher, args.explain_format, args.analyze

@@ -404,27 +404,8 @@ def cypher_undirected(case: FuzzCase, ctx: OracleContext) -> str | None:
 
 
 # --------------------------------------------------------------------- #
-# Planner differential: all execution strategies == naive evaluation
+# Planner differential: planned execution == reference evaluation
 # --------------------------------------------------------------------- #
-
-#: The 5-way strategy matrix: planner off, the planner's iterator mode,
-#: vectorized batched mode, adaptive (batched + mid-query re-planning),
-#: and hash joins forced.  Shared by both engines.
-_PLANNER_STRATEGIES: tuple[tuple[str, dict], ...] = (
-    ("planner-off", {"planner": False}),
-    ("iterator", {}),
-    ("batched", {"exec_mode": "batched"}),
-    ("adaptive", {"exec_mode": "adaptive"}),
-    ("hash-forced", {"force_join": "hash"}),
-)
-
-#: Campaign-wide tally of skew seeds whose adaptive run provably
-#: re-planned mid-query (``planner.last_replans`` non-empty).  The
-#: differential test asserts this is non-zero after a campaign, proving
-#: the adaptive arm was exercised through an actual re-plan, not just
-#: the no-trigger fast path.
-REPLAN_TRIGGERS = 0
-
 
 def _bag(rows: list[dict], to_text: Callable[[object], str]) -> list[tuple]:
     return sorted(
@@ -442,8 +423,8 @@ def _skewed_rdf(seed: int):
     The ``links`` predicate averages ~1.5 objects per subject, but the
     subjects tagged ``"hot"`` are hubs with ``fan`` links each — the
     per-binding fanout estimate of the second join stage is low by more
-    than the re-plan threshold, so adaptive execution re-plans
-    mid-query.  Deterministic in ``seed``.
+    than 4x, so the plan runs with a join order and operator choice
+    made on badly wrong cardinalities.  Deterministic in ``seed``.
     """
     import random
 
@@ -505,92 +486,64 @@ def _skewed_pg(seed: int):
     return pg, query
 
 
-def _skew_differential(case: FuzzCase) -> str | None:
-    """Adaptive re-planning stays bag-equal on deliberately skewed data."""
-    global REPLAN_TRIGGERS
-    graph, sparql = _skewed_rdf(case.seed)
-    reference = _bag(SparqlEngine(graph).query(sparql), str)
-    for tag, kwargs in (("batched", {"exec_mode": "batched"}),
-                        ("adaptive", {"exec_mode": "adaptive"})):
-        engine = SparqlEngine(graph, **kwargs)
-        rows = _bag(engine.query(sparql), str)
-        if rows != reference:
-            return (
-                f"SPARQL {tag} diverges on the skewed catalog for seed "
-                f"{case.seed}: {len(rows)} vs {len(reference)} row(s)"
-            )
-        if tag == "adaptive" and engine.planner.last_replans:
-            REPLAN_TRIGGERS += 1
-    pg, cypher = _skewed_pg(case.seed)
-    store = PropertyGraphStore(pg)
-    reference = _bag(CypherEngine(store).query(cypher), scalar_to_lexical)
-    for tag, kwargs in (("batched", {"exec_mode": "batched"}),
-                        ("adaptive", {"exec_mode": "adaptive"})):
-        engine = CypherEngine(store, **kwargs)
-        rows = _bag(engine.query(cypher), scalar_to_lexical)
-        if rows != reference:
-            return (
-                f"Cypher {tag} diverges on the skewed catalog for seed "
-                f"{case.seed}: {len(rows)} vs {len(reference)} row(s)"
-            )
-        if tag == "adaptive" and engine.planner.last_replans:
-            REPLAN_TRIGGERS += 1
+def _divergence(reference, planned, query: str, to_text) -> str | None:
+    """How ``planned``'s answer bag differs from ``reference``'s, if it does."""
+    expected = _bag(reference.query(query), to_text)
+    rows = _bag(planned.query(query), to_text)
+    if rows != expected:
+        return f"{len(rows)} vs {len(expected)} row(s)"
     return None
 
 
 def planner_differential(case: FuzzCase, ctx: OracleContext) -> str | None:
-    """Every execution strategy is result-identical to naive evaluation.
+    """Planned execution is result-identical to the reference evaluators.
 
-    Runs the case's query workload through both engines under the
-    5-way strategy matrix — planner off, iterator, batched, adaptive,
-    hash joins forced — and requires bag-equal results.  The workload
-    is LIMIT-free by construction: LIMIT without ORDER BY may truncate
-    any subset of the answers, so differing-but-correct plans could
-    legitimately disagree.  A deterministic hub-skewed sibling dataset
-    derived from the case seed additionally forces the adaptive mode
-    through actual mid-query re-plans (tallied in REPLAN_TRIGGERS).
+    Runs the case's query workload through both engines twice — the
+    ``planner=False`` reference arm and the planned batch operators —
+    and requires bag-equal results.  The workload is LIMIT-free by
+    construction: LIMIT without ORDER BY may truncate any subset of the
+    answers, so differing-but-correct plans could legitimately disagree.
+    A deterministic hub-skewed sibling dataset derived from the case
+    seed repeats the comparison where the planner's estimates are wrong.
     """
     graph = Graph(case.triples)
     workload = _workload(case)
-    sparql_engines = [
-        (tag, SparqlEngine(graph, **kwargs))
-        for tag, kwargs in _PLANNER_STRATEGIES
-    ]
+    reference, planned = SparqlEngine(graph, planner=False), SparqlEngine(graph)
     for sparql in workload:
-        baseline: tuple[str, list[tuple]] | None = None
-        for tag, engine in sparql_engines:
-            rows = _bag(engine.query(sparql), str)
-            if baseline is None:
-                baseline = (tag, rows)
-            elif rows != baseline[1]:
-                return (
-                    f"SPARQL {tag} diverges from {baseline[0]} for "
-                    f"{sparql!r}: {len(rows)} vs {len(baseline[1])} row(s)"
-                )
+        diff = _divergence(reference, planned, sparql, str)
+        if diff:
+            return f"planned SPARQL diverges from the reference for {sparql!r}: {diff}"
     for options in _BOTH_MODES:
         result = transform(graph, case.schema, options)
         store = PropertyGraphStore(result.graph)
-        cypher_engines = [
-            (tag, CypherEngine(store, **kwargs))
-            for tag, kwargs in _PLANNER_STRATEGIES
-        ]
+        reference, planned = CypherEngine(store, planner=False), CypherEngine(store)
         for sparql in workload:
             try:
                 cypher = translate_sparql_to_cypher(sparql, result.mapping)
             except TranslationError:
                 continue
-            baseline = None
-            for tag, engine in cypher_engines:
-                rows = _bag(engine.query(cypher), scalar_to_lexical)
-                if baseline is None:
-                    baseline = (tag, rows)
-                elif rows != baseline[1]:
-                    return (
-                        f"Cypher {tag} diverges from {baseline[0]} in "
-                        f"{_mode(options)} mode for {cypher!r}: "
-                        f"{len(rows)} vs {len(baseline[1])} row(s)"
-                    )
-    return _skew_differential(case)
+            diff = _divergence(reference, planned, cypher, scalar_to_lexical)
+            if diff:
+                return (
+                    f"planned Cypher diverges from the reference in "
+                    f"{_mode(options)} mode for {cypher!r}: {diff}"
+                )
+    graph, sparql = _skewed_rdf(case.seed)
+    pg, cypher = _skewed_pg(case.seed)
+    store = PropertyGraphStore(pg)
+    for lang, reference, planned, query, to_text in (
+        ("SPARQL", SparqlEngine(graph, planner=False), SparqlEngine(graph),
+         sparql, str),
+        ("Cypher", CypherEngine(store, planner=False), CypherEngine(store),
+         cypher, scalar_to_lexical),
+    ):
+        diff = _divergence(reference, planned, query, to_text)
+        if diff:
+            return (
+                f"planned {lang} diverges on the skewed catalog for seed "
+                f"{case.seed}: {diff}"
+            )
+    return None
 
 
 # --------------------------------------------------------------------- #
@@ -764,9 +717,8 @@ ORACLES: dict[str, Oracle] = {
         Oracle(
             "planner_differential", ("valid", "noise"),
             planner_differential,
-            "every execution strategy returns the naive evaluators' "
-            "answers (both engines, 5-way exec-mode/join matrix, "
-            "incl. skew-forced adaptive re-plans)",
+            "planned execution returns the reference evaluators' answers "
+            "(both engines, both modes, plus a hub-skewed catalog)",
         ),
         Oracle(
             "ntriples_roundtrip", _RDF_KINDS, ntriples_roundtrip,

@@ -84,37 +84,27 @@ def _value_key(value: object) -> object:
 class CypherEngine:
     """Evaluates parsed Cypher queries against an indexed PG store.
 
+    Args:
+        store: the store to query.
+        planner: False selects the reference arm — the left-to-right
+            path matcher that OPTIONAL MATCH already runs on — which
+            the differential oracle compares the planned batch
+            execution against.
+
     Example:
         >>> engine = CypherEngine(store)
         >>> rows = engine.query("MATCH (n:Person) RETURN n.iri")
     """
 
-    def __init__(
-        self,
-        store: PropertyGraphStore,
-        planner: bool = True,
-        force_join: str | None = None,
-        exec_mode: str = "iterator",
-        batch_size: int | None = None,
-    ):
+    def __init__(self, store: PropertyGraphStore, planner: bool = True):
         self.store = store
         #: Edges considered by pattern expansion in the current query.
         self._expansions = 0
+        self.planner = None
         if planner:
             from ..plan import CypherPlanner
 
-            self.planner = CypherPlanner(
-                store,
-                force_join=force_join,
-                exec_mode=exec_mode,
-                batch_size=batch_size,
-            )
-        else:
-            if exec_mode != "iterator":
-                raise ValueError(
-                    f"exec_mode {exec_mode!r} requires the planner"
-                )
-            self.planner = None
+            self.planner = CypherPlanner(store)
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -321,7 +311,7 @@ class CypherEngine:
     def _batched_return_fast_path(
         self, query: SingleQuery, analyze: bool
     ) -> list[tuple] | None:
-        """MATCH + simple RETURN on the batched planner, fully columnar.
+        """MATCH + simple RETURN on the planner, fully columnar.
 
         When the whole query is one non-optional MATCH (no WHERE)
         returning literals, variables, and property accesses — with
@@ -331,11 +321,7 @@ class CypherEngine:
         generic pipeline (returns None).
         """
         planner = self.planner
-        if (
-            planner is None
-            or getattr(planner, "exec_mode", "iterator") != "batched"
-            or len(query.clauses) != 2
-        ):
+        if planner is None or len(query.clauses) != 2:
             return None
         match, ret = query.clauses
         if (
@@ -367,8 +353,6 @@ class CypherEngine:
             rows = planner.execute_match_projected(
                 match, ret.items, self, analyze
             )
-            if rows is None:
-                return None
             span.set("rows_out", len(rows))
         with obs.span("cypher.return", rows_in=len(rows)) as span:
             for index, descending in reversed(order):

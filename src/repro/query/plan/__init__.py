@@ -5,10 +5,12 @@ The package provides, for both engines:
 * statistics catalogs (:mod:`~repro.query.plan.stats`) over the
   incrementally maintained counters of :class:`~repro.rdf.graph.Graph`
   and :class:`~repro.pg.store.PropertyGraphStore`;
-* physical operators behind a small iterator-model interface, with
-  hash joins on shared variables and index scans next to the existing
-  nested-loop strategy (:mod:`~repro.query.plan.sparql_plan`,
-  :mod:`~repro.query.plan.cypher_plan`);
+* the two planners (:mod:`~repro.query.plan.sparql_plan`,
+  :mod:`~repro.query.plan.cypher_plan`): join ordering, access-path
+  choice, and hash join vs index nested-loop by a per-row cost model;
+* the batch operators every plan is built from and executed by —
+  columnar batches of interned ids, decoded at the plan boundary
+  (:mod:`~repro.query.plan.vectorized`);
 * an LRU plan cache keyed by normalized query shape and catalog
   version (:mod:`~repro.query.plan.cache`);
 * ``EXPLAIN`` trees with estimated and actual cardinalities
@@ -17,8 +19,8 @@ The package provides, for both engines:
 The planner only replaces *how* basic graph patterns and MATCH paths
 are enumerated; every downstream construct (filters, OPTIONAL, UNION,
 projection, DISTINCT, ORDER BY, LIMIT, aggregation) runs through the
-engines' existing code, keeping planner-on and planner-off runs
-result-identical.
+engines' existing code, keeping planned runs result-identical to the
+``planner=False`` reference arm.
 """
 
 from .cache import PlanCache
@@ -36,10 +38,6 @@ from .stats import (
 )
 from .vectorized import (
     DEFAULT_BATCH_SIZE,
-    EXEC_MODES,
-    REPLAN_THRESHOLD,
-    AdaptiveBGP,
-    AdaptiveMatchPlan,
     BatchedBGP,
     BatchMatchPlan,
     build_batched_bgp,
@@ -47,20 +45,16 @@ from .vectorized import (
 )
 
 __all__ = [
-    "AdaptiveBGP",
-    "AdaptiveMatchPlan",
     "BatchMatchPlan",
     "BatchedBGP",
     "CypherPlanner",
     "DEFAULT_BATCH_SIZE",
-    "EXEC_MODES",
     "ExplainNode",
     "FeedbackStore",
     "GraphCatalog",
     "PhysicalOperator",
     "PlanCache",
     "Q_ERROR_BOUNDARIES",
-    "REPLAN_THRESHOLD",
     "SeedChoice",
     "SparqlPlanner",
     "StoreCatalog",

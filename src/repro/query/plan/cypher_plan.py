@@ -1,8 +1,8 @@
-"""Cost-based planning and physical operators for Cypher MATCH clauses.
+"""Cost-based planning of Cypher MATCH clauses.
 
-The naive engine matches each path left-to-right, seeding from the label
-index only when the *start* pattern is labelled and falling back to a
-full node scan otherwise.  The planner instead:
+The reference engine matches each path left-to-right, seeding from the
+label index only when the *start* pattern is labelled and falling back
+to a full node scan otherwise.  The planner instead:
 
 * seeds each path at its cheapest node pattern — a bound variable, a
   property-index hit, or the smallest label — and expands the path
@@ -10,59 +10,35 @@ full node scan otherwise.  The planner instead:
   direction; the pattern semantics are unchanged);
 * orders the paths of a multi-path MATCH by estimated cardinality,
   connected paths first;
-* decorrelates a path from the incoming rows with a :class:`PathHashJoin`
-  (build the path once, probe per row) when the cost model or the
-  ``force_join`` knob says so — a disconnected path always hash-joins,
-  replacing the naive per-row rescan with one cartesian build.
+* decorrelates a path from the incoming rows with a hash join (build
+  the path once, probe per row) when the cost model says so — a
+  disconnected path always hash-joins, replacing the reference arm's
+  per-row rescan with one cartesian build.
 
-The operator pipeline threads ``(binding, anchor, pivot)`` items:
-``anchor`` is the node the next expansion starts from and ``pivot``
-remembers the seed so a forward chain can rewind before expanding
-backward.  All per-edge/per-node constraint checks are shared with the
-naive evaluator (``CypherEngine._neighbours`` / ``_node_matches``), so
-both strategies accept exactly the same matches.
+Plans are built from, and executed by, the batch operators of
+:mod:`repro.query.plan.vectorized`: batches carry an ``anchor`` column
+(the node the next expansion starts from) and a ``pivot`` column (the
+seed, so a forward chain can rewind before expanding backward).
 
 Null caveat: a variable bound to null (from OPTIONAL MATCH) is treated
 as *unbound* by Cypher pattern matching, which a hash-join key cannot
 express — the planner detects nullable shared variables per execution
-and falls back to the correlated pipeline for those rows.
+and keeps those paths on the correlated pipeline.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 from ... import obs
-from ...pg.model import PGNode
 from ...pg.store import PropertyGraphStore
-from ..cypher.ast import MatchClause, NodePattern, PathPattern, RelPattern
+from ..cypher.ast import MatchClause, PathPattern, RelPattern
 from .cache import PlanCache
 from .explain import ExplainNode
-from .operator import PhysicalOperator
 from .stats import FeedbackStore, SeedChoice, StoreCatalog
-from .vectorized import (
-    DEFAULT_BATCH_SIZE,
-    EXEC_MODES,
-    REPLAN_THRESHOLD,
-    AdaptiveMatchPlan,
-    BatchMatchPlan,
-    build_batched_match,
-)
+from .vectorized import DEFAULT_BATCH_SIZE, BatchMatchPlan, build_batched_match
 
-__all__ = [
-    "CypherOperator",
-    "CypherPlanner",
-    "Expand",
-    "InputRows",
-    "MatchPlan",
-    "PathHashJoin",
-    "Pivot",
-    "Seed",
-]
+__all__ = ["CypherPlanner"]
 
 Binding = dict[str, object]
-#: A pipeline item: (binding, anchor node, pivot/seed node).
-Item = tuple[Binding, PGNode | None, PGNode | None]
 
 COST_HASH_BUILD = 2.0
 COST_HASH_PROBE = 1.0
@@ -81,304 +57,20 @@ def _path_variables(path: PathPattern) -> set[str]:
     return names
 
 
-def _value_key(value: object):
-    from ..cypher.evaluator import _value_key as key
-
-    return key(value)
-
-
-class CypherOperator(PhysicalOperator):
-    """An iterator-model operator over ``(binding, anchor, pivot)`` items.
-
-    Run-time bookkeeping (``actual_rows``/``actual_loops``/``wall_ns``,
-    the analyze timing wrapper, and the ``ExplainNode`` snapshot) lives
-    in :class:`~repro.query.plan.operator.PhysicalOperator`.
-    """
-
-    def execute(self, engine) -> Iterator[Item]:
-        raise NotImplementedError
-
-
-class InputRows(CypherOperator):
-    """Source: the binding rows flowing in from the previous clause."""
-
-    op = "Input"
-
-    def __init__(self):
-        super().__init__(None)
-        self.rows: list[Binding] = []
-
-    def execute(self, engine) -> Iterator[Item]:
-        self.actual_loops += 1
-        for binding in self.rows:
-            self.actual_rows += 1
-            yield binding, None, None
-
-
-class ConstRow(CypherOperator):
-    """Source: a single empty binding (hash-join build sides)."""
-
-    op = "Const"
-
-    def __init__(self):
-        super().__init__(1.0)
-
-    def execute(self, engine) -> Iterator[Item]:
-        self.actual_loops += 1
-        self.actual_rows += 1
-        yield {}, None, None
-
-
-class Seed(CypherOperator):
-    """Bind one node pattern of a path via its chosen access path."""
-
-    op = "Seed"
-
-    def __init__(
-        self,
-        child: CypherOperator,
-        store: PropertyGraphStore,
-        pattern: NodePattern,
-        choice: SeedChoice,
-        est_rows: float,
-    ):
-        super().__init__(est_rows, (child,))
-        self.store = store
-        self.pattern = pattern
-        self.choice = choice
-
-    def detail(self) -> str:
-        name = self.pattern.var or "_"
-        return f"({name}) via {self.choice.describe()}"
-
-    def _candidates(self, binding: Binding) -> Iterator[PGNode]:
-        choice = self.choice
-        if choice.mode == "bound":
-            bound = binding.get(self.pattern.var)
-            if isinstance(bound, PGNode):
-                yield bound
-            return
-        if choice.mode == "prop":
-            yield from self.store.nodes_by_property(choice.key, choice.value)
-            return
-        if choice.mode == "label":
-            yield from self.store.nodes_with_label(choice.label)
-            return
-        yield from self.store.graph.nodes.values()
-
-    def execute(self, engine) -> Iterator[Item]:
-        from ..cypher.evaluator import _node_matches
-
-        pattern = self.pattern
-        bound_mode = self.choice.mode == "bound"
-        for binding, _, _ in self.children[0].run(engine):
-            self.actual_loops += 1
-            for node in self._candidates(binding):
-                if not _node_matches(node, pattern):
-                    continue
-                if pattern.var is not None and not bound_mode:
-                    existing = binding.get(pattern.var)
-                    if existing is not None:
-                        # The variable was bound by an earlier path of
-                        # this clause: enforce equality, as the naive
-                        # evaluator's _candidate_starts does.
-                        if not (isinstance(existing, PGNode) and existing.id == node.id):
-                            continue
-                        extended = binding
-                    else:
-                        extended = dict(binding)
-                        extended[pattern.var] = node
-                else:
-                    extended = binding
-                self.actual_rows += 1
-                yield extended, node, node
-
-    # NOTE on the "bound" mode: the naive evaluator treats a bound
-    # variable that is not a node (or is null) as matching nothing,
-    # which _candidates reproduces by yielding no candidate.
-
-
-class Expand(CypherOperator):
-    """Follow one hop of a path from the current anchor node.
-
-    ``reverse=True`` traverses the hop from its right endpoint to its
-    left one (the relationship pattern is direction-flipped; the far
-    node pattern is the hop's left-hand node).
-    """
-
-    op = "Expand"
-
-    def __init__(
-        self,
-        child: CypherOperator,
-        rel: RelPattern,
-        node: NodePattern,
-        reverse: bool,
-        est_rows: float,
-    ):
-        super().__init__(est_rows, (child,))
-        self.rel = rel
-        self.node = node
-        self.reverse = reverse
-        self.traverse_rel = _flip(rel) if reverse else rel
-
-    def detail(self) -> str:
-        types = "|".join(self.rel.types)
-        rel = f"[:{types}]" if types else "[]"
-        arrow = {"out": f"-{rel}->", "in": f"<-{rel}-", "any": f"-{rel}-"}[
-            self.rel.direction
-        ]
-        far = f"({self.node.var or '_'})"
-        if self.reverse:
-            return f"{far}{arrow}(*)"
-        return f"(*){arrow}{far}"
-
-    def execute(self, engine) -> Iterator[Item]:
-        from ..cypher.evaluator import _node_matches
-
-        rel = self.traverse_rel
-        rel_var = self.rel.var
-        node_pattern = self.node
-        for binding, anchor, pivot in self.children[0].run(engine):
-            self.actual_loops += 1
-            for edge, neighbour in engine._neighbours(anchor, rel):
-                if not _node_matches(neighbour, node_pattern):
-                    continue
-                extended = binding
-                if rel_var is not None:
-                    bound = binding.get(rel_var)
-                    if bound is not None and bound is not edge:
-                        continue
-                    extended = dict(extended)
-                    extended[rel_var] = edge
-                if node_pattern.var is not None:
-                    bound = extended.get(node_pattern.var)
-                    if bound is not None:
-                        if not (isinstance(bound, PGNode) and bound.id == neighbour.id):
-                            continue
-                    else:
-                        if extended is binding:
-                            extended = dict(extended)
-                        extended[node_pattern.var] = neighbour
-                self.actual_rows += 1
-                yield extended, neighbour, pivot
-
-
-class Pivot(CypherOperator):
-    """Rewind the anchor to the seed node (forward chain -> backward)."""
-
-    op = "Pivot"
-
-    def __init__(self, child: CypherOperator, est_rows: float | None):
-        super().__init__(est_rows, (child,))
-
-    def execute(self, engine) -> Iterator[Item]:
-        self.actual_loops += 1
-        for binding, _, pivot in self.children[0].run(engine):
-            self.actual_rows += 1
-            yield binding, pivot, pivot
-
-
-class PathHashJoin(CypherOperator):
-    """Decorrelate a path: build it once, probe per incoming row.
-
-    The build side enumerates the path from a single empty binding; the
-    probe joins on the value identities of the shared variables (node
-    and edge identities compare by id, exactly like the correlated
-    pipeline's identity checks).
-    """
-
-    op = "HashJoin"
-
-    def __init__(
-        self,
-        probe: CypherOperator,
-        build: CypherOperator,
-        key: tuple[str, ...],
-        est_rows: float | None,
-    ):
-        super().__init__(est_rows, (probe, build))
-        self.key = key
-
-    def detail(self) -> str:
-        if not self.key:
-            return "cartesian"
-        return "on " + ", ".join(self.key)
-
-    def execute(self, engine) -> Iterator[Item]:
-        self.actual_loops += 1
-        key = self.key
-        table: dict[tuple, list[Binding]] = {}
-        for binding, _, _ in self.children[1].run(engine):
-            table.setdefault(
-                tuple(_value_key(binding.get(k)) for k in key), []
-            ).append(binding)
-        for binding, _, _ in self.children[0].run(engine):
-            probe_key = tuple(_value_key(binding.get(k)) for k in key)
-            for match in table.get(probe_key, ()):
-                self.actual_rows += 1
-                yield {**binding, **match}, None, None
-
-
-class MatchPlan:
-    """A compiled (and cacheable) physical plan for one MATCH clause."""
-
-    def __init__(self, input_op: InputRows, root: CypherOperator):
-        self.input = input_op
-        self.root = root
-
-    def execute(
-        self, rows: list[Binding], engine, analyze: bool = False
-    ) -> list[Binding]:
-        self.input.rows = rows
-        self.root.prepare(analyze)
-        return [binding for binding, _, _ in self.root.run(engine)]
-
-    def explain(self) -> ExplainNode:
-        return self.root.explain()
-
-
 class CypherPlanner:
     """Plans MATCH clauses for one :class:`PropertyGraphStore`.
 
     Args:
         store: the store queried.
-        force_join: ``"hash"`` / ``"nested"`` forces path decorrelation
-            on/off (nullable shared variables still fall back to the
-            correlated pipeline for correctness); None applies the cost
-            model.
         cache_size: LRU plan-cache capacity.
-        exec_mode: ``"iterator"`` (default), ``"batched"`` (vectorized
-            columnar operators), or ``"adaptive"`` (batched plus
-            mid-query re-planning); see :mod:`repro.query.plan.vectorized`.
-        batch_size: rows per batch for the vectorized modes.
-        replan_threshold: stage q-error past which adaptive execution
-            re-plans the remaining paths.
     """
 
-    def __init__(
-        self,
-        store: PropertyGraphStore,
-        force_join: str | None = None,
-        cache_size: int = 128,
-        exec_mode: str = "iterator",
-        batch_size: int | None = None,
-        replan_threshold: float = REPLAN_THRESHOLD,
-    ):
-        if force_join not in (None, "hash", "nested"):
-            raise ValueError(f"unknown force_join {force_join!r}")
-        if exec_mode not in EXEC_MODES:
-            raise ValueError(f"unknown exec_mode {exec_mode!r}")
+    def __init__(self, store: PropertyGraphStore, cache_size: int = 128):
         self.store = store
         self.catalog = StoreCatalog(store)
         self.cache = PlanCache(cache_size)
-        self.force_join = force_join
-        self.exec_mode = exec_mode
-        self.batch_size = batch_size or DEFAULT_BATCH_SIZE
-        self.replan_threshold = replan_threshold
-        #: Re-plan events of the last adaptive query (dicts with
-        #: stage_est / actual / q_error / remaining).
-        self.last_replans: list[dict] = []
+        #: Rows per batch of the plans built from here on.
+        self.batch_size = DEFAULT_BATCH_SIZE
         #: Observed-cardinality feedback, keyed by plan-cache key.
         self.feedback = FeedbackStore("cypher")
         #: Explain snapshots of the clauses executed by the last query.
@@ -398,9 +90,10 @@ class CypherPlanner:
         self.last_keys = []
         self.last_cache_hits = 0
         self.last_cache_misses = 0
-        self.last_replans = []
 
-    def _lookup_plan(self, rows: list[Binding], clause: MatchClause):
+    def _lookup_plan(
+        self, rows: list[Binding], clause: MatchClause
+    ) -> tuple[tuple, BatchMatchPlan]:
         """Plan-cache lookup (build on miss) with shared bookkeeping."""
         bound = frozenset(rows[0].keys()) if rows else frozenset()
         clause_vars = set(clause.pattern_variables())
@@ -410,15 +103,7 @@ class CypherPlanner:
             if any(row.get(name) is None for row in rows)
         )
         version = self.catalog.version
-        key = (
-            version,
-            self.force_join,
-            self.exec_mode,
-            self.batch_size,
-            bound,
-            nullable,
-            repr(clause.paths),
-        )
+        key = (version, bound, nullable, repr(clause.paths))
         plan = self.cache.get(key)
         hit = plan is not None
         if plan is None:
@@ -461,17 +146,13 @@ class CypherPlanner:
 
     def execute_match_projected(
         self, clause: MatchClause, items, engine, analyze: bool = False
-    ) -> list[tuple] | None:
+    ) -> list[tuple]:
         """Run a whole-query MATCH and project RETURN items batch-wise.
 
-        Only available in batched mode (the caller checks ``exec_mode``);
-        property and variable columns are materialized straight from the
+        Property and variable columns are materialized straight from the
         interned-id columns, so no per-row binding dicts are built.
-        Returns None when the cached plan turns out not to be batched.
         """
         key, plan = self._lookup_plan([{}], clause)
-        if not isinstance(plan, BatchMatchPlan):
-            return None
         result = plan.execute_projected([{}], engine, items, analyze)
         self._record_plan(key, plan)
         return result
@@ -482,57 +163,8 @@ class CypherPlanner:
 
     def _build(
         self, clause: MatchClause, bound: set[str], nullable: frozenset[str]
-    ):
-        if self.exec_mode == "adaptive":
-            return AdaptiveMatchPlan(self, clause, bound, nullable)
-        if self.exec_mode == "batched":
-            return build_batched_match(self, clause, bound, nullable)
-        input_op = InputRows()
-        current: CypherOperator = input_op
-        remaining = list(range(len(clause.paths)))
-        in_est = 1.0  # estimates are per incoming row
-
-        while remaining:
-            connected = [
-                i for i in remaining if _path_variables(clause.paths[i]) & bound
-            ]
-            pool = connected or remaining
-
-            def correlated_est(i: int) -> float:
-                return self._path_estimate(clause.paths[i], bound)
-
-            index = min(pool, key=lambda i: (correlated_est(i), i))
-            path = clause.paths[index]
-            path_vars = _path_variables(path)
-            shared = tuple(sorted(path_vars & bound))
-            per_row_est = self._path_estimate(path, bound)
-            standalone_est = self._path_estimate(path, set())
-            next_est = in_est * per_row_est
-
-            if self.force_join == "hash":
-                use_hash = not (set(shared) & nullable)
-            elif self.force_join == "nested":
-                use_hash = False
-            elif not shared:
-                use_hash = True
-            elif set(shared) & nullable:
-                use_hash = False
-            else:
-                bind_cost = in_est * per_row_est
-                hash_cost = (
-                    standalone_est * COST_HASH_BUILD + in_est * COST_HASH_PROBE
-                )
-                use_hash = hash_cost < bind_cost
-
-            if use_hash:
-                build = self._compile_path(path, set(), ConstRow(), 1.0)
-                current = PathHashJoin(current, build, shared, next_est)
-            else:
-                current = self._compile_path(path, bound, current, in_est)
-            bound |= path_vars
-            in_est = next_est
-            remaining.remove(index)
-        return MatchPlan(input_op, current)
+    ) -> BatchMatchPlan:
+        return build_batched_match(self, clause, bound, nullable)
 
     def _seed_position(
         self, path: PathPattern, bound: set[str]
@@ -562,29 +194,3 @@ class CypherPlanner:
                 nodes[i]
             )
         return est
-
-    def _compile_path(
-        self,
-        path: PathPattern,
-        bound: set[str],
-        child: CypherOperator,
-        in_est: float,
-    ) -> CypherOperator:
-        seed_index, choice = self._seed_position(path, bound)
-        nodes = path.node_patterns()
-        est = in_est * choice.est
-        current: CypherOperator = Seed(
-            child, self.store, nodes[seed_index], choice, est
-        )
-        for i in range(seed_index, len(path.hops)):
-            rel, node = path.hops[i]
-            est *= self.catalog.hop_fanout(rel) * self.catalog.node_selectivity(node)
-            current = Expand(current, rel, node, reverse=False, est_rows=est)
-        if seed_index > 0:
-            current = Pivot(current, est)
-            for i in range(seed_index - 1, -1, -1):
-                rel, _ = path.hops[i]
-                far = nodes[i]
-                est *= self.catalog.hop_fanout(rel) * self.catalog.node_selectivity(far)
-                current = Expand(current, rel, far, reverse=True, est_rows=est)
-        return current

@@ -1,9 +1,10 @@
-"""Shared machinery for iterator-model physical operators.
+"""Shared machinery of the physical (batch) operators.
 
-Both planners' operator trees (:mod:`repro.query.plan.sparql_plan`,
-:mod:`repro.query.plan.cypher_plan`) inherit from
-:class:`PhysicalOperator`, which owns the run-time bookkeeping behind
-``EXPLAIN`` and ``EXPLAIN ANALYZE``:
+Both engines' operator trees (:mod:`repro.query.plan.vectorized`) are
+pull-based — an operator's ``execute`` is a generator of batches drawn
+from its children's — and inherit from :class:`PhysicalOperator`,
+which owns the run-time bookkeeping behind ``EXPLAIN`` and
+``EXPLAIN ANALYZE``:
 
 * ``actual_rows`` — output cardinality of the most recent execution;
 * ``actual_loops`` — how many times the operator's per-row work ran
@@ -30,7 +31,7 @@ __all__ = ["PhysicalOperator"]
 
 
 class PhysicalOperator:
-    """Base class for iterator-model physical operators."""
+    """Base class of the pull-based physical operators."""
 
     op = "Operator"
 

@@ -1,17 +1,18 @@
-"""Cost-based planning and physical operators for SPARQL BGPs.
+"""Cost-based planning of SPARQL basic graph patterns.
 
-The planner replaces the evaluator's per-binding greedy heuristic with
-plan-time join ordering: starting from the cheapest standalone pattern,
-it greedily appends the connected pattern with the smallest estimated
-per-binding cardinality, choosing between an index nested-loop probe
-(:class:`BindJoin`, the naive evaluator's strategy) and a
-:class:`HashJoin` on the shared variables by a simple per-row cost
-model.  Disconnected patterns become hash-join cartesian products
-instead of per-binding rescans.
+The planner replaces the reference evaluator's per-binding greedy
+heuristic with plan-time join ordering: starting from the cheapest
+standalone pattern, it greedily appends the connected pattern with the
+smallest estimated per-binding cardinality, choosing between an index
+nested-loop probe (``BatchBindJoin``, the reference evaluator's
+strategy) and a ``BatchHashJoin`` on the shared variables by a simple
+per-row cost model.  Disconnected patterns become hash-join cartesian
+products instead of per-binding rescans.  Plans are built from, and
+executed by, the batch operators of :mod:`repro.query.plan.vectorized`.
 
 Everything downstream of the BGP (OPTIONAL, UNION, FILTER, projection,
 DISTINCT, ORDER BY, LIMIT) is evaluated by the engine's existing code,
-so planner-on and planner-off runs are result-identical by
+so planned and ``planner=False`` runs are result-identical by
 construction; the differential fuzz oracle asserts it by test.
 """
 
@@ -22,24 +23,13 @@ from collections.abc import Iterator
 from ... import obs
 from ...rdf.graph import Graph
 from ...rdf.terms import Term
-from ..sparql.ast import SelectQuery, TriplePattern, Var
+from ..sparql.ast import SelectQuery, TriplePattern
 from .cache import PlanCache
 from .explain import ExplainNode
-from .operator import PhysicalOperator
 from .stats import FeedbackStore, GraphCatalog
-from .vectorized import (
-    DEFAULT_BATCH_SIZE,
-    EXEC_MODES,
-    REPLAN_THRESHOLD,
-    AdaptiveBGP,
-    build_batched_bgp,
-)
+from .vectorized import DEFAULT_BATCH_SIZE, BatchedBGP, build_batched_bgp
 
 __all__ = [
-    "BindJoin",
-    "HashJoin",
-    "PatternScan",
-    "SparqlOperator",
     "SparqlPlanner",
     "explain_select",
     "flush_operator_obs",
@@ -56,165 +46,36 @@ COST_HASH_BUILD = 2.0
 COST_EMIT = 1.0
 
 
-class SparqlOperator(PhysicalOperator):
-    """An iterator-model physical operator over solution bindings.
-
-    ``run`` restarts the operator (call ``prepare`` on the root first)
-    and yields bindings; ``actual_rows``/``actual_loops``/``wall_ns``
-    hold the run-time profile of the most recent execution, for
-    ``EXPLAIN`` and ``EXPLAIN ANALYZE`` (see
-    :class:`~repro.query.plan.operator.PhysicalOperator`).
-    """
-
-    def execute(self, stats=None) -> Iterator[Binding]:
-        raise NotImplementedError
-
-
-class PatternScan(SparqlOperator):
-    """Leaf: match one triple pattern against the graph's indexes."""
-
-    op = "Scan"
-
-    def __init__(self, graph: Graph, pattern: TriplePattern, est_rows: float):
-        super().__init__(est_rows)
-        self.graph = graph
-        self.pattern = pattern
-
-    def detail(self) -> str:
-        return str(self.pattern)
-
-    def execute(self, stats=None) -> Iterator[Binding]:
-        from ..sparql.evaluator import _match_pattern
-
-        self.actual_loops += 1
-        for binding in _match_pattern(self.graph, self.pattern, {}, stats):
-            self.actual_rows += 1
-            yield binding
-
-
-class BindJoin(SparqlOperator):
-    """Index nested-loop join: probe the pattern once per input binding."""
-
-    op = "BindJoin"
-
-    def __init__(
-        self,
-        child: SparqlOperator,
-        graph: Graph,
-        pattern: TriplePattern,
-        est_rows: float,
-    ):
-        super().__init__(est_rows, (child,))
-        self.graph = graph
-        self.pattern = pattern
-
-    def detail(self) -> str:
-        return str(self.pattern)
-
-    def execute(self, stats=None) -> Iterator[Binding]:
-        from ..sparql.evaluator import _match_pattern
-
-        for binding in self.children[0].run(stats):
-            self.actual_loops += 1
-            for extended in _match_pattern(self.graph, self.pattern, binding, stats):
-                self.actual_rows += 1
-                yield extended
-
-
-class HashJoin(SparqlOperator):
-    """Hash join on the shared variables (cartesian when none)."""
-
-    op = "HashJoin"
-
-    def __init__(
-        self,
-        probe: SparqlOperator,
-        build: SparqlOperator,
-        key: tuple[str, ...],
-        est_rows: float,
-    ):
-        super().__init__(est_rows, (probe, build))
-        self.key = key
-
-    def detail(self) -> str:
-        if not self.key:
-            return "cartesian"
-        return "on " + ", ".join(f"?{name}" for name in self.key)
-
-    def execute(self, stats=None) -> Iterator[Binding]:
-        self.actual_loops += 1
-        key = self.key
-        table: dict[tuple, list[Binding]] = {}
-        for binding in self.children[1].run(stats):
-            table.setdefault(tuple(binding[k] for k in key), []).append(binding)
-        for binding in self.children[0].run(stats):
-            for match in table.get(tuple(binding[k] for k in key), ()):
-                self.actual_rows += 1
-                yield {**binding, **match}
-
-
 class SparqlPlanner:
     """Plans and executes basic graph patterns for one graph.
 
     Args:
         graph: the graph queried (statistics come from its counters).
-        force_join: ``"hash"`` / ``"nested"`` forces the join operator
-            (used by the differential harness); None applies the cost
-            model.
         cache_size: LRU plan-cache capacity.
-        exec_mode: ``"iterator"`` (default), ``"batched"`` (vectorized
-            columnar operators), or ``"adaptive"`` (batched plus
-            mid-query re-planning); see :mod:`repro.query.plan.vectorized`.
-        batch_size: rows per batch for the vectorized modes.
-        replan_threshold: stage q-error past which adaptive execution
-            re-plans the remaining joins.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        force_join: str | None = None,
-        cache_size: int = 128,
-        exec_mode: str = "iterator",
-        batch_size: int | None = None,
-        replan_threshold: float = REPLAN_THRESHOLD,
-    ):
-        if force_join not in (None, "hash", "nested"):
-            raise ValueError(f"unknown force_join {force_join!r}")
-        if exec_mode not in EXEC_MODES:
-            raise ValueError(f"unknown exec_mode {exec_mode!r}")
+    def __init__(self, graph: Graph, cache_size: int = 128):
         self.graph = graph
         self.catalog = GraphCatalog(graph)
         self.cache = PlanCache(cache_size)
-        self.force_join = force_join
-        self.exec_mode = exec_mode
-        self.batch_size = batch_size or DEFAULT_BATCH_SIZE
-        self.replan_threshold = replan_threshold
-        #: Re-plan events of the last adaptive execution (dicts with
-        #: stage_est / actual / q_error / remaining).
-        self.last_replans: list[dict] = []
+        #: Rows per batch of the plans built from here on.
+        self.batch_size = DEFAULT_BATCH_SIZE
         #: Observed-cardinality feedback, keyed by plan-cache key.
         self.feedback = FeedbackStore("sparql")
         #: Explain snapshot of the last executed BGP plan (set by the
         #: evaluator once the plan's iterator is fully consumed).
         self.last_explain: ExplainNode | None = None
-        self.last_plan: SparqlOperator | None = None
+        self.last_plan: BatchedBGP | None = None
         #: Plan-cache key of the last planned BGP (feedback-store key).
         self.last_key: tuple | None = None
         #: Whether the last planned BGP came from the plan cache.
         self.last_cache_hit: bool | None = None
         obs.register_plan_cache("sparql", self.cache)
 
-    def plan_bgp(self, patterns: list[TriplePattern]) -> SparqlOperator:
+    def plan_bgp(self, patterns: list[TriplePattern]) -> BatchedBGP:
         """The (cached) physical plan for a basic graph pattern."""
         version = self.catalog.version
-        key = (
-            version,
-            self.force_join,
-            self.exec_mode,
-            self.batch_size,
-            "\x1f".join(str(p) for p in patterns),
-        )
+        key = (version, "\x1f".join(str(p) for p in patterns))
         plan = self.cache.get(key)
         hit = plan is not None
         if plan is None:
@@ -241,87 +102,18 @@ class SparqlPlanner:
         self.last_plan = plan
         plan.prepare(analyze)
         if stats is not None:
-            # The plan-time join order plays the role of the naive
+            # The plan-time join order plays the role of the reference
             # evaluator's per-binding greedy selections: surface the
             # same selectivity profile (bound positions per chosen
-            # pattern) so traces stay comparable across strategies.
-            profile = getattr(plan, "selectivity_profile", ())
+            # pattern) so traces stay comparable across the two arms.
+            profile = plan.selectivity_profile
             stats.selections += len(profile)
             for concrete in profile:
                 stats.selectivity[concrete] += 1
         return plan.run(stats)
 
-    # ------------------------------------------------------------------ #
-    # Plan construction
-    # ------------------------------------------------------------------ #
-
-    def _build(self, patterns: list[TriplePattern]) -> PhysicalOperator:
-        if self.exec_mode == "adaptive":
-            return AdaptiveBGP(self, patterns)
-        if self.exec_mode == "batched":
-            return build_batched_bgp(self, patterns)
-        catalog = self.catalog
-        remaining = list(range(len(patterns)))
-        bound: set[str] = set()
-
-        def concrete_positions(pattern: TriplePattern) -> int:
-            return sum(
-                1
-                for term in (pattern.s, pattern.p, pattern.o)
-                if not isinstance(term, Var) or term.name in bound
-            )
-
-        profile: list[int] = []
-        first = min(
-            remaining,
-            key=lambda i: (catalog.estimate_pattern(patterns[i], bound), i),
-        )
-        est = catalog.estimate_pattern(patterns[first], set())
-        profile.append(concrete_positions(patterns[first]))
-        plan: SparqlOperator = PatternScan(self.graph, patterns[first], est)
-        bound |= patterns[first].variables()
-        remaining.remove(first)
-        out_est = est
-
-        while remaining:
-            connected = [i for i in remaining if patterns[i].variables() & bound]
-            pool = connected or remaining
-            index = min(
-                pool,
-                key=lambda i: (catalog.estimate_pattern(patterns[i], bound), i),
-            )
-            pattern = patterns[index]
-            profile.append(concrete_positions(pattern))
-            shared = tuple(sorted(pattern.variables() & bound))
-            per_binding = catalog.estimate_pattern(pattern, bound)
-            standalone = catalog.estimate_pattern(pattern, set())
-            next_est = out_est * per_binding
-            if self.force_join == "hash":
-                use_hash = True
-            elif self.force_join == "nested":
-                use_hash = False
-            elif not shared:
-                # A per-binding rescan of a disconnected pattern is never
-                # cheaper than building its scan once.
-                use_hash = True
-            else:
-                bind_cost = out_est * COST_INDEX_PROBE + next_est * COST_EMIT
-                hash_cost = (
-                    standalone * COST_HASH_BUILD
-                    + out_est * COST_HASH_PROBE
-                    + next_est * COST_EMIT
-                )
-                use_hash = hash_cost < bind_cost
-            if use_hash:
-                build = PatternScan(self.graph, pattern, standalone)
-                plan = HashJoin(plan, build, shared, next_est)
-            else:
-                plan = BindJoin(plan, self.graph, pattern, next_est)
-            bound |= pattern.variables()
-            out_est = next_est
-            remaining.remove(index)
-        plan.selectivity_profile = tuple(profile)
-        return plan
+    def _build(self, patterns: list[TriplePattern]) -> BatchedBGP:
+        return build_batched_bgp(self, patterns)
 
 
 # --------------------------------------------------------------------- #
@@ -330,7 +122,7 @@ class SparqlPlanner:
 
 def explain_select(
     query: SelectQuery,
-    plan: SparqlOperator | ExplainNode | None,
+    plan: ExplainNode | None,
     result_rows: int,
 ) -> ExplainNode:
     """Wrap a BGP plan tree with the query's logical tail.
@@ -341,10 +133,8 @@ def explain_select(
     """
     if plan is None:
         node = ExplainNode("EmptyPattern", est_rows=1.0)
-    elif isinstance(plan, ExplainNode):
-        node = plan
     else:
-        node = plan.explain()
+        node = plan
     if query.unions:
         node = ExplainNode(
             "Union", f"{len(query.unions)} alternatives", children=(node,)
@@ -383,10 +173,10 @@ def explain_select(
 def flush_operator_obs(lang: str, root: ExplainNode) -> None:
     """Emit per-operator spans and row counters after an execution.
 
-    Physical operators interleave their work (iterator model), so their
-    timings are not separable; what *is* exact are the per-operator
-    cardinalities, flushed here as zero-length spans under the current
-    evaluate span plus a labelled metrics counter.
+    Physical operators interleave their work (each pulls batches from
+    its child), so their timings are not separable; what *is* exact are
+    the per-operator cardinalities, flushed here as zero-length spans
+    under the current evaluate span plus a labelled metrics counter.
     """
     metrics = obs.get_metrics()
     counter = metrics.counter(

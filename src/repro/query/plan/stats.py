@@ -230,10 +230,10 @@ class FeedbackStore:
     After every execution the planner records the explain snapshot here;
     the store keeps, per plan, the latest per-operator estimated vs.
     actual rows and the plan's worst q-error, bounded LRU-style to
-    ``capacity`` plans.  This is the signal a future adaptive replanner
-    (ROADMAP item 5) will consume, and each recording feeds the
+    ``capacity`` plans.  Each recording feeds the
     ``repro_plan_q_error{engine=...}`` histogram so estimate drift is
-    scrapeable from the ops endpoint.
+    scrapeable from the ops endpoint (and is the signal a re-planner
+    would consume; DESIGN.md records why there is none today).
     """
 
     def __init__(self, engine: str, capacity: int = 512):

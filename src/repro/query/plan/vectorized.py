@@ -1,55 +1,31 @@
-"""Vectorized batched execution with feedback-driven adaptive re-planning.
+"""Batch operators: the one planned execution path of both engines.
 
-The iterator-model operators of :mod:`sparql_plan` and
-:mod:`cypher_plan` move one Python dict per row.  The operators here
-move fixed-size *batches* of interned-ID bindings instead: a batch is a
-set of columnar ``array('q')`` columns (one per variable) over the
-storage substrate's dense integer ids, so the hot join loops are int
-comparisons and C-level ``array`` extends (one
+A batch is a set of columnar ``array('q')`` columns (one per variable)
+over the storage substrate's dense integer ids, so the hot join loops
+are int comparisons and C-level ``array`` extends (one
 :meth:`~repro.storage.postings.IntPostings.extend_into` per index
-bucket) rather than dict allocation per row.  Terms and graph elements
-are decoded back to objects only at plan boundaries — ORDER BY,
-projection, FILTER and the clause tail all run on the engines'
-existing code, which keeps every execution mode bag-identical by
-construction (and by the differential fuzz oracle).
-
-Two modes are built on the same operators:
-
-* ``batched`` — the planner's static join order, executed batch-wise
-  (streaming: operators pull batches from their child).
-* ``adaptive`` — executes one join stage at a time against
-  *materialized* batches; at every stage boundary the observed
-  cardinality is compared with the estimate and, past a q-error
-  threshold (:data:`REPLAN_THRESHOLD`), the *remaining* join sequence
-  is re-planned with the actuals substituted (observed input
-  cardinality, and for SPARQL per-binding cardinalities re-sampled
-  from the materialized state) before execution resumes.  Re-plans
-  are counted in ``repro_plan_replans_total``, surfaced as ``Replan``
-  nodes in EXPLAIN / EXPLAIN ANALYZE, and recorded on the planner's
-  ``last_replans`` for the CLI and tests.
-
-Re-planned executions stay keyed to the *original* plan-cache key:
-the adaptive driver never creates a new cache entry mid-query, so the
-``FeedbackStore`` q-error history of a statement does not fragment
-across re-plans.
+bucket) rather than one Python dict per row.  Operators stream: each
+pulls batches from its child, in the planner's static join order.
+Terms and graph elements are decoded back to objects only at plan
+boundaries — ORDER BY, projection, FILTER and the clause tail all run
+on the engines' existing code, which keeps planned execution
+bag-identical to the ``planner=False`` reference by construction (and
+by the differential fuzz oracle).
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import chain
 from itertools import repeat as _repeat
 
-from ... import obs
 from ...rdf.terms import IRI, Literal
 from ...storage.postings import IntPostings
 from ..sparql.ast import TriplePattern, Var
 from .explain import ExplainNode
 from .operator import PhysicalOperator
-from .stats import q_error
 
 __all__ = [
-    "AdaptiveBGP",
-    "AdaptiveMatchPlan",
     "BatchConst",
     "BatchExpand",
     "BatchFilter",
@@ -63,8 +39,6 @@ __all__ = [
     "BatchSeed",
     "BatchedBGP",
     "DEFAULT_BATCH_SIZE",
-    "EXEC_MODES",
-    "REPLAN_THRESHOLD",
     "build_batched_bgp",
     "build_batched_match",
 ]
@@ -73,17 +47,8 @@ __all__ = [
 #: overhead, small enough to stay cache-resident (8 KiB per column).
 DEFAULT_BATCH_SIZE = 1024
 
-#: Stage-boundary q-error past which the adaptive driver re-plans the
-#: remaining join sequence.
-REPLAN_THRESHOLD = 4.0
-
-EXEC_MODES = ("iterator", "batched", "adaptive")
-
 #: Interned-id sentinel for "can never match" (real ids are >= 0).
 _DEAD = -3
-#: Re-sampled per-binding probes taken from the materialized state on
-#: an adaptive re-plan.
-_REPLAN_SAMPLES = 32
 
 
 def _gather(arr: array, sel) -> array:
@@ -91,40 +56,13 @@ def _gather(arr: array, sel) -> array:
     return array("q", map(arr.__getitem__, sel))
 
 
-def _fmt_rows(value: float) -> str:
-    if value == int(value):
-        return str(int(value))
-    return f"{value:.1f}"
+def _repeat_each(seq, times: int):
+    """Every element of ``seq`` ``times`` times in a row (lazy).
 
-
-def _replan_counter():
-    return obs.get_metrics().counter(
-        "repro_plan_replans_total", help="mid-query adaptive re-plans"
-    )
-
-
-def _replan_node(kind: str, est: float, actual: int, err: float,
-                 remaining: int, chain: ExplainNode) -> ExplainNode:
-    detail = (
-        f"est={_fmt_rows(est)} act={actual} q={err:.1f}; "
-        f"re-planned {remaining} remaining {kind}"
-    )
-    return ExplainNode("Replan", detail, children=(chain,))
-
-
-def _splice(node: ExplainNode, replacement: ExplainNode) -> ExplainNode:
-    """Replace the leftmost ``Batches`` leaf with ``replacement``.
-
-    Adaptive stages execute against a materialized buffer; for EXPLAIN
-    the buffer node is swapped back out for the explain chain of the
-    stages that produced it, so the rendered tree reads like one plan.
+    The probe side of a cartesian product: with the build columns tiled
+    (``col * n``), no selection vectors are materialized or gathered.
     """
-    if node.op == "Batches":
-        return replacement
-    if not node.children:
-        return node
-    node.children = (_splice(node.children[0], replacement),) + node.children[1:]
-    return node
+    return chain.from_iterable(map(_repeat, seq, _repeat(times)))
 
 
 # ===================================================================== #
@@ -451,24 +389,29 @@ class BatchHashJoin(SparqlBatchOperator):
             kcol = build_cols.get(single, array("q"))
             for j in range(build_n):
                 table.setdefault(kcol[j], []).append(j)
-        elif key:
+        elif key and build_n:  # an empty build side has no columns
             kcols = [build_cols[name] for name in key]
             for j in range(build_n):
                 table.setdefault(tuple(col[j] for col in kcols), []).append(j)
-        all_rows = list(range(build_n))
         for batch in self.children[0].run(stats):
             n = batch.n
-            if n == 0:
+            if n == 0 or build_n == 0:
                 continue
             cols = batch.cols
+            if not key:
+                # Cartesian: every probe row once per build row against
+                # the tiled build columns — no selection vectors.
+                out_cols = {name: col * n for name, col in build_cols.items()}
+                out_cols.update(
+                    (name, array("q", _repeat_each(col, build_n)))
+                    for name, col in cols.items()
+                )
+                self.actual_rows += n * build_n
+                yield TermBatch(out_cols, n * build_n)
+                continue
             sel_p = array("q")
             sel_b = array("q")
-            if not key:
-                if build_n:
-                    for i in range(n):
-                        sel_p.extend(_repeat(i, build_n))
-                        sel_b.extend(all_rows)
-            elif single is not None:
+            if single is not None:
                 pcol = cols[single]
                 for i in range(n):
                     hits = table.get(pcol[i])
@@ -493,25 +436,6 @@ class BatchHashJoin(SparqlBatchOperator):
             yield TermBatch(out_cols, m)
 
 
-class _BufferedTermBatches(SparqlBatchOperator):
-    """Source: materialized batches of the stages already executed."""
-
-    op = "Batches"
-
-    def __init__(self, batches, est_rows: float):
-        super().__init__(est_rows)
-        self.batches = batches
-
-    def detail(self) -> str:
-        return "materialized"
-
-    def execute(self, stats=None):
-        self.actual_loops += 1
-        for batch in self.batches:
-            self.actual_rows += batch.n
-            yield batch
-
-
 def _decode_term_batches(graph, batches, memo: dict):
     """Decode batches back to binding dicts (the plan boundary)."""
     term = graph._terms.term
@@ -534,15 +458,22 @@ class BatchedBGP(PhysicalOperator):
 
     ``run(stats)`` yields decoded binding dicts, so the evaluator's
     downstream constructs (OPTIONAL, UNION, FILTER, modifiers) consume
-    it exactly like the iterator plans.
+    it exactly like the reference evaluator's bindings.
+    ``selectivity_profile`` holds the bound-position count of each
+    pattern in join order, for trace parity with the reference arm.
     """
 
     op = "BatchedBGP"
 
-    def __init__(self, graph, root: SparqlBatchOperator):
+    def __init__(
+        self,
+        graph,
+        root: SparqlBatchOperator,
+        selectivity_profile: tuple[int, ...] = (),
+    ):
         super().__init__(root.est_rows, (root,))
         self.graph = graph
-        self.selectivity_profile: tuple[int, ...] = ()
+        self.selectivity_profile = selectivity_profile
         self._memo: dict = {}
 
     def execute(self, stats=None):
@@ -554,56 +485,7 @@ class BatchedBGP(PhysicalOperator):
         return self.children[0].explain()
 
 
-def _sparql_order(planner, patterns, builder):
-    """The planner's greedy join order, driving ``builder`` per stage.
-
-    ``builder(index, pattern, shared, per_binding, standalone, out_est,
-    first)`` is invoked once per chosen pattern; shared ordering logic
-    with :meth:`SparqlPlanner._build` keeps iterator and batched plans
-    comparable stage for stage.
-    """
-    catalog = planner.catalog
-    remaining = list(range(len(patterns)))
-    bound: set[str] = set()
-
-    def concrete_positions(pattern: TriplePattern) -> int:
-        return sum(
-            1
-            for term in (pattern.s, pattern.p, pattern.o)
-            if not isinstance(term, Var) or term.name in bound
-        )
-
-    profile: list[int] = []
-    first = min(
-        remaining,
-        key=lambda i: (catalog.estimate_pattern(patterns[i], bound), i),
-    )
-    est = catalog.estimate_pattern(patterns[first], set())
-    profile.append(concrete_positions(patterns[first]))
-    out_est = builder(first, patterns[first], (), est, est, None, True)
-    bound |= patterns[first].variables()
-    remaining.remove(first)
-    while remaining:
-        connected = [i for i in remaining if patterns[i].variables() & bound]
-        pool = connected or remaining
-        index = min(
-            pool,
-            key=lambda i: (catalog.estimate_pattern(patterns[i], bound), i),
-        )
-        pattern = patterns[index]
-        profile.append(concrete_positions(pattern))
-        shared = tuple(sorted(pattern.variables() & bound))
-        per_binding = catalog.estimate_pattern(pattern, bound)
-        standalone = catalog.estimate_pattern(pattern, set())
-        out_est = builder(
-            index, pattern, shared, per_binding, standalone, out_est, False
-        )
-        bound |= pattern.variables()
-        remaining.remove(index)
-    return tuple(profile)
-
-
-def _sparql_use_hash(force_join, shared, per_binding, standalone, out_est):
+def _sparql_use_hash(shared, per_binding, standalone, out_est) -> bool:
     from .sparql_plan import (
         COST_EMIT,
         COST_HASH_BUILD,
@@ -611,11 +493,9 @@ def _sparql_use_hash(force_join, shared, per_binding, standalone, out_est):
         COST_INDEX_PROBE,
     )
 
-    if force_join == "hash":
-        return True
-    if force_join == "nested":
-        return False
     if not shared:
+        # A per-binding rescan of a disconnected pattern is never
+        # cheaper than building its scan once.
         return True
     next_est = out_est * per_binding
     bind_cost = out_est * COST_INDEX_PROBE + next_est * COST_EMIT
@@ -628,219 +508,50 @@ def _sparql_use_hash(force_join, shared, per_binding, standalone, out_est):
 
 
 def build_batched_bgp(planner, patterns) -> BatchedBGP:
-    """Compile a BGP to the batched operators, planner join order."""
-    graph = planner.graph
-    batch_size = planner.batch_size
-    state = {"plan": None, "bound": set()}
+    """Compile a BGP to batch operators in the planner's join order.
 
-    def builder(index, pattern, shared, per_binding, standalone, out_est, first):
-        if first:
-            state["plan"] = BatchScan(graph, pattern, per_binding, batch_size)
-            state["bound"] |= pattern.variables()
-            return per_binding
-        next_est = out_est * per_binding
-        if _sparql_use_hash(
-            planner.force_join, shared, per_binding, standalone, out_est
-        ):
-            build = BatchScan(graph, pattern, standalone, batch_size)
-            state["plan"] = BatchHashJoin(state["plan"], build, shared, next_est)
-        else:
-            state["plan"] = BatchBindJoin(
-                state["plan"], graph, pattern, state["bound"], next_est
-            )
-        state["bound"] |= pattern.variables()
-        return next_est
-
-    profile = _sparql_order(planner, patterns, builder)
-    plan = BatchedBGP(graph, state["plan"])
-    plan.selectivity_profile = profile
-    return plan
-
-
-def _count_ids(graph, si, pi, oi) -> int:
-    """``graph.count`` on interned ids (O(1) per probe)."""
-    if si == _DEAD or pi == _DEAD or oi == _DEAD:
-        return 0
-    spo, pos_index, osp = graph._spo, graph._pos, graph._osp
-    if si is not None:
-        if pi is not None:
-            objs = spo.get(si, {}).get(pi)
-            if objs is None:
-                return 0
-            if oi is not None:
-                return 1 if oi in objs else 0
-            return len(objs)
-        if oi is not None:
-            return len(osp.get(oi, {}).get(si, ()))
-        return sum(len(objs) for objs in spo.get(si, {}).values())
-    if pi is not None:
-        if oi is not None:
-            return len(pos_index.get(pi, {}).get(oi, ()))
-        return graph._p_count.get(pi, 0)
-    if oi is not None:
-        return sum(len(preds) for preds in osp.get(oi, {}).values())
-    return len(graph)
-
-
-class AdaptiveBGP(PhysicalOperator):
-    """Stage-at-a-time BGP execution with mid-query re-planning.
-
-    Each join stage runs to completion against the materialized
-    intermediate state; when the observed cardinality misses the
-    stage estimate by more than ``planner.replan_threshold`` (q-error),
-    the remaining patterns are re-ranked using per-binding
-    cardinalities *sampled from the actual intermediate rows* and the
-    observed input cardinality replaces the estimate in the
-    hash-vs-probe decisions.  Execution resumes from the materialized
-    batches — no work is repeated.
+    Greedy: start from the cheapest standalone pattern, then keep
+    appending the connected pattern with the smallest estimated
+    per-binding cardinality (any pattern once none is connected),
+    choosing bind join or hash join per stage by the cost model.
     """
-
-    op = "AdaptiveBGP"
-
-    def __init__(self, planner, patterns):
-        super().__init__(None, ())
-        self.planner = planner
-        self.graph = planner.graph
-        self.patterns = list(patterns)
-        self._memo: dict = {}
-        self._last_root: ExplainNode | None = None
-        # Static profile (initial order) for trace parity with the
-        # other modes; the executed order may deviate after a re-plan.
-        self.selectivity_profile = _sparql_order(
-            planner, self.patterns, lambda *a: (a[5] or 1.0) * a[3]
-        )
-
-    def explain(self) -> ExplainNode:
-        if self._last_root is not None:
-            return self._last_root
-        return ExplainNode("AdaptiveBGP", f"{len(self.patterns)} patterns")
-
-    # ------------------------------------------------------------------ #
-
-    def _sampled_estimate(self, pattern, bound, batches, total) -> float:
-        """Mean per-binding cardinality probed on sampled actual rows."""
-        compiled = _CompiledPattern(self.graph, pattern, frozenset(bound))
-        specs = compiled.specs
-        if all(spec[0] != "col" for spec in specs) or total == 0:
-            return self.planner.catalog.estimate_pattern(pattern, bound)
-        flat: list[tuple[TermBatch, int]] = []
-        step = max(1, total // _REPLAN_SAMPLES)
-        offset = 0
-        wanted = set(range(0, total, step))
-        for batch in batches:
-            for j in range(batch.n):
-                if offset + j in wanted:
-                    flat.append((batch, j))
-            offset += batch.n
-        if not flat:
-            return self.planner.catalog.estimate_pattern(pattern, bound)
-        counts = 0
-        for batch, j in flat:
-            ids = []
-            dead = False
-            for pos, spec in enumerate(specs):
-                if spec[0] == "col":
-                    tid = batch.cols[spec[1]][j]
-                    if pos == 0 and not compiled.subj_ok(tid):
-                        dead = True
-                        break
-                    if pos == 1 and not compiled.pred_ok(tid):
-                        dead = True
-                        break
-                    ids.append(tid)
-                elif spec[0] == "const":
-                    ids.append(spec[1])
-                else:
-                    ids.append(None)
-            if not dead:
-                counts += _count_ids(self.graph, *ids)
-        return counts / len(flat)
-
-    def execute(self, stats=None):
-        self._last_root = None
-        analyze = self._analyze
-        planner = self.planner
-        graph = self.graph
-        catalog = planner.catalog
-        threshold = planner.replan_threshold
-        batch_size = planner.batch_size
-        patterns = self.patterns
-        remaining = list(range(len(patterns)))
-        bound: set[str] = set()
-
-        first = min(
-            remaining,
+    graph = planner.graph
+    catalog = planner.catalog
+    batch_size = planner.batch_size
+    remaining = list(range(len(patterns)))
+    bound: set[str] = set()
+    profile: list[int] = []
+    plan: SparqlBatchOperator | None = None
+    out_est = 1.0
+    while remaining:
+        connected = [i for i in remaining if patterns[i].variables() & bound]
+        index = min(
+            connected or remaining,
             key=lambda i: (catalog.estimate_pattern(patterns[i], bound), i),
         )
-        est = catalog.estimate_pattern(patterns[first], set())
-        scan = BatchScan(graph, patterns[first], est, batch_size)
-        scan.prepare(analyze)
-        batches = list(scan.run(stats))
-        rows = sum(batch.n for batch in batches)
-        chain = scan.explain()
-        bound |= patterns[first].variables()
-        remaining.remove(first)
-        out_est = est
-        stage_est = est
-        replanning = False
-
-        while remaining:
-            err = q_error(stage_est, rows)
-            if err >= threshold:
-                planner.last_replans.append({
-                    "engine": "sparql",
-                    "stage_est": round(stage_est, 3),
-                    "actual": rows,
-                    "q_error": round(err, 3),
-                    "remaining": len(remaining),
-                })
-                _replan_counter().inc(1, engine="sparql")
-                chain = _replan_node(
-                    "joins", stage_est, rows, err, len(remaining), chain
-                )
-                replanning = True
-            if replanning:
-                out_est = float(rows)
-            connected = [
-                i for i in remaining if patterns[i].variables() & bound
-            ]
-            pool = connected or remaining
-            if replanning:
-                sampled = {
-                    i: self._sampled_estimate(patterns[i], bound, batches, rows)
-                    for i in pool
-                }
-                index = min(pool, key=lambda i: (sampled[i], i))
-                per_binding = sampled[index]
-            else:
-                index = min(
-                    pool,
-                    key=lambda i: (catalog.estimate_pattern(patterns[i], bound), i),
-                )
-                per_binding = catalog.estimate_pattern(patterns[index], bound)
-            pattern = patterns[index]
-            shared = tuple(sorted(pattern.variables() & bound))
-            standalone = catalog.estimate_pattern(pattern, set())
-            next_est = out_est * per_binding
-            source = _BufferedTermBatches(batches, float(rows))
-            if _sparql_use_hash(
-                planner.force_join, shared, per_binding, standalone, out_est
-            ):
-                build = BatchScan(graph, pattern, standalone, batch_size)
-                stage = BatchHashJoin(source, build, shared, next_est)
-            else:
-                stage = BatchBindJoin(source, graph, pattern, bound, next_est)
-            stage.prepare(analyze)
-            batches = list(stage.run(stats))
-            rows = sum(batch.n for batch in batches)
-            chain = _splice(stage.explain(), chain)
-            bound |= pattern.variables()
-            out_est = next_est
-            stage_est = next_est
-            remaining.remove(index)
-
-        self._last_root = chain
-        yield from _decode_term_batches(graph, batches, self._memo)
+        pattern = patterns[index]
+        # Bound positions of the chosen pattern: the selectivity profile
+        # the reference evaluator reports for its greedy selections.
+        profile.append(sum(
+            1
+            for term in (pattern.s, pattern.p, pattern.o)
+            if not isinstance(term, Var) or term.name in bound
+        ))
+        shared = tuple(sorted(pattern.variables() & bound))
+        per_binding = catalog.estimate_pattern(pattern, bound)
+        standalone = catalog.estimate_pattern(pattern, set())
+        next_est = out_est * per_binding
+        if plan is None:
+            plan = BatchScan(graph, pattern, next_est, batch_size)
+        elif _sparql_use_hash(shared, per_binding, standalone, out_est):
+            build = BatchScan(graph, pattern, standalone, batch_size)
+            plan = BatchHashJoin(plan, build, shared, next_est)
+        else:
+            plan = BatchBindJoin(plan, graph, pattern, bound, next_est)
+        bound |= pattern.variables()
+        out_est = next_est
+        remaining.remove(index)
+    return BatchedBGP(graph, plan, tuple(profile))
 
 
 # ===================================================================== #
@@ -918,8 +629,8 @@ def _resolve_constraint(var, want_kind, batch, names):
     """Per-row id constraints for ``var``: -1 unbound, -2 never-match.
 
     A value of the wrong kind (a node where an edge is required, a
-    non-graph value) can never match, exactly like the iterator
-    pipeline's identity checks.
+    non-graph value) can never match, exactly like the reference
+    evaluator's identity checks.
     """
     if var is None:
         return None
@@ -1313,10 +1024,11 @@ def _decode_path_batch(store, batch: PathBatch, memo: dict) -> list[dict]:
 class BatchPathHashJoin(CypherBatchOperator):
     """Decorrelate a path: build its batches once, probe per row.
 
-    Probe and build sides are decoded at this boundary — the join key
-    uses the evaluator's value identities, so its semantics match the
-    iterator :class:`~repro.query.plan.cypher_plan.PathHashJoin`
-    exactly.
+    A purely columnar build side (a freshly compiled path over empty
+    input rows) joins on interned ids; otherwise both sides are decoded
+    at this boundary and joined on the evaluator's value identities
+    (node and edge identities compare by id, like the correlated
+    pipeline's identity checks).
     """
 
     op = "BatchHashJoin"
@@ -1360,9 +1072,9 @@ class BatchPathHashJoin(CypherBatchOperator):
                 b_cols.setdefault(name, array("q")).extend(col)
                 b_kinds[name] = batch.kinds[name]
             total += batch.n
-        if key:
+        table: dict = {}
+        if key and total:  # an empty build side has no columns to key on
             key_cols = [b_cols[k] for k in key]
-            table: dict = {}
             if len(key) == 1:
                 for j, v in enumerate(key_cols[0]):
                     table.setdefault(v, []).append(j)
@@ -1373,41 +1085,52 @@ class BatchPathHashJoin(CypherBatchOperator):
                     ).append(j)
         for batch in self.children[0].run(engine):
             n = batch.n
-            if n == 0:
+            if n == 0 or total == 0:
+                continue
+            if not key:
+                # Cartesian: every probe row once per build row against
+                # the tiled build columns — no selection vectors.
+                out_cols = {name: col * n for name, col in b_cols.items()}
+                out_cols.update(
+                    (name, array("q", _repeat_each(col, total)))
+                    for name, col in batch.cols.items()
+                )
+                self.actual_rows += n * total
+                yield PathBatch(
+                    list(_repeat_each(batch.rows, total)),
+                    out_cols,
+                    {**b_kinds, **batch.kinds},
+                    None,
+                    None,
+                )
+                continue
+            probe_keys = [
+                _resolve_constraint(k, b_kinds[k], batch, names)
+                for k in key
+            ]
+            if any(col is None for col in probe_keys):
+                # The variable is set in no probe row: like the
+                # decoded path's None key, nothing can match.
                 continue
             sel_p = array("q")
             sel_b = array("q")
-            if not key:
-                if total:
-                    for i in range(n):
-                        sel_p.extend(_repeat(i, total))
-                    sel_b = array("q", range(total)) * n
+            if len(probe_keys) == 1:
+                probe = probe_keys[0]
+                for i in range(n):
+                    v = probe[i]
+                    if v < 0:
+                        continue
+                    for j in table.get(v, ()):
+                        sel_p.append(i)
+                        sel_b.append(j)
             else:
-                probe_keys = [
-                    _resolve_constraint(k, b_kinds[k], batch, names)
-                    for k in key
-                ]
-                if any(col is None for col in probe_keys):
-                    # The variable is set in no probe row: like the
-                    # decoded path's None key, nothing can match.
-                    continue
-                if len(probe_keys) == 1:
-                    probe = probe_keys[0]
-                    for i in range(n):
-                        v = probe[i]
-                        if v < 0:
-                            continue
-                        for j in table.get(v, ()):
-                            sel_p.append(i)
-                            sel_b.append(j)
-                else:
-                    for i in range(n):
-                        ks = tuple(col[i] for col in probe_keys)
-                        if min(ks) < 0:
-                            continue
-                        for j in table.get(ks, ()):
-                            sel_p.append(i)
-                            sel_b.append(j)
+                for i in range(n):
+                    ks = tuple(col[i] for col in probe_keys)
+                    if min(ks) < 0:
+                        continue
+                    for j in table.get(ks, ()):
+                        sel_p.append(i)
+                        sel_b.append(j)
             m = len(sel_p)
             if m == 0:
                 continue
@@ -1448,25 +1171,6 @@ class BatchPathHashJoin(CypherBatchOperator):
             if out_rows:
                 self.actual_rows += len(out_rows)
                 yield PathBatch(out_rows, {}, {}, None, None)
-
-
-class _BufferedPathBatches(CypherBatchOperator):
-    """Source: materialized batches of the stages already executed."""
-
-    op = "Batches"
-
-    def __init__(self, batches, est_rows: float):
-        super().__init__(est_rows)
-        self.batches = batches
-
-    def detail(self) -> str:
-        return "materialized"
-
-    def execute(self, engine):
-        self.actual_loops += 1
-        for batch in self.batches:
-            self.actual_rows += batch.n
-            yield batch
 
 
 def _residual_node_constraints(pattern, choice):
@@ -1526,16 +1230,14 @@ def _compile_path_batched(planner, path, bound, child, in_est: float):
     return current
 
 
-def _cypher_use_hash(force_join, shared, nullable, per_row, standalone, in_est):
+def _cypher_use_hash(shared, nullable, per_row, standalone, in_est) -> bool:
     from .cypher_plan import COST_HASH_BUILD, COST_HASH_PROBE
 
-    if force_join == "hash":
-        return not (set(shared) & nullable)
-    if force_join == "nested":
-        return False
     if not shared:
         return True
     if set(shared) & nullable:
+        # A null-bound variable is *unbound* to pattern matching, which
+        # a hash-join key cannot express: stay correlated.
         return False
     bind_cost = in_est * per_row
     hash_cost = standalone * COST_HASH_BUILD + in_est * COST_HASH_PROBE
@@ -1664,9 +1366,7 @@ def build_batched_match(planner, clause, bound, nullable) -> BatchMatchPlan:
         per_row = planner._path_estimate(path, bound)
         standalone = planner._path_estimate(path, set())
         next_est = in_est * per_row
-        if _cypher_use_hash(
-            planner.force_join, shared, nullable, per_row, standalone, in_est
-        ):
+        if _cypher_use_hash(shared, nullable, per_row, standalone, in_est):
             build = _compile_path_batched(planner, path, set(), BatchConst(), 1.0)
             current = BatchPathHashJoin(
                 current, build, shared, next_est, planner.store
@@ -1677,122 +1377,3 @@ def build_batched_match(planner, clause, bound, nullable) -> BatchMatchPlan:
         in_est = next_est
         remaining.remove(index)
     return BatchMatchPlan(input_op, current, planner.store)
-
-
-class AdaptiveMatchPlan:
-    """Path-at-a-time MATCH execution with mid-query re-planning.
-
-    Paths are the planner's join units: after each path's batches are
-    materialized, the observed cardinality is compared with the stage
-    estimate; past the q-error threshold the remaining paths are
-    re-ranked (and their hash-vs-correlated decisions re-made) with
-    the observed input cardinality substituted for the estimate, and
-    execution resumes from the materialized state.
-    """
-
-    def __init__(self, planner, clause, bound, nullable):
-        self.planner = planner
-        self.clause = clause
-        self.bound0 = frozenset(bound)
-        self.nullable = nullable
-        self._memo: dict = {}
-        self._last_root: ExplainNode | None = None
-
-    def explain(self) -> ExplainNode:
-        if self._last_root is not None:
-            return self._last_root
-        return ExplainNode(
-            "AdaptiveMatch", f"{len(self.clause.paths)} paths"
-        )
-
-    def execute(self, rows, engine, analyze: bool = False) -> list[dict]:
-        from .cypher_plan import _path_variables
-
-        planner = self.planner
-        clause = self.clause
-        threshold = planner.replan_threshold
-        nullable = self.nullable
-        bound = set(self.bound0)
-        remaining = list(range(len(clause.paths)))
-
-        input_op = BatchInput(planner.batch_size)
-        input_op.rows = rows
-        input_op.prepare(analyze)
-        batches = list(input_op.run(engine))
-        chain = input_op.explain()
-        actual = len(rows)
-        if actual == 0:
-            self._last_root = chain
-            return []
-        in_est = float(actual)
-        replanning = False
-
-        while remaining:
-            connected = [
-                i for i in remaining
-                if _path_variables(clause.paths[i]) & bound
-            ]
-            pool = connected or remaining
-
-            def rank(i: int):
-                per_row = planner._path_estimate(clause.paths[i], bound)
-                if not replanning:
-                    return (per_row, i)
-                # Re-plan with actuals: rank by the cheaper of the
-                # correlated and decorrelated costs at the observed
-                # input cardinality.
-                shared_i = _path_variables(clause.paths[i]) & bound
-                work = in_est * per_row
-                if not (shared_i & nullable):
-                    standalone_i = planner._path_estimate(clause.paths[i], set())
-                    work = min(
-                        work, standalone_i * 2.0 + in_est + in_est * per_row
-                    )
-                return (work, i)
-
-            index = min(pool, key=rank)
-            path = clause.paths[index]
-            path_vars = _path_variables(path)
-            shared = tuple(sorted(path_vars & bound))
-            per_row = planner._path_estimate(path, bound)
-            standalone = planner._path_estimate(path, set())
-            next_est = in_est * per_row
-            source = _BufferedPathBatches(batches, float(actual))
-            if _cypher_use_hash(
-                planner.force_join, shared, nullable, per_row, standalone, in_est
-            ):
-                build = _compile_path_batched(
-                    planner, path, set(), BatchConst(), 1.0
-                )
-                stage: CypherBatchOperator = BatchPathHashJoin(
-                    source, build, shared, next_est, planner.store
-                )
-            else:
-                stage = _compile_path_batched(planner, path, bound, source, in_est)
-            stage.prepare(analyze)
-            batches = list(stage.run(engine))
-            actual = sum(batch.n for batch in batches)
-            chain = _splice(stage.explain(), chain)
-            bound |= path_vars
-            remaining.remove(index)
-            err = q_error(next_est, actual)
-            if remaining and err >= threshold:
-                planner.last_replans.append({
-                    "engine": "cypher",
-                    "stage_est": round(next_est, 3),
-                    "actual": actual,
-                    "q_error": round(err, 3),
-                    "remaining": len(remaining),
-                })
-                _replan_counter().inc(1, engine="cypher")
-                chain = _replan_node(
-                    "paths", next_est, actual, err, len(remaining), chain
-                )
-                replanning = True
-            in_est = float(actual) if replanning else next_est
-
-        self._last_root = chain
-        out: list[dict] = []
-        for batch in batches:
-            out.extend(_decode_path_batch(planner.store, batch, self._memo))
-        return out

@@ -105,7 +105,12 @@ def _evaluate_optional_group(
     binding: Binding,
     stats: _EvalStats | None = None,
 ) -> Iterator[Binding]:
-    """All extensions of ``binding`` that satisfy the optional group."""
+    """All extensions of ``binding`` that satisfy every pattern of ``group``.
+
+    The reference matcher: OPTIONAL and UNION groups extend a solution
+    with it, and ``planner=False`` evaluates the whole BGP with it from
+    the empty binding.
+    """
 
     def extend(current: Binding, remaining: list[TriplePattern]) -> Iterator[Binding]:
         if not remaining:
@@ -124,34 +129,6 @@ def _evaluate_optional_group(
             yield from extend(extended, rest)
 
     yield from extend(binding, list(group))
-
-
-def _evaluate_bgp(
-    graph: Graph,
-    patterns: list[TriplePattern],
-    stats: _EvalStats | None = None,
-) -> Iterator[Binding]:
-    if not patterns:
-        yield {}
-        return
-
-    def extend(binding: Binding, remaining: list[TriplePattern]) -> Iterator[Binding]:
-        if not remaining:
-            yield binding
-            return
-        best_index = max(
-            range(len(remaining)),
-            key=lambda i: _pattern_selectivity(remaining[i], binding),
-        )
-        pattern = remaining[best_index]
-        if stats is not None:
-            stats.selections += 1
-            stats.selectivity[_pattern_selectivity(pattern, binding)] += 1
-        rest = remaining[:best_index] + remaining[best_index + 1:]
-        for extended in _match_pattern(graph, pattern, binding, stats):
-            yield from extend(extended, rest)
-
-    yield from extend({}, list(patterns))
 
 
 # --------------------------------------------------------------------- #
@@ -240,8 +217,9 @@ def evaluate(
     For ``SELECT (COUNT(*) AS ?n)`` a single row with an integer literal
     is returned under the chosen variable name.  When ``planner`` (a
     :class:`~repro.query.plan.SparqlPlanner`) is given, the basic graph
-    pattern runs through its cost-based physical plan instead of the
-    per-binding greedy strategy; all other constructs are unaffected.
+    pattern runs through its cost-based batch plan instead of the
+    reference per-binding greedy strategy; all other constructs are
+    unaffected.
     ``analyze`` additionally collects per-operator loop counts and wall
     times for ``EXPLAIN ANALYZE`` (small per-row overhead).
     """
@@ -252,7 +230,6 @@ def evaluate(
         planner.last_plan = None
         planner.last_explain = None
         planner.last_cache_hit = None
-        planner.last_replans = []
     start = time.perf_counter()
     with obs.span("sparql.evaluate", patterns=len(query.patterns)) as span:
         rows = _evaluate(graph, query, stats, planner, analyze)
@@ -295,7 +272,7 @@ def _evaluate(
     if planner is not None and query.patterns:
         bgp = planner.execute_bgp(query.patterns, stats, analyze)
     else:
-        bgp = _evaluate_bgp(graph, query.patterns, stats)
+        bgp = _evaluate_optional_group(graph, query.patterns, {}, stats)
     for binding in bgp:
         extended = [binding]
         if query.unions:
@@ -388,44 +365,23 @@ class SparqlEngine:
 
     Args:
         graph: the graph to query.
-        planner: False disables the cost-based planner (the naive
-            per-binding greedy strategy is used instead).
-        force_join: ``"hash"`` / ``"nested"`` forces the planner's join
-            operator choice (differential testing).
-        exec_mode: ``"iterator"`` (default), ``"batched"``, or
-            ``"adaptive"`` — the physical execution strategy for basic
-            graph patterns (requires the planner).
-        batch_size: rows per batch for the vectorized modes.
+        planner: False selects the reference arm — the per-binding
+            greedy matcher that OPTIONAL and UNION groups already run
+            on — which the differential oracle compares the planned
+            batch execution against.
 
     Example:
         >>> engine = SparqlEngine(graph)
         >>> rows = engine.query('SELECT ?s WHERE { ?s a <http://x/C> . }')
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        planner: bool = True,
-        force_join: str | None = None,
-        exec_mode: str = "iterator",
-        batch_size: int | None = None,
-    ):
+    def __init__(self, graph: Graph, planner: bool = True):
         self.graph = graph
+        self.planner = None
         if planner:
             from ..plan import SparqlPlanner
 
-            self.planner = SparqlPlanner(
-                graph,
-                force_join=force_join,
-                exec_mode=exec_mode,
-                batch_size=batch_size,
-            )
-        else:
-            if exec_mode != "iterator":
-                raise ValueError(
-                    f"exec_mode {exec_mode!r} requires the planner"
-                )
-            self.planner = None
+            self.planner = SparqlPlanner(graph)
 
     def query(self, text: str) -> list[dict[str, Term]]:
         """Parse and evaluate a SELECT query."""

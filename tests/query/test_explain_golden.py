@@ -64,45 +64,9 @@ def _engines():
     return sparql, cypher
 
 
-def _batched_engines():
-    graph = university_graph()
-    result = S3PG().transform(graph, university_shapes())
-    sparql = SparqlEngine(graph, exec_mode="batched")
-    cypher = CypherEngine(
-        PropertyGraphStore(result.graph), exec_mode="batched"
-    )
-    return sparql, cypher
-
-
-def _adaptive_engines():
-    """Adaptive engines over the deterministic skew fixtures.
-
-    The hub-skewed catalogs (seed 7) provably blow past the re-plan
-    q-error threshold mid-query, so the ANALYZE goldens pin the rendered
-    ``Replan`` node alongside the batched operator tree.
-    """
-    from repro.fuzz.oracles import _skewed_pg, _skewed_rdf
-
-    graph, sparql_query = _skewed_rdf(seed=7)
-    pg, cypher_query = _skewed_pg(seed=7)
-    sparql = SparqlEngine(graph, exec_mode="adaptive")
-    cypher = CypherEngine(PropertyGraphStore(pg), exec_mode="adaptive")
-    return (sparql, sparql_query), (cypher, cypher_query)
-
-
 @pytest.fixture(scope="module")
 def engines():
     return _engines()
-
-
-@pytest.fixture(scope="module")
-def batched_engines():
-    return _batched_engines()
-
-
-@pytest.fixture(scope="module")
-def adaptive_engines():
-    return _adaptive_engines()
 
 
 #: ANALYZE goldens for a representative subset (per engine).
@@ -156,39 +120,6 @@ def test_cypher_explain_matches_golden(engines, name):
     assert as_json == (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
 
 
-#: Plain EXPLAIN goldens for the vectorized (batched) operator trees,
-#: over the same university fixture and chain queries as the iterator
-#: goldens so the two renderings diff side by side.
-BATCHED_CASES = {
-    "sparql_chain_batched": ("sparql", SPARQL_CASES["sparql_chain"]),
-    "cypher_chain_batched": ("cypher", CYPHER_CASES["cypher_chain"]),
-}
-
-
-@pytest.mark.parametrize("name", sorted(BATCHED_CASES))
-def test_batched_explain_matches_golden(batched_engines, name):
-    lang, query = BATCHED_CASES[name]
-    engine = batched_engines[0] if lang == "sparql" else batched_engines[1]
-    text, as_json = _render(engine, query)
-    assert text == (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
-    assert as_json == (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
-
-
-@pytest.mark.parametrize(
-    "name", ["sparql_adaptive_replan_analyze", "cypher_adaptive_replan_analyze"]
-)
-def test_adaptive_replan_analyze_matches_golden(adaptive_engines, name):
-    """EXPLAIN ANALYZE of an adaptive run over skewed data renders the
-    mid-query ``Replan`` node (estimate, actual, q-error, re-planned join
-    count); wall times are masked to ``time=?ms``."""
-    pair = adaptive_engines[0] if name.startswith("sparql") else adaptive_engines[1]
-    engine, query = pair
-    text, as_json = _render(engine, query, analyze=True)
-    assert "Replan" in text, text
-    assert text == (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
-    assert as_json == (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
-
-
 @pytest.mark.parametrize("name", sorted(ANALYZE_CASES))
 def test_explain_analyze_matches_golden(engines, name):
     lang, query = ANALYZE_CASES[name]
@@ -237,7 +168,7 @@ def test_explain_carries_estimates_and_actuals(engines):
             yield from walk(child)
 
     physical = [n for n in walk(document) if n["op"] in
-                ("Scan", "HashJoin", "BindJoin")]
+                ("BatchScan", "BatchHashJoin", "BatchBindJoin")]
     assert physical, document
     for node in physical:
         assert "est_rows" in node and node["actual_rows"] is not None, node
@@ -267,19 +198,6 @@ def _regenerate() -> None:  # pragma: no cover
         engine = sparql if lang == "sparql" else cypher
         text, as_json = _render(engine, query, analyze=True)
         stem = f"{name}_analyze"
-        (GOLDEN_DIR / f"{stem}.txt").write_text(text, encoding="utf-8")
-        (GOLDEN_DIR / f"{stem}.json").write_text(as_json, encoding="utf-8")
-    batched_sparql, batched_cypher = _batched_engines()
-    for name, (lang, query) in BATCHED_CASES.items():
-        engine = batched_sparql if lang == "sparql" else batched_cypher
-        text, as_json = _render(engine, query)
-        (GOLDEN_DIR / f"{name}.txt").write_text(text, encoding="utf-8")
-        (GOLDEN_DIR / f"{name}.json").write_text(as_json, encoding="utf-8")
-    for stem, (engine, query) in zip(
-        ("sparql_adaptive_replan_analyze", "cypher_adaptive_replan_analyze"),
-        _adaptive_engines(),
-    ):
-        text, as_json = _render(engine, query, analyze=True)
         (GOLDEN_DIR / f"{stem}.txt").write_text(text, encoding="utf-8")
         (GOLDEN_DIR / f"{stem}.json").write_text(as_json, encoding="utf-8")
     print(f"regenerated golden files in {GOLDEN_DIR}")

@@ -94,19 +94,14 @@ class TestSparqlOrderBy:
 class TestOrderByLimitPipelined:
     """LIMIT must truncate the *sorted* rows, never a pipelined prefix.
 
-    With the planner's iterator-model operators, results stream out of
-    the plan in join order; a limit smaller than the result set would
+    With the planner's pull-based batch operators, results stream out
+    of the plan in join order; a limit smaller than the result set would
     return the wrong rows if it were applied before the sort completes.
     Both ends of the ordering are checked so at most one of them can
     coincide with the plan's emission order by accident.
     """
 
-    STRATEGIES = (
-        {"planner": False},
-        {},
-        {"force_join": "hash"},
-        {"force_join": "nested"},
-    )
+    STRATEGIES = ({"planner": False}, {})
 
     @pytest.mark.parametrize("kwargs", STRATEGIES)
     def test_sparql_sorts_before_truncating(self, kwargs):

@@ -1,10 +1,12 @@
-"""Edge cases of the vectorized batch operators.
+"""Edge cases of the batch operators, pinned against the reference arm.
 
 Each test pins a batch-boundary hazard of
-:mod:`repro.query.plan.vectorized` against the iterator pipeline:
-batches straddling LIMIT, empty batches, OPTIONAL null columns around
-``BatchHashJoin``, self-loops through ``BatchExpand``, and a batch-size
-sweep asserting identical bags at sizes 1, 2, and 1024.
+:mod:`repro.query.plan.vectorized` against ``planner=False``: batches
+straddling LIMIT, empty batches, OPTIONAL null columns around the path
+hash join, self-loops through ``BatchExpand``, and a batch-size sweep
+asserting identical bags at sizes 1, 2, 3, 7 and 1024.  The property
+tests at the end build each join operator directly, so both stay
+covered whatever the planner's cost model picks.
 """
 
 from __future__ import annotations
@@ -12,18 +14,34 @@ from __future__ import annotations
 from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.eval.metrics import normalize_cypher_rows, normalize_sparql_rows
 from repro.pg.model import PropertyGraph
 from repro.pg.store import PropertyGraphStore
-from repro.query.cypher.evaluator import CypherEngine
+from repro.query.cypher.evaluator import CypherEngine, _value_key
+from repro.query.cypher.parser import parse_cypher
+from repro.query.plan.cypher_plan import _path_variables
+from repro.query.plan.vectorized import (
+    BatchBindJoin,
+    BatchConst,
+    BatchedBGP,
+    BatchHashJoin,
+    BatchInput,
+    BatchMatchPlan,
+    BatchPathHashJoin,
+    BatchScan,
+    _compile_path_batched,
+)
+from repro.query.sparql.ast import TriplePattern, Var
 from repro.query.sparql.evaluator import SparqlEngine
 from repro.rdf.graph import Graph, Triple
 from repro.rdf.terms import IRI, Literal
 from repro.storage.postings import IntPostings
 
 EX = "http://ex/"
-EXEC_MODES = ("iterator", "batched", "adaptive")
+BATCH_SIZES = [1, 2, 3, 7, 1024]
 
 
 def _person_graph(n: int = 50) -> Graph:
@@ -49,34 +67,41 @@ def _pg() -> PropertyGraph:
     return pg
 
 
-def _sparql_bags(graph, query, **kwargs):
-    return {
-        mode: normalize_sparql_rows(
-            SparqlEngine(graph, exec_mode=mode, **kwargs).query(query)
-        )
-        for mode in EXEC_MODES
-    }
+def _planned(engine_cls, source, batch_size: int | None = None):
+    """A planned engine; ``batch_size`` is set before the first query."""
+    engine = engine_cls(source)
+    if batch_size is not None:
+        engine.planner.batch_size = batch_size
+    return engine
 
 
-def _cypher_bags(store, query, **kwargs):
-    return {
-        mode: normalize_cypher_rows(
-            CypherEngine(store, exec_mode=mode, **kwargs).query(query)
-        )
-        for mode in EXEC_MODES
-    }
+def _assert_sparql_matches_reference(graph, query, batch_size=None):
+    expected = normalize_sparql_rows(
+        SparqlEngine(graph, planner=False).query(query)
+    )
+    got = normalize_sparql_rows(
+        _planned(SparqlEngine, graph, batch_size).query(query)
+    )
+    assert got == expected, (query, batch_size)
+    return expected
 
 
-def _assert_modes_agree(bags, query):
-    for mode, rows in bags.items():
-        assert rows == bags["iterator"], (query, mode)
+def _assert_cypher_matches_reference(store, query, batch_size=None):
+    expected = normalize_cypher_rows(
+        CypherEngine(store, planner=False).query(query)
+    )
+    got = normalize_cypher_rows(
+        _planned(CypherEngine, store, batch_size).query(query)
+    )
+    assert got == expected, (query, batch_size)
+    return expected
 
 
 # --------------------------------------------------------------------- #
 # LIMIT straddling batch boundaries
 # --------------------------------------------------------------------- #
 
-@pytest.mark.parametrize("batch_size", [1, 2, 7, 1024])
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
 @pytest.mark.parametrize("limit", [1, 7, 8, 9, 49, 200])
 def test_sparql_limit_straddles_batches(batch_size, limit):
     """ORDER BY + LIMIT must cut at the same rows regardless of how the
@@ -87,30 +112,25 @@ def test_sparql_limit_straddles_batches(batch_size, limit):
         f"SELECT ?s ?n WHERE {{ ?s a <{EX}Person> . ?s <{EX}name> ?n . }} "
         f"ORDER BY ?n LIMIT {limit}"
     )
-    expected = SparqlEngine(g).query(q)
-    for mode in ("batched", "adaptive"):
-        got = SparqlEngine(g, exec_mode=mode, batch_size=batch_size).query(q)
-        assert [r["n"].lexical for r in got] == [r["n"].lexical for r in expected]
+    expected = SparqlEngine(g, planner=False).query(q)
+    got = _planned(SparqlEngine, g, batch_size).query(q)
+    assert [r["n"].lexical for r in got] == [r["n"].lexical for r in expected]
 
 
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
 @pytest.mark.parametrize("limit", [1, 5, 30, 99])
-def test_cypher_limit_straddles_batches(limit):
+def test_cypher_limit_straddles_batches(batch_size, limit):
     store = PropertyGraphStore(_pg())
     q = f"MATCH (a:Person) RETURN a.name ORDER BY a.name LIMIT {limit}"
-    expected = CypherEngine(store).query(q)
-    for batch_size in (1, 2, 1024):
-        for mode in ("batched", "adaptive"):
-            got = CypherEngine(
-                store, exec_mode=mode, batch_size=batch_size
-            ).query(q)
-            assert got == expected, (mode, batch_size)
+    expected = CypherEngine(store, planner=False).query(q)
+    assert _planned(CypherEngine, store, batch_size).query(q) == expected
 
 
 # --------------------------------------------------------------------- #
 # Empty batches / empty inputs
 # --------------------------------------------------------------------- #
 
-def test_empty_results_all_modes():
+def test_empty_results():
     g = _person_graph(5)
     store = PropertyGraphStore(_pg())
     sparql = [
@@ -121,38 +141,33 @@ def test_empty_results_all_modes():
         f"SELECT ?o WHERE {{ ?s <{EX}name> ?x . ?x <{EX}name> ?o . }}",
     ]
     for q in sparql:
-        bags = _sparql_bags(g, q)
-        assert not bags["iterator"]
-        _assert_modes_agree(bags, q)
+        assert not _assert_sparql_matches_reference(g, q)
     cypher = [
         "MATCH (a:Ghost) RETURN a.name",
         "MATCH (a:Person)-[:MISSING]->(b) RETURN a.name",
         "MATCH (a:Person {age: 99}) RETURN a.name",
     ]
     for q in cypher:
-        bags = _cypher_bags(store, q)
-        assert not bags["iterator"]
-        _assert_modes_agree(bags, q)
+        assert not _assert_cypher_matches_reference(store, q)
 
 
-def test_empty_graph_all_modes():
-    g = Graph()
-    q = f"SELECT ?s ?o WHERE {{ ?s <{EX}p> ?o . ?o <{EX}q> ?x . }}"
-    _assert_modes_agree(_sparql_bags(g, q), q)
-    store = PropertyGraphStore(PropertyGraph())
-    cq = "MATCH (a)-[:R]->(b) RETURN a.name"
-    _assert_modes_agree(_cypher_bags(store, cq), cq)
+def test_empty_graph():
+    _assert_sparql_matches_reference(
+        Graph(), f"SELECT ?s ?o WHERE {{ ?s <{EX}p> ?o . ?o <{EX}q> ?x . }}"
+    )
+    _assert_cypher_matches_reference(
+        PropertyGraphStore(PropertyGraph()), "MATCH (a)-[:R]->(b) RETURN a.name"
+    )
 
 
 # --------------------------------------------------------------------- #
-# OPTIONAL null columns around the batched hash join
+# OPTIONAL null columns around the hash join
 # --------------------------------------------------------------------- #
 
-def test_optional_null_shared_var_through_batched_join():
+def test_optional_null_shared_var_through_join():
     """OPTIONAL MATCH binds some rows to null; a later MATCH sharing the
     variable must treat null as unbound (rebind), which a hash-join key
-    cannot express — every exec mode must take the correlated fallback
-    and agree with the iterator, even with hash joins forced."""
+    cannot express — the planner must keep that path correlated."""
     pg = _pg()
     pg.add_node("lonely", {"Person"}, {"name": "zz"})  # no KNOWS edges
     store = PropertyGraphStore(pg)
@@ -162,26 +177,22 @@ def test_optional_null_shared_var_through_batched_join():
         "MATCH (b)-[:KNOWS]->(c) "
         "RETURN a.name, b.name, c.name"
     )
-    bags = _cypher_bags(store, q)
-    assert bags["iterator"], "query must return rows for the check to bite"
-    _assert_modes_agree(bags, q)
-    forced = _cypher_bags(store, q, force_join="hash")
-    _assert_modes_agree(forced, q)
-    assert forced["batched"] == bags["iterator"]
+    assert _assert_cypher_matches_reference(store, q), (
+        "query must return rows for the check to bite"
+    )
 
 
 def test_optional_rows_survive_batched_bgp():
     """OPTIONAL groups run downstream of the batched BGP; unmatched rows
-    keep their null extension in every mode."""
+    keep their null extension."""
     g = _person_graph(10)
     g.add(Triple(IRI(EX + "p/3"), IRI(EX + "nick"), Literal("trey")))
     q = (
         f"SELECT ?s ?n ?k WHERE {{ ?s a <{EX}Person> . ?s <{EX}name> ?n . "
         f"OPTIONAL {{ ?s <{EX}nick> ?k . }} }}"
     )
-    bags = _sparql_bags(g, q)
     assert any("k" in row for row in SparqlEngine(g).query(q))
-    _assert_modes_agree(bags, q)
+    _assert_sparql_matches_reference(g, q)
 
 
 # --------------------------------------------------------------------- #
@@ -199,9 +210,7 @@ def test_self_loops_directed_and_undirected():
         "MATCH (a)-[r]-(b) RETURN a.name, b.name",
     ]
     for q in queries:
-        bags = _cypher_bags(store, q)
-        assert bags["iterator"], q
-        _assert_modes_agree(bags, q)
+        assert _assert_cypher_matches_reference(store, q), q
 
 
 def test_rel_var_equals_node_var_is_empty():
@@ -209,15 +218,14 @@ def test_rel_var_equals_node_var_is_empty():
     edge and its endpoint."""
     store = PropertyGraphStore(_pg())
     q = "MATCH (a:Person)-[x:KNOWS]->(x) RETURN a.name"
-    _assert_modes_agree(_cypher_bags(store, q), q)
-    assert CypherEngine(store, exec_mode="batched").query(q) == []
+    assert not _assert_cypher_matches_reference(store, q)
 
 
 # --------------------------------------------------------------------- #
 # Batch-size sweep
 # --------------------------------------------------------------------- #
 
-@pytest.mark.parametrize("batch_size", [1, 2, 1024])
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
 def test_batch_size_sweep_sparql(batch_size):
     g = _person_graph()
     queries = [
@@ -227,15 +235,10 @@ def test_batch_size_sweep_sparql(batch_size):
         f"SELECT ?s ?p ?o WHERE {{ ?s ?p ?o . }}",
     ]
     for q in queries:
-        expected = normalize_sparql_rows(SparqlEngine(g).query(q))
-        for mode in ("batched", "adaptive"):
-            engine = SparqlEngine(g, exec_mode=mode, batch_size=batch_size)
-            assert normalize_sparql_rows(engine.query(q)) == expected, (
-                mode, batch_size, q,
-            )
+        _assert_sparql_matches_reference(g, q, batch_size)
 
 
-@pytest.mark.parametrize("batch_size", [1, 2, 1024])
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
 def test_batch_size_sweep_cypher(batch_size):
     store = PropertyGraphStore(_pg())
     queries = [
@@ -244,12 +247,7 @@ def test_batch_size_sweep_cypher(batch_size):
         "MATCH (a:Person {age: 3}) RETURN a.name",
     ]
     for q in queries:
-        expected = normalize_cypher_rows(CypherEngine(store).query(q))
-        for mode in ("batched", "adaptive"):
-            engine = CypherEngine(store, exec_mode=mode, batch_size=batch_size)
-            assert normalize_cypher_rows(engine.query(q)) == expected, (
-                mode, batch_size, q,
-            )
+        _assert_cypher_matches_reference(store, q, batch_size)
 
 
 # --------------------------------------------------------------------- #
@@ -279,15 +277,171 @@ def test_store_endpoint_arrays_track_version():
     assert {names.value(i) for i in node_ids} == set(pg.nodes)
 
 
-def test_exec_mode_requires_planner():
-    g = Graph()
-    with pytest.raises(ValueError):
-        SparqlEngine(g, planner=False, exec_mode="batched")
-    with pytest.raises(ValueError):
-        CypherEngine(
-            PropertyGraphStore(PropertyGraph()),
-            planner=False,
-            exec_mode="adaptive",
+def test_engines_take_no_execution_options():
+    """The removed knobs are gone from the constructors, not ignored."""
+    for option in ("exec_mode", "force_join", "batch_size"):
+        with pytest.raises(TypeError):
+            SparqlEngine(Graph(), **{option: None})
+        with pytest.raises(TypeError):
+            CypherEngine(PropertyGraphStore(PropertyGraph()), **{option: None})
+
+
+# --------------------------------------------------------------------- #
+# Each join operator, built directly, against the reference arm
+# --------------------------------------------------------------------- #
+
+_NODES = [IRI(EX + f"n{i}") for i in range(4)]
+_PREDICATES = [IRI(EX + f"p{i}") for i in range(2)]
+_OBJECTS = _NODES + [Literal("x"), Literal("y")]
+_VARS = [Var("a"), Var("b"), Var("c")]
+
+
+@st.composite
+def _rdf_join_cases(draw):
+    triples = draw(st.lists(
+        st.tuples(
+            st.sampled_from(_NODES),
+            st.sampled_from(_PREDICATES),
+            st.sampled_from(_OBJECTS),
+        ),
+        max_size=14,
+    ))
+    pattern = st.builds(
+        TriplePattern,
+        st.sampled_from(_VARS + _NODES[:2]),
+        st.sampled_from(_VARS + _PREDICATES),
+        st.sampled_from(_VARS + _OBJECTS[:2] + _OBJECTS[-1:]),
+    )
+    return (
+        Graph(Triple(*t) for t in triples),
+        draw(pattern),
+        draw(pattern),
+        draw(st.sampled_from([1, 2, 1024])),
+    )
+
+
+@given(_rdf_join_cases())
+@settings(max_examples=150, deadline=None)
+def test_sparql_join_operators_match_reference(case):
+    """BatchHashJoin (keyed or cartesian) and BatchBindJoin over the same
+    pattern pair return the reference evaluator's bag."""
+    graph, first, second, batch_size = case
+    expected = normalize_sparql_rows(
+        SparqlEngine(graph, planner=False).query(
+            f"SELECT * WHERE {{ {first} {second} }}"
         )
-    with pytest.raises(ValueError):
-        SparqlEngine(g, exec_mode="turbo")
+    )
+    bound = first.variables()
+    shared = tuple(sorted(bound & second.variables()))
+    joins = {
+        "hash": BatchHashJoin(
+            BatchScan(graph, first, 1.0, batch_size),
+            BatchScan(graph, second, 1.0, batch_size),
+            shared,
+            1.0,
+        ),
+        "bind": BatchBindJoin(
+            BatchScan(graph, first, 1.0, batch_size), graph, second, bound, 1.0
+        ),
+    }
+    for tag, root in joins.items():
+        plan = BatchedBGP(graph, root)
+        plan.prepare()
+        assert normalize_sparql_rows(list(plan.run())) == expected, tag
+
+
+class _DecodedPathHashJoin(BatchPathHashJoin):
+    """Always takes the decode-both-sides path of the join."""
+
+    def execute(self, engine):
+        self.actual_loops += 1
+        yield from self._execute_decoded(
+            engine, list(self.children[1].run(engine))
+        )
+
+
+_PATHS = [
+    "(a:A)-[r:R]->(b)",
+    "(a)-[:R]-(b:B)",
+    "(a {k: 1})",
+    "(b)-[:S]->(c)",
+    "(c:B)<-[r:R]-(b)",
+    "(b)-[s]-(a)",
+    "(c)-[r]->(c)",
+    "(d:A)",
+    "(d)-[:S]->(e {k: 0})",
+]
+
+
+@st.composite
+def _pg_join_cases(draw):
+    pg = PropertyGraph()
+    n = draw(st.integers(min_value=1, max_value=5))
+    for i in range(n):
+        labels = draw(st.sets(st.sampled_from(["A", "B"])))
+        pg.add_node(f"n{i}", labels, {"k": draw(st.integers(0, 1))})
+    for src, dst, rel_type in draw(st.lists(
+        st.tuples(
+            st.integers(0, n - 1), st.integers(0, n - 1),
+            st.sampled_from(["R", "S"]),
+        ),
+        max_size=10,
+    )):
+        pg.add_edge(f"n{src}", f"n{dst}", {rel_type})
+    return (
+        pg,
+        draw(st.sampled_from(_PATHS)),
+        draw(st.sampled_from(_PATHS)),
+        draw(st.sampled_from([1, 2, 1024])),
+    )
+
+
+@given(_pg_join_cases())
+@settings(max_examples=150, deadline=None)
+def test_cypher_path_joins_match_reference(case):
+    """BatchPathHashJoin — columnar and decoded — and the correlated
+    ``_compile_path_batched`` pipeline over the same path pair return the
+    reference evaluator's bag."""
+    pg, first_text, second_text, batch_size = case
+    store = PropertyGraphStore(pg)
+    clause = parse_cypher(
+        f"MATCH {first_text}, {second_text} RETURN count(*)"
+    ).parts[0].clauses[0]
+    first, second = clause.paths
+    names = sorted(_path_variables(first) | _path_variables(second))
+    reference = CypherEngine(store, planner=False)
+    expected = sorted(
+        tuple(_value_key(row[name]) for name in names)
+        for row in reference.query(
+            f"MATCH {first_text}, {second_text} RETURN {', '.join(names)}"
+        )
+    )
+    engine = CypherEngine(store)
+    planner = engine.planner
+    bound = _path_variables(first)
+    shared = tuple(sorted(bound & _path_variables(second)))
+
+    def run(join):
+        input_op = BatchInput(batch_size)
+        probe = _compile_path_batched(planner, first, set(), input_op, 1.0)
+        rows = BatchMatchPlan(input_op, join(probe), store).execute([{}], engine)
+        return sorted(
+            tuple(_value_key(row[name]) for name in names) for row in rows
+        )
+
+    def build():
+        return _compile_path_batched(planner, second, set(), BatchConst(), 1.0)
+
+    joins = {
+        "columnar": lambda probe: BatchPathHashJoin(
+            probe, build(), shared, 1.0, store
+        ),
+        "decoded": lambda probe: _DecodedPathHashJoin(
+            probe, build(), shared, 1.0, store
+        ),
+        "correlated": lambda probe: _compile_path_batched(
+            planner, second, bound, probe, 1.0
+        ),
+    }
+    for tag, join in joins.items():
+        assert run(join) == expected, tag

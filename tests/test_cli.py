@@ -147,6 +147,33 @@ class TestQuery:
         qfile.write_text(self.SPARQL, encoding="utf-8")
         assert main(["query", str(data_file), f"@{qfile}"]) == 0
 
+    @pytest.mark.parametrize(
+        "flags", [["--exec-mode", "batched"], ["--no-planner"]]
+    )
+    def test_removed_execution_flags_are_unknown(self, data_file, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["query", str(data_file), self.SPARQL, *flags])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via_pg", [[], ["--via-pg"]])
+    @pytest.mark.parametrize("flag", ["--explain", "--analyze"])
+    def test_explain_prints_batch_operators(self, data_file, via_pg, flag, capsys):
+        query = (
+            "PREFIX uni: <http://example.org/university#> "
+            "SELECT ?s ?d WHERE { ?s a uni:Student ; uni:advisedBy ?p . "
+            "?p uni:worksFor ?d . }"
+        )
+        assert main(["query", str(data_file), query, flag, *via_pg]) == 0
+        operators = [
+            line for line in capsys.readouterr().out.splitlines()
+            if "Batch" in line
+        ]
+        assert operators
+        for line in operators:
+            assert "est=" in line and "act=" in line
+            assert ("loops=" in line and "time=" in line) == (flag == "--analyze")
+
 
 class TestGenerate:
     def test_generate_dataset(self, tmp_path, capsys):
