@@ -334,17 +334,18 @@ class CDCPipeline:
                 # Revalidation probes are workload too: when a query log
                 # is capturing, they appear as non-query events so a
                 # replayed capture can account for ingest-time checks.
-                obs.log_workload_event({
-                    "lang": "cdc",
-                    "kind": "revalidate",
-                    "watermark": self.watermark,
-                    "focus_rechecked": rechecked,
-                    "triples_added": len(added_effective),
-                    "triples_removed": len(removed_effective),
-                    "duration_ms": round(
-                        (time.perf_counter() - revalidate_start) * 1000.0, 3
-                    ),
-                })
+                if obs.get_workload() is not None:
+                    obs.log_workload_event({
+                        "lang": "cdc",
+                        "kind": "revalidate",
+                        "watermark": self.watermark,
+                        "focus_rechecked": rechecked,
+                        "triples_added": len(added_effective),
+                        "triples_removed": len(removed_effective),
+                        "duration_ms": round(
+                            (time.perf_counter() - revalidate_start) * 1000.0, 3
+                        ),
+                    })
             if applied:
                 staleness = time.monotonic() - min(
                     arrival for _, arrival in batch
@@ -368,18 +369,19 @@ class CDCPipeline:
         self._m_batch.observe(batch_s)
         # Slow batches land in the flight recorder's slow-op log (when
         # one is installed) so /debug/slow covers ingest, not just queries.
-        obs.record_op(
-            "cdc.batch",
-            f"batch@{self.watermark}",
-            batch_s,
-            detail={
-                "size": len(batch),
-                "applied": applied,
-                "triples_added": len(added_effective),
-                "triples_removed": len(removed_effective),
-                "watermark": self.watermark,
-            },
-        )
+        if obs.get_recorder() is not None:
+            obs.record_op(
+                "cdc.batch",
+                f"batch@{self.watermark}",
+                batch_s,
+                detail={
+                    "size": len(batch),
+                    "applied": applied,
+                    "triples_added": len(added_effective),
+                    "triples_removed": len(removed_effective),
+                    "watermark": self.watermark,
+                },
+            )
 
     async def _apply_delta(self, delta: Delta):
         """Apply one delta; returns (added, removed) effective triples.

@@ -12,7 +12,7 @@ a corpus replayed by the test suite.
 """
 
 from .generators import CASE_KINDS, FuzzCase, generate_case
-from .oracles import ORACLES, Oracle, OracleContext
+from .oracles import ORACLES, Oracle, OracleContext, fresh_memo_snapshot
 from .runner import (
     FuzzReport,
     OracleFailure,
@@ -31,6 +31,7 @@ __all__ = [
     "Oracle",
     "OracleContext",
     "OracleFailure",
+    "fresh_memo_snapshot",
     "generate_case",
     "load_reproducer",
     "replay_corpus",

@@ -607,6 +607,32 @@ def _cdc_history(case: FuzzCase) -> tuple[list, list, set]:
     return base, deltas, current
 
 
+def fresh_memo_snapshot(schema, graph: Graph) -> dict[str, list[str]]:
+    """What ``DeltaValidator.snapshot()`` must equal, computed the slow way.
+
+    Every targeted entity is checked per shape with a fresh memo and no
+    standing verdict table: no verdict outlives the focus check that
+    computed it, so none can be stale, and no affected set is involved.
+    """
+    from ..shacl.validator import ValidationReport, _EntityChecker
+
+    checker = _EntityChecker(schema, graph, max_violations=10_000)
+    targets = schema.target_classes()
+    snapshot: dict[str, list[str]] = {}
+    for cls in targets:
+        for entity in graph.instances_of(IRI(cls)):
+            lines: list[str] = []
+            for shape_name in sorted(
+                {targets[t.value] for t in graph.types_of(entity)
+                 if t.value in targets}
+            ):
+                report = ValidationReport(conforms=True)
+                checker.check(entity, shape_name, report, {})
+                lines.extend(str(v) for v in report.violations)
+            snapshot[str(entity)] = sorted(lines)
+    return snapshot
+
+
 def cdc_equivalence(case: FuzzCase, ctx: OracleContext) -> str | None:
     """Streaming a delta history through the CDC pipeline is equivalent
     to transforming the final graph from scratch, with the store
@@ -634,7 +660,29 @@ def cdc_equivalence(case: FuzzCase, ctx: OracleContext) -> str | None:
             validator=validator,
             config=CDCConfig(max_linger_s=0.0),
         )
-        stats = replay_deltas(pipeline, deltas)
+        if validator is None:
+            replay_deltas(pipeline, deltas)
+        else:
+            # One delta per batch, the standing report held to the
+            # reference after every one of them.
+            for delta in deltas:
+                replay_deltas(pipeline, [delta])
+                if validator.snapshot() != fresh_memo_snapshot(
+                    case.schema, graph
+                ):
+                    return (
+                        "standing DeltaValidator report diverges from the "
+                        f"fresh-memo reference after delta {delta.seq} of "
+                        f"{len(deltas)}"
+                    )
+                full = shacl_validate(graph, case.schema)
+                if validator.conforms != full.conforms:
+                    return (
+                        f"standing conforms={validator.conforms} but full "
+                        f"revalidation says {full.conforms} after delta "
+                        f"{delta.seq}"
+                    )
+        stats = pipeline.stats
         if set(graph) != final:
             return (
                 f"tracked source graph diverged from the delta history in "
@@ -663,19 +711,21 @@ def cdc_equivalence(case: FuzzCase, ctx: OracleContext) -> str | None:
                 f"+{stats.triples_removed} effective triple(s) in "
                 f"{_mode(options)} mode"
             )
-        if validator is not None:
-            fresh = DeltaValidator(case.schema, graph)
-            if validator.snapshot() != fresh.snapshot():
-                return (
-                    "standing DeltaValidator report diverges from a full "
-                    f"revalidation after {len(deltas)} delta(s)"
-                )
-            full = shacl_validate(graph, case.schema)
-            if validator.conforms != full.conforms:
-                return (
-                    f"standing conforms={validator.conforms} but full "
-                    f"revalidation says {full.conforms}"
-                )
+    # The whole history as one batch: what ``max_batch_size > 1`` hands
+    # the validator (a triple may sit in both lists).
+    graph = Graph(base)
+    validator = DeltaValidator(case.schema, graph)
+    added: list = []
+    removed: list = []
+    for delta in deltas:
+        removed.extend(t for t in delta.removed if graph.remove(t))
+        added.extend(t for t in delta.added if graph.add(t))
+    validator.apply_delta(added=added, removed=removed)
+    if validator.snapshot() != fresh_memo_snapshot(case.schema, graph):
+        return (
+            "standing DeltaValidator report diverges from the fresh-memo "
+            f"reference after {len(deltas)} delta(s) applied as one batch"
+        )
     return None
 
 

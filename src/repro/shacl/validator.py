@@ -20,22 +20,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from collections.abc import Iterable
+from typing import NamedTuple
 
 from .. import obs
-from ..namespaces import RDF_TYPE, RDFS
+from ..namespaces import RDFS
 from ..rdf.graph import Graph
-from ..rdf.terms import IRI, BlankNode, Literal, Object, Subject, Triple
+from ..rdf.terms import IRI, Literal, Object, Subject, Triple
 from .model import (
     ClassType,
     LiteralType,
-    NodeShape,
     NodeShapeRef,
     PropertyShape,
     ShapeSchema,
 )
 
-_TYPE = IRI(RDF_TYPE)
 _SUBCLASS_OF = IRI(RDFS.subClassOf)
+#: Stands in for the table row of an entity that has none.
+_NO_ROW: dict[str, bool] = {}
 
 
 @dataclass(frozen=True)
@@ -71,105 +72,127 @@ class ValidationReport:
         return self.conforms
 
 
-class ShaclValidator:
-    """Validates RDF graphs against a :class:`ShapeSchema` (Definition 2.3).
+class _PropertyPlan(NamedTuple):
+    """A property shape with everything entity-independent resolved."""
+
+    shape: PropertyShape
+    path: IRI
+    #: ``T_p`` in declaration order: ``(datatype, None, None)`` for a
+    #: literal type, ``(None, class term, shape name targeting it or
+    #: None)`` for ``sh:class``, ``(None, None, shape name)`` for
+    #: ``sh:node``; references to shapes the schema lacks never match
+    #: and are left out.
+    alternatives: tuple[tuple[str | None, IRI | None, str | None], ...]
+    #: Message fragments that do not depend on the entity.
+    bounds: str
+    expected: str
+
+
+class _EntityChecker:
+    """The entity check ``e ⊨_G s`` of Definition 2.3 over one graph.
+
+    Built once per :meth:`ShaclValidator.validate` call and once per
+    :class:`DeltaValidator` — not cached on the schema, which callers may
+    mutate between validations.  Effective property shapes, path and
+    class terms and the shape a class is targeted by are resolved the
+    first time a shape is checked, not once per entity.
+
+    Reference cycles are broken optimistically: a key that is still being
+    checked reads as conforming.  A verdict computed without reading such
+    an in-progress key — directly, or through a memo entry that did — is
+    *context-free*: its forward closure of nested checks is a DAG, so it
+    is the same whichever focus node the check started from.  With a
+    ``table`` those verdicts are stored there instead of in the per-focus
+    ``memo`` and nested checks read them back; cycle-tainted verdicts
+    stay in the memo and die with it.
 
     Args:
         schema: the shape schema ``S_G``.
-        max_violations: stop collecting after this many failures
-            (validation outcome is still exact; only the report is bounded).
+        graph: the graph entities are checked in.
+        max_violations: stop collecting after this many failures.
+        table: entity -> shape name -> context-free nested verdict, owned
+            and invalidated by the caller; None keeps every verdict in
+            the memo.
     """
 
-    def __init__(self, schema: ShapeSchema, max_violations: int = 10_000):
-        self.schema = schema
-        self.max_violations = max_violations
-        # Per-validate() observability tallies (cheap plain-int/dict
-        # accumulation on the hot path; flushed to obs once per run).
-        self._memo_hits = 0
-        self._memo_misses = 0
-        self._shape_checks: dict[str, int] = {}
-
-    def validate(self, graph: Graph) -> ValidationReport:
-        """Validate every targeted entity in ``graph``."""
-        self._memo_hits = 0
-        self._memo_misses = 0
-        self._shape_checks = {}
-        with obs.span("shacl.validate", shapes=len(self.schema)) as span:
-            report = self._validate(graph)
-            span.set("entities", report.checked_entities)
-            span.set("violations", len(report.violations))
-            span.set("conforms", report.conforms)
-            span.set("memo_hits", self._memo_hits)
-            span.set("memo_misses", self._memo_misses)
-        self._publish_metrics(report)
-        return report
-
-    def _validate(self, graph: Graph) -> ValidationReport:
-        report = ValidationReport(conforms=True)
-        class_to_shape = self.schema.target_classes()
-        # Memo of (entity, shape-name) conformance to keep recursive
-        # shape-reference checks linear.
-        memo: dict[tuple[Subject, str], bool] = {}
-        for cls_iri, shape_name in class_to_shape.items():
-            for entity in graph.instances_of(IRI(cls_iri)):
-                report.checked_entities += 1
-                self._check_entity(graph, entity, shape_name, report, memo)
-                if len(report.violations) >= self.max_violations:
-                    report.conforms = False
-                    return report
-        return report
-
-    def _publish_metrics(self, report: ValidationReport) -> None:
-        metrics = obs.get_metrics()
-        metrics.counter(
-            "repro_validator_entities_total", help="entities checked"
-        ).inc(report.checked_entities)
-        metrics.counter(
-            "repro_validator_violations_total", help="violations reported"
-        ).inc(len(report.violations))
-        metrics.counter(
-            "repro_validator_memo_hits_total",
-            help="memoized (entity, shape) verdict reuses",
-        ).inc(self._memo_hits)
-        metrics.counter(
-            "repro_validator_memo_misses_total",
-            help="fresh (entity, shape) checks",
-        ).inc(self._memo_misses)
-        checks = metrics.counter(
-            "repro_validator_checks_total", help="per-shape entity checks"
-        )
-        for shape_name, count in self._shape_checks.items():
-            checks.inc(count, shape=shape_name)
-
-    def conforms(self, graph: Graph) -> bool:
-        """Shortcut: True when ``graph ⊨ S_G``."""
-        return self.validate(graph).conforms
-
-    def entity_conforms(self, graph: Graph, entity: Subject, shape_name: str) -> bool:
-        """Check a single entity against a single shape (``e ⊨_G s``)."""
-        report = ValidationReport(conforms=True)
-        self._check_entity(graph, entity, shape_name, report, {})
-        return report.conforms
-
-    # ------------------------------------------------------------------ #
-
-    def _check_entity(
+    def __init__(
         self,
+        schema: ShapeSchema,
         graph: Graph,
+        max_violations: int,
+        table: dict[Subject, dict[str, bool]] | None = None,
+    ):
+        self.schema = schema
+        self.graph = graph
+        self.max_violations = max_violations
+        self.table = table
+        # Cheap plain-int/dict tallies on the hot path; ShaclValidator
+        # flushes them to obs once per run.
+        self.memo_hits = 0
+        self.memo_misses = 0
+        self.shape_checks: dict[str, int] = {}
+        self._plans: dict[str, tuple[_PropertyPlan, ...]] = {}
+        # shape_for_class semantics: the first shape declared for a class.
+        self._shape_of_class: dict[str, str] = {}
+        for shape in schema:
+            if shape.target_class is not None:
+                self._shape_of_class.setdefault(shape.target_class, shape.name)
+        #: Reads of in-progress or cycle-tainted memo entries so far; an
+        #: entity check during which it did not move is context-free.
+        self._tainted_reads = 0
+
+    def _plan(self, shape_name: str) -> tuple[_PropertyPlan, ...]:
+        plan = self._plans.get(shape_name)
+        if plan is None:
+            plan = self._plans[shape_name] = tuple(
+                self._resolve(phi)
+                for phi in self.schema.effective_property_shapes(shape_name)
+            )
+        return plan
+
+    def _resolve(self, phi: PropertyShape) -> _PropertyPlan:
+        alternatives: list[tuple[str | None, IRI | None, str | None]] = []
+        for vt in phi.value_types:
+            if isinstance(vt, LiteralType):
+                alternatives.append((vt.datatype, None, None))
+            elif isinstance(vt, ClassType):
+                alternatives.append(
+                    (None, IRI(vt.cls), self._shape_of_class.get(vt.cls))
+                )
+            elif isinstance(vt, NodeShapeRef) and vt.shape in self.schema:
+                alternatives.append((None, None, vt.shape))
+        upper = "*" if phi.max_count == float("inf") else int(phi.max_count)
+        return _PropertyPlan(
+            shape=phi,
+            path=IRI(phi.path),
+            alternatives=tuple(alternatives),
+            bounds=f"[{phi.min_count}, {upper}]",
+            expected=str([str(v) for v in phi.value_types]),
+        )
+
+    def check(
+        self,
         entity: Subject,
         shape_name: str,
-        report: ValidationReport,
+        report: ValidationReport | None,
         memo: dict[tuple[Subject, str], bool],
     ) -> bool:
+        """``entity ⊨_G shape_name``; violations go to ``report``.
+
+        Nested checks of referenced values pass ``report=None``: only
+        their verdict is used.
+        """
         key = (entity, shape_name)
         cached = memo.get(key)
         if cached is not None:
-            self._memo_hits += 1
-            if not cached:
+            self.memo_hits += 1
+            # With a table the memo holds only in-progress and tainted
+            # keys; without one nobody asks whether a verdict is tainted.
+            self._tainted_reads += 1
+            if not cached and report is not None:
                 # The failure was discovered while this entity was checked
-                # as a nested shape-ref target, so its violations went to
-                # that caller's (discarded) sub-report; the verdict must
-                # still reach this report.
+                # as a nested shape-ref target, where no violations are
+                # collected; the verdict must still reach this report.
                 self._record(
                     report,
                     entity,
@@ -178,82 +201,82 @@ class ShaclValidator:
                     "entity does not conform (checked as a referenced value)",
                 )
             return cached
-        self._memo_misses += 1
-        self._shape_checks[shape_name] = self._shape_checks.get(shape_name, 0) + 1
+        table = self.table
+        if table is not None and report is None:
+            # A focus check (report given) is always evaluated: the
+            # standing report needs its violations, not just the verdict.
+            known = table.get(entity, _NO_ROW).get(shape_name)
+            if known is not None:
+                self.memo_hits += 1
+                return known
+        self.memo_misses += 1
+        self.shape_checks[shape_name] = self.shape_checks.get(shape_name, 0) + 1
         # Optimistically assume conformance to break reference cycles.
         memo[key] = True
+        tainted_reads = self._tainted_reads
         ok = True
-        for phi in self.schema.effective_property_shapes(shape_name):
-            if not self._check_property(graph, entity, shape_name, phi, report, memo):
+        for plan in self._plan(shape_name):
+            if not self._check_property(entity, shape_name, plan, report, memo):
                 ok = False
-        memo[key] = ok
-        if not ok:
-            report.conforms = False
+        if table is not None and self._tainted_reads == tainted_reads:
+            del memo[key]
+            table.setdefault(entity, {})[shape_name] = ok
+        else:
+            memo[key] = ok
         return ok
 
     def _check_property(
         self,
-        graph: Graph,
         entity: Subject,
         shape_name: str,
-        phi: PropertyShape,
-        report: ValidationReport,
+        plan: _PropertyPlan,
+        report: ValidationReport | None,
         memo: dict[tuple[Subject, str], bool],
     ) -> bool:
-        path = IRI(phi.path)
-        values = list(graph.objects(entity, path))
+        phi = plan.shape
+        values = list(self.graph.objects(entity, plan.path))
         ok = True
 
         count = len(values)
         if count < phi.min_count or count > phi.max_count:
             ok = False
-            self._record(
-                report,
-                entity,
-                shape_name,
-                phi.path,
-                f"cardinality {count} outside [{phi.min_count}, "
-                f"{'*' if phi.max_count == float('inf') else int(phi.max_count)}]",
-            )
-
-        for value in values:
-            if not self._value_matches_any(graph, value, phi, memo, report):
-                ok = False
+            if report is not None:
                 self._record(
                     report,
                     entity,
                     shape_name,
                     phi.path,
-                    f"value {value.n3()} matches none of "
-                    f"{[str(v) for v in phi.value_types]}",
+                    f"cardinality {count} outside {plan.bounds}",
                 )
+
+        for value in values:
+            if not self._value_matches_any(value, plan, memo):
+                ok = False
+                if report is not None:
+                    self._record(
+                        report,
+                        entity,
+                        shape_name,
+                        phi.path,
+                        f"value {value.n3()} matches none of {plan.expected}",
+                    )
         return ok
 
     def _value_matches_any(
         self,
-        graph: Graph,
         value: Object,
-        phi: PropertyShape,
+        plan: _PropertyPlan,
         memo: dict[tuple[Subject, str], bool],
-        report: ValidationReport,
     ) -> bool:
-        for vt in phi.value_types:
-            if isinstance(vt, LiteralType):
-                if isinstance(value, Literal) and value.datatype == vt.datatype:
+        for datatype, cls, nested in plan.alternatives:
+            if datatype is not None:
+                if isinstance(value, Literal) and value.datatype == datatype:
                     return True
-            elif isinstance(vt, ClassType):
-                if isinstance(value, IRI) and graph.is_instance_of(value, IRI(vt.cls)):
-                    nested = self.schema.shape_for_class(vt.cls)
-                    if nested is None:
-                        return True
-                    sub_report = ValidationReport(conforms=True)
-                    if self._check_entity(graph, value, nested.name, sub_report, memo):
-                        return True
-            elif isinstance(vt, NodeShapeRef):
-                if isinstance(value, IRI) and vt.shape in self.schema:
-                    sub_report = ValidationReport(conforms=True)
-                    if self._check_entity(graph, value, vt.shape, sub_report, memo):
-                        return True
+            elif not isinstance(value, IRI):
+                continue
+            elif cls is None or self.graph.is_instance_of(value, cls):
+                if nested is None or self.check(value, nested, None, memo):
+                    return True
         return False
 
     def _record(
@@ -276,6 +299,81 @@ class ShaclValidator:
         report.conforms = False
 
 
+class ShaclValidator:
+    """Validates RDF graphs against a :class:`ShapeSchema` (Definition 2.3).
+
+    Args:
+        schema: the shape schema ``S_G``.
+        max_violations: stop collecting after this many failures
+            (validation outcome is still exact; only the report is bounded).
+    """
+
+    def __init__(self, schema: ShapeSchema, max_violations: int = 10_000):
+        self.schema = schema
+        self.max_violations = max_violations
+
+    def validate(self, graph: Graph) -> ValidationReport:
+        """Validate every targeted entity in ``graph``."""
+        checker = _EntityChecker(self.schema, graph, self.max_violations)
+        with obs.span("shacl.validate", shapes=len(self.schema)) as span:
+            report = self._validate(checker)
+            span.set("entities", report.checked_entities)
+            span.set("violations", len(report.violations))
+            span.set("conforms", report.conforms)
+            span.set("memo_hits", checker.memo_hits)
+            span.set("memo_misses", checker.memo_misses)
+        self._publish_metrics(report, checker)
+        return report
+
+    def _validate(self, checker: _EntityChecker) -> ValidationReport:
+        report = ValidationReport(conforms=True)
+        class_to_shape = self.schema.target_classes()
+        # Memo of (entity, shape-name) conformance to keep recursive
+        # shape-reference checks linear.
+        memo: dict[tuple[Subject, str], bool] = {}
+        for cls_iri, shape_name in class_to_shape.items():
+            for entity in checker.graph.instances_of(IRI(cls_iri)):
+                report.checked_entities += 1
+                checker.check(entity, shape_name, report, memo)
+                if len(report.violations) >= self.max_violations:
+                    report.conforms = False
+                    return report
+        return report
+
+    def _publish_metrics(
+        self, report: ValidationReport, checker: _EntityChecker
+    ) -> None:
+        metrics = obs.get_metrics()
+        metrics.counter(
+            "repro_validator_entities_total", help="entities checked"
+        ).inc(report.checked_entities)
+        metrics.counter(
+            "repro_validator_violations_total", help="violations reported"
+        ).inc(len(report.violations))
+        metrics.counter(
+            "repro_validator_memo_hits_total",
+            help="memoized (entity, shape) verdict reuses",
+        ).inc(checker.memo_hits)
+        metrics.counter(
+            "repro_validator_memo_misses_total",
+            help="fresh (entity, shape) checks",
+        ).inc(checker.memo_misses)
+        checks = metrics.counter(
+            "repro_validator_checks_total", help="per-shape entity checks"
+        )
+        for shape_name, count in checker.shape_checks.items():
+            checks.inc(count, shape=shape_name)
+
+    def conforms(self, graph: Graph) -> bool:
+        """Shortcut: True when ``graph ⊨ S_G``."""
+        return self.validate(graph).conforms
+
+    def entity_conforms(self, graph: Graph, entity: Subject, shape_name: str) -> bool:
+        """Check a single entity against a single shape (``e ⊨_G s``)."""
+        checker = _EntityChecker(self.schema, graph, self.max_violations)
+        return checker.check(entity, shape_name, None, {})
+
+
 def validate(graph: Graph, schema: ShapeSchema) -> ValidationReport:
     """Validate ``graph`` against ``schema`` (module-level convenience)."""
     return ShaclValidator(schema).validate(graph)
@@ -285,7 +383,7 @@ class DeltaValidator:
     """Delta-scoped SHACL revalidation with a standing conformance report.
 
     Instead of re-running whole-graph validation after every change, the
-    validator maintains a per-focus-node verdict table and, given the
+    validator keeps the violations of every focus node and, given the
     (added, removed) triples of a delta, recomputes only the focus nodes
     the delta can affect:
 
@@ -306,10 +404,16 @@ class DeltaValidator:
     and falls back to a full rebuild.
 
     Every focus node is checked with a fresh memo, which makes its
-    violation list independent of the order entities are (re)checked —
-    the standing report after any delta sequence is therefore *equal* to
-    the report a freshly built :class:`DeltaValidator` produces on the
-    final graph, and its ``conforms`` flag matches
+    violation list independent of the order entities are (re)checked.
+    What a recheck does not redo is the nested checks of the nodes it
+    references: their context-free verdicts (see :class:`_EntityChecker`)
+    stand in one table across deltas.  A delta drops the rows of *every*
+    affected entity before any of them is rechecked — a cycle the delta
+    closes runs through one of its subjects, so all its nodes are
+    affected, and a recheck that read a row from before the delta would
+    not see the cycle.  The standing report after any delta sequence is
+    therefore *equal* to checking every focus node of the final graph
+    from scratch, and its ``conforms`` flag matches
     :meth:`ShaclValidator.validate`.
 
     Args:
@@ -327,7 +431,10 @@ class DeltaValidator:
     ):
         self.schema = schema
         self.graph = graph
-        self._validator = ShaclValidator(schema, max_violations)
+        #: Entity -> shape name -> context-free nested verdict.  Rows of
+        #: referenced entities no shape targets live here too.
+        self._table: dict[Subject, dict[str, bool]] = {}
+        self._checker = _EntityChecker(schema, graph, max_violations, self._table)
         self._targets = schema.target_classes()
         self._reference_paths = self._compute_reference_paths()
         #: Focus entity -> violations of all shapes targeting its types.
@@ -338,22 +445,28 @@ class DeltaValidator:
         self.total_rechecked = 0
         self.rebuild()
 
-    def _compute_reference_paths(self) -> frozenset[str]:
-        paths: set[str] = set()
+    def _compute_reference_paths(self) -> frozenset[IRI]:
+        paths: set[IRI] = set()
         for shape in self.schema:
             for phi in self.schema.effective_property_shapes(shape.name):
                 if any(not vt.is_literal() for vt in phi.value_types):
-                    paths.add(phi.path)
+                    paths.add(IRI(phi.path))
         return frozenset(paths)
+
+    @property
+    def entity_checks(self) -> int:
+        """Cumulative (entity, shape) evaluations, nested ones included."""
+        return self._checker.memo_misses
 
     # ------------------------------------------------------------------ #
 
     def rebuild(self) -> None:
         """Recompute the standing report from scratch (full validation)."""
         self._entries = {}
+        self._table.clear()
         checked = 0
         for entity in self._targeted_entities():
-            self._entries[entity] = self._check(entity)
+            self._entries[entity] = self._check(entity, self._shapes_for(entity))
             checked += 1
         self.last_rechecked = checked
         self.total_rechecked += checked
@@ -370,15 +483,15 @@ class DeltaValidator:
         shapes = {
             self._targets[t.value]
             for t in self.graph.types_of(entity)
-            if isinstance(t, IRI) and t.value in self._targets
+            if t.value in self._targets
         }
         return sorted(shapes)
 
-    def _check(self, entity: Subject) -> tuple[Violation, ...]:
+    def _check(self, entity: Subject, shapes: list[str]) -> tuple[Violation, ...]:
         violations: list[Violation] = []
-        for shape_name in self._shapes_for(entity):
+        for shape_name in shapes:
             report = ValidationReport(conforms=True)
-            self._validator._check_entity(self.graph, entity, shape_name, report, {})
+            self._checker.check(entity, shape_name, report, {})
             violations.extend(report.violations)
         return tuple(violations)
 
@@ -401,13 +514,17 @@ class DeltaValidator:
             self.rebuild()
             return self.last_rechecked
         affected = self._affected_entities(added, removed)
+        # Every affected row goes before any recheck runs, so that no
+        # recheck can read a verdict from before the delta.
+        for entity in affected:
+            self._table.pop(entity, None)
         checked = 0
         for entity in affected:
             shapes = self._shapes_for(entity)
             if not shapes:
                 self._entries.pop(entity, None)
                 continue
-            self._entries[entity] = self._check(entity)
+            self._entries[entity] = self._check(entity, shapes)
             checked += 1
         self.last_rechecked = checked
         self.total_rechecked += checked
@@ -418,18 +535,15 @@ class DeltaValidator:
         added: tuple[Triple, ...],
         removed: tuple[Triple, ...],
     ) -> set[Subject]:
-        seeds: set[Subject] = {t.s for t in (*added, *removed)}
-        affected = set(seeds)
-        frontier = list(seeds)
+        """The delta's subjects closed under reverse reference paths."""
+        affected: set[Subject] = {t.s for t in (*added, *removed)}
+        frontier = list(affected)
+        reference_paths = self._reference_paths
         while frontier:
-            node = frontier.pop()
-            if not isinstance(node, (IRI, BlankNode)):
-                continue
-            for path in self._reference_paths:
-                for referrer in self.graph.subjects(IRI(path), node):
-                    if referrer not in affected:
-                        affected.add(referrer)
-                        frontier.append(referrer)
+            for t in self.graph.triples(o=frontier.pop()):
+                if t.p in reference_paths and t.s not in affected:
+                    affected.add(t.s)
+                    frontier.append(t.s)
         return affected
 
     # ------------------------------------------------------------------ #

@@ -15,6 +15,7 @@ from repro.cdc import (
     write_delta_log,
 )
 from repro.core import S3PG, TransformOptions
+from repro.fuzz import fresh_memo_snapshot
 from repro.obs import get_metrics
 from repro.pg import PropertyGraphStore
 from repro.rdf import parse_turtle
@@ -106,8 +107,7 @@ class TestApply:
         assert not pipeline.validator.conforms
         full = shacl_validate(graph, SHAPES)
         assert pipeline.validator.conforms == full.conforms
-        fresh = DeltaValidator(SHAPES, graph)
-        assert pipeline.validator.snapshot() == fresh.snapshot()
+        assert pipeline.validator.snapshot() == fresh_memo_snapshot(SHAPES, graph)
 
 
 class TestBatching:
@@ -118,6 +118,25 @@ class TestBatching:
         stats = replay_deltas(pipeline, [Delta(i) for i in range(1, 6)])
         assert stats.deltas_applied == 5
         assert stats.batches == 3
+
+    def test_multi_delta_batch_shares_one_revalidation_pass(self):
+        # One batch: :c arrives nameless and is linked b -> c -> a, then
+        # the a -> b edge goes and comes back, closing a -> b -> c -> a.
+        # The validator sees the merged lists (the edge in both of them).
+        pipeline, _, graph = make_pipeline(
+            config=CDCConfig(max_batch_size=8, max_linger_s=0.0)
+        )
+        ca_edge = t("<http://x/c> <http://x/friend> <http://x/a> .")
+        stats = replay_deltas(pipeline, [
+            Delta(1, added=(ADD_C_TYPE, ADD_BC_EDGE)),
+            Delta(2, removed=(REMOVE_AB_EDGE,)),
+            Delta(3, added=(REMOVE_AB_EDGE, ca_edge)),
+        ])
+        assert stats.deltas_applied == 3 and stats.batches == 1
+        assert stats.focus_rechecked == 3
+        snapshot = pipeline.validator.snapshot()
+        assert snapshot == fresh_memo_snapshot(SHAPES, graph)
+        assert all(snapshot[f"http://x/{node}"] for node in "abc")
 
     def test_linger_merges_trickled_deltas(self):
         pipeline, _, _ = make_pipeline(

@@ -1,5 +1,10 @@
-"""Delta-scoped revalidation: standing report == full revalidation."""
+"""Delta-scoped revalidation: standing report == full revalidation.
 
+The reference every snapshot is held to is ``fresh_memo_snapshot``: each
+focus node checked from scratch, no table, no affected set.
+"""
+
+from repro.fuzz import fresh_memo_snapshot
 from repro.rdf import parse_turtle
 from repro.rdf.ntriples import parse_line
 from repro.shacl import DeltaValidator, parse_shacl
@@ -67,8 +72,7 @@ class TestStandingReport:
         ]
         for added, removed in history:
             apply(graph, validator, added=added, removed=removed)
-            fresh = DeltaValidator(SHAPES, graph)
-            assert validator.snapshot() == fresh.snapshot()
+            assert validator.snapshot() == fresh_memo_snapshot(SHAPES, graph)
             assert validator.conforms == validate(graph, SHAPES).conforms
 
     def test_untyped_entity_leaves_the_report(self):
@@ -78,7 +82,7 @@ class TestStandingReport:
             t("<http://x/c> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://x/Person> ."),
         ))
         assert validator.focus_count == 2
-        assert validator.snapshot() == DeltaValidator(SHAPES, graph).snapshot()
+        assert validator.snapshot() == fresh_memo_snapshot(SHAPES, graph)
 
 
 class TestDeltaScoping:
@@ -114,7 +118,7 @@ class TestDeltaScoping:
         ))
         assert checked == 2  # :b and its referrer :a
         assert not validator.conforms
-        assert validator.snapshot() == DeltaValidator(SHAPES, graph).snapshot()
+        assert validator.snapshot() == fresh_memo_snapshot(SHAPES, graph)
 
     def test_subclass_delta_triggers_full_rebuild(self):
         graph = parse_turtle(BASE)
@@ -134,3 +138,154 @@ class TestDeltaScoping:
         ))
         assert validator.last_rechecked == 1
         assert validator.total_rechecked == initial + 1
+
+    def test_literal_delta_on_unreferenced_entity_is_one_entity_check(self):
+        graph = parse_turtle(BASE)
+        validator = DeltaValidator(SHAPES, graph)
+        before = validator.entity_checks
+        apply(graph, validator, added=(t('<http://x/c> <http://x/name> "C2" .'),))
+        assert validator.entity_checks == before + 1
+
+    def test_nested_verdicts_are_read_from_the_table(self):
+        # :a -> :b; a literal delta on :a rechecks :a alone and reads
+        # :b's verdict instead of recomputing it.
+        graph = parse_turtle(BASE)
+        validator = DeltaValidator(SHAPES, graph)
+        before = validator.entity_checks
+        apply(graph, validator, added=(t('<http://x/a> <http://x/name> "A2" .'),))
+        assert validator.entity_checks == before + 1
+        assert validator.snapshot() == fresh_memo_snapshot(SHAPES, graph)
+
+    def test_affected_set_equals_one_probe_per_reference_path(self):
+        # The loop _affected_entities replaced: graph.subjects(path, node)
+        # once per reference path per node.
+        graph = parse_turtle(ring("r", FRIEND_RING) + ring("s", FRIEND_RING[:2])
+                             + PREFIX + ":x :knows :r_a . :y :friend :x .")
+        validator = DeltaValidator(SHAPES, graph)
+        delta = (t('<http://x/r_c> <http://x/name> "C2" .'),
+                 t('<http://x/x> <http://x/name> "X" .'))
+        expected = {triple.s for triple in delta}
+        frontier = list(expected)
+        while frontier:
+            node = frontier.pop()
+            for path in validator._reference_paths:
+                for referrer in graph.subjects(path, node):
+                    if referrer not in expected:
+                        expected.add(referrer)
+                        frontier.append(referrer)
+        assert validator._affected_entities(delta, ()) == expected
+        assert {str(e).rsplit("/", 1)[1] for e in expected} == {
+            "r_a", "r_b", "r_c", "x", "y"}
+
+
+# --------------------------------------------------------------------- #
+# Reference cycles.  Which stale verdict a recheck could read depends on
+# the order the affected set is walked, so every scenario is built as
+# COPIES disjoint copies and a wrong table has to be lucky in all of them.
+# --------------------------------------------------------------------- #
+
+COPIES = 8
+TYPE = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
+#: a -> b -> c -> a, and :a lacks its mandatory name, so the verdicts
+#: around the ring differ with the node the check starts from.
+FRIEND_RING = (("a", "b"), ("b", "c"), ("c", "a"))
+
+
+def ring(copy: str, edges, untyped=()) -> str:
+    lines = [PREFIX]
+    for node in "abc":
+        if node not in untyped:
+            lines.append(f":{copy}_{node} a :Person .")
+        if node != "a":
+            lines.append(f':{copy}_{node} :name "{node}" .')
+    lines += [f":{copy}_{s} :friend :{copy}_{o} ." for s, o in edges]
+    return "\n".join(lines) + "\n"
+
+
+def rings(edges, untyped=()):
+    return parse_turtle("".join(
+        ring(f"r{i}", edges, untyped) for i in range(COPIES)))
+
+
+def friend(copy: str, s: str, o: str):
+    return t(f"<http://x/{copy}_{s}> <http://x/friend> <http://x/{copy}_{o}> .")
+
+
+def violating(validator) -> set[str]:
+    return {e.rsplit("/", 1)[1] for e, v in validator.snapshot().items() if v}
+
+
+class TestReferenceCycles:
+    def test_delta_closes_a_cycle_by_adding_an_edge(self):
+        graph = rings(FRIEND_RING[:2])
+        validator = DeltaValidator(SHAPES, graph)
+        assert violating(validator) == {f"r{i}_a" for i in range(COPIES)}
+        for i in range(COPIES):
+            # Every node of the closed ring is affected, none may be read
+            # from the table as it stood before the edge.
+            assert apply(graph, validator, added=(friend(f"r{i}", "c", "a"),)) == 3
+            assert validator.snapshot() == fresh_memo_snapshot(SHAPES, graph)
+        assert violating(validator) == {
+            f"r{i}_{n}" for i in range(COPIES) for n in "abc"}
+
+    def test_delta_closes_a_cycle_by_typing_a_node(self):
+        # The edges are all there; :c is not a :Person, so :b's sh:class
+        # check stops at it.  Typing :c makes the check recurse through
+        # the existing :c -> :a edge and the ring closes.
+        graph = rings(FRIEND_RING, untyped="c")
+        validator = DeltaValidator(SHAPES, graph)
+        for i in range(COPIES):
+            apply(graph, validator, added=(
+                t(f"<http://x/r{i}_c> {TYPE} <http://x/Person> ."),))
+            assert validator.snapshot() == fresh_memo_snapshot(SHAPES, graph)
+        assert validator.focus_count == 3 * COPIES
+
+    def test_delta_opens_a_cycle_by_removing_an_edge(self):
+        graph = rings(FRIEND_RING)
+        validator = DeltaValidator(SHAPES, graph)
+        assert validator.snapshot() == fresh_memo_snapshot(SHAPES, graph)
+        for i in range(COPIES):
+            apply(graph, validator, removed=(friend(f"r{i}", "c", "a"),))
+            assert validator.snapshot() == fresh_memo_snapshot(SHAPES, graph)
+        # A chain again: only :a (no name) fails, and nobody refers to it.
+        assert violating(validator) == {f"r{i}_a" for i in range(COPIES)}
+
+    def test_batch_that_closes_several_cycles_at_once(self):
+        graph = rings(FRIEND_RING[:2])
+        validator = DeltaValidator(SHAPES, graph)
+        apply(graph, validator, added=tuple(
+            friend(f"r{i}", "c", "a") for i in range(COPIES)))
+        assert validator.snapshot() == fresh_memo_snapshot(SHAPES, graph)
+
+
+NODE_REF_SHAPES = parse_shacl("""
+@prefix sh: <http://www.w3.org/ns/shacl#> .
+@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+@prefix : <http://x/> .
+@prefix shapes: <http://x/shapes#> .
+shapes:Person a sh:NodeShape ; sh:targetClass :Person ;
+  sh:property [ sh:path :home ; sh:nodeKind sh:IRI ; sh:node shapes:Address ;
+                sh:minCount 0 ] .
+shapes:Address a sh:NodeShape ; sh:targetClass :Address ;
+  sh:property [ sh:path :street ; sh:datatype xsd:string ;
+                sh:minCount 1 ; sh:maxCount 1 ] .
+""")
+
+
+class TestUntargetedReferencedEntity:
+    def test_row_of_an_entity_no_shape_targets_is_invalidated(self):
+        # :h has no rdf:type: no shape targets it, it is never a focus
+        # node, yet its (entity, shape) verdict is read through sh:node.
+        graph = parse_turtle(PREFIX + """
+        :p a :Person ; :home :h .
+        :q a :Person ; :home :h .
+        :h :street "Main St" .
+        """)
+        validator = DeltaValidator(NODE_REF_SHAPES, graph)
+        assert validator.conforms and validator.focus_count == 2
+        street = t('<http://x/h> <http://x/street> "Main St" .')
+        assert apply(graph, validator, removed=(street,)) == 2
+        assert violating(validator) == {"p", "q"}
+        assert validator.snapshot() == fresh_memo_snapshot(NODE_REF_SHAPES, graph)
+        apply(graph, validator, added=(street,))
+        assert validator.conforms and validator.focus_count == 2
