@@ -27,7 +27,7 @@ Quickstart::
 """
 
 from .core.config import DEFAULT_OPTIONS, MONOTONE_OPTIONS, TransformOptions
-from .core.pipeline import S3PG, TransformResult, transform, transform_file_parallel
+from .core.pipeline import S3PG, TransformResult, transform
 
 __version__ = "1.0.0"
 
@@ -38,6 +38,5 @@ __all__ = [
     "TransformOptions",
     "TransformResult",
     "transform",
-    "transform_file_parallel",
     "__version__",
 ]

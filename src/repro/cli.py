@@ -18,7 +18,7 @@ Subcommands cover the full S3PG workflow on files:
   one back (and reports the speedup over re-parsing), ``info`` prints
   the verified header
 * ``fuzz``            — run the property-based fuzzing harness
-  (round-trip, validation, differential, serializer, engine oracles)
+  (round-trip, validation, differential, serializer, CDC oracles)
 * ``profile``         — run a workload under tracing and print a top-N
   span self-time table
 * ``serve``           — the always-on CDC service: consume a JSONL delta
@@ -136,11 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
     transform.add_argument(
         "--g2gml", action="store_true",
         help="additionally emit a G2GML mapping document",
-    )
-    transform.add_argument(
-        "--workers", type=int, metavar="N",
-        help="run the data transformation through the sharded parallel "
-             "engine with N worker processes (omit for the serial path)",
     )
     _add_obs_arguments(transform)
 
@@ -276,11 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="do not write reproducer files",
     )
     fuzz.add_argument(
-        "--parallel-every", type=int, default=50, metavar="N",
-        help="multi-worker engine comparison on every N-th case "
-             "(0 disables the expensive check)",
-    )
-    fuzz.add_argument(
         "--max-failures", type=int, default=10,
         help="stop after this many failures",
     )
@@ -301,11 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("data", help="RDF instance data (.nt or Turtle)")
     profile.add_argument(
         "--shapes", help="SHACL document (Turtle); extracted from data if omitted"
-    )
-    profile.add_argument(
-        "--workers", type=int, metavar="N",
-        help="profile the parallel engine with N workers instead of the "
-             "serial transformation",
     )
     profile.add_argument(
         "--query", metavar="SPARQL",
@@ -574,7 +559,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         parsimonious=not args.non_parsimonious, on_unknown=args.on_unknown
     )
     start = time.perf_counter()
-    result = S3PG(options).transform(graph, shapes, parallel=args.workers)
+    result = S3PG(options).transform(graph, shapes)
     elapsed = time.perf_counter() - start
 
     out = Path(args.out)
@@ -596,16 +581,6 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         f"in {elapsed:.2f}s"
     )
     print(f"wrote nodes.csv, edges.csv, schema.pgs, mapping.json to {out}/")
-    if result.instrumentation is not None:
-        engine = result.instrumentation
-        phases = ", ".join(
-            f"{name} {record['wall_s']:.2f}s"
-            for name, record in engine["phases"].items()
-        )
-        print(
-            f"parallel engine: {engine['counters'].get('workers', 1)} worker(s), "
-            f"{engine['counters'].get('shards', 0)} shard(s); {phases}"
-        )
     return 0
 
 
@@ -855,7 +830,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         cases=args.cases,
         oracle_names=args.oracles,
         corpus_dir=None if args.no_corpus else args.corpus,
-        parallel_every=args.parallel_every,
         max_failures=args.max_failures,
     )
     elapsed = time.perf_counter() - start
@@ -889,7 +863,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     result = None
     for _ in range(max(1, args.repeat)):
-        result = S3PG().transform(graph, shapes, parallel=args.workers)
+        result = S3PG().transform(graph, shapes)
         if args.validate:
             shacl_validate(graph, shapes)
         if sparql:

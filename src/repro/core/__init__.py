@@ -38,14 +38,14 @@ from .mapping import (
 from .g2gml import render_g2gml
 from .naming import NameResolver, sanitize, type_name_for
 from .optimize import OptimizationStats, OptimizedGraph, optimize
-from .pipeline import S3PG, TransformResult, transform, transform_file_parallel
+from .pipeline import S3PG, TransformResult, transform
 from .schema_evolution import (
     SchemaDeltaStats,
     SchemaEvolutionConflict,
     apply_schema_delta,
     merge_shape_schemas,
 )
-from .streaming import StreamingDataTransformer, transform_file
+from .streaming import transform_file
 from .schema_transform import (
     SchemaTransformer,
     SchemaTransformResult,
@@ -79,7 +79,6 @@ __all__ = [
     "SchemaMapping",
     "SchemaTransformResult",
     "SchemaTransformer",
-    "StreamingDataTransformer",
     "TransformOptions",
     "TransformResult",
     "TransformedGraph",
@@ -104,7 +103,6 @@ __all__ = [
     "transform",
     "transform_data",
     "transform_file",
-    "transform_file_parallel",
     "transform_schema",
     "type_name_for",
 ]

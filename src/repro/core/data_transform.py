@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from ..errors import TransformError
@@ -162,17 +162,14 @@ class DataTransformer:
     def transform(self, source: Graph | Iterable[Triple]) -> TransformedGraph:
         """Run the two-phase algorithm over ``source``.
 
-        ``source`` may be a :class:`Graph` (iterated twice) or any
-        iterable of triples (materialized once, then processed in two
-        phases, mirroring the file-based streaming of Algorithm 1).
+        ``source`` is iterated twice, once per phase — a :class:`Graph`,
+        a list, or a re-iterable over a file (Algorithm 1's input model:
+        two streaming scans, no triple list in memory).  A one-shot
+        iterator (e.g. a generator) cannot be scanned twice and is
+        materialized first.
         """
-        if isinstance(source, Graph):
-            triples: Iterable[Triple] = source
-            second_pass: Iterable[Triple] = source
-        else:
-            materialized = list(source)
-            triples = materialized
-            second_pass = materialized
+        if isinstance(source, Iterator):
+            source = list(source)
 
         pg = PropertyGraph()
         stats = DataTransformStats()
@@ -183,7 +180,7 @@ class DataTransformer:
 
         # Phase 1 - Entities to PG nodes (Algorithm 1, lines 4-14).
         entity_types: dict[Subject, list[IRI]] = {}
-        for triple in triples:
+        for triple in source:
             stats.triples_processed += 1
             if triple.p == _TYPE and isinstance(triple.o, IRI):
                 entity_types.setdefault(triple.s, []).append(triple.o)
@@ -198,7 +195,7 @@ class DataTransformer:
             for entity, types in entity_types.items()
         }
         resolution_cache: dict[tuple[tuple[str, ...], str], object] = {}
-        for triple in second_pass:
+        for triple in source:
             if triple.p == _TYPE and isinstance(triple.o, IRI):
                 continue
             self._convert_property_triple(
@@ -277,8 +274,7 @@ class DataTransformer:
             rel_type = prop.rel_type or self.registry.fallback_property(
                 triple.p.value
             ).rel_type
-            target_id = self._entity_target_node(pg, obj, entity_types, stats)
-            self._add_edge(pg, subject_node.id, rel_type, target_id, stats)
+            self._add_edge(pg, subject_node.id, rel_type, node_id_for(obj), stats)
             return
         # Lines 21-23: parsimonious key/value storage for single-valued
         # literal properties.  The literal must carry the datatype the
@@ -307,22 +303,6 @@ class DataTransformer:
         else:
             target_id = self._resource_node(pg, obj, stats)
         self._add_edge(pg, subject_node.id, rel_type, target_id, stats)
-
-    def _entity_target_node(
-        self,
-        pg: PropertyGraph,
-        obj: Subject,
-        entity_types: dict[Subject, list[IRI]],
-        stats: DataTransformStats,
-    ) -> str:
-        """The node id an entity-valued object's edge points at.
-
-        Phase 1 has already created nodes for all typed entities, so the
-        base implementation only computes the id.  The parallel engine's
-        shard transformer overrides this to materialize nodes for
-        entities whose ``rdf:type`` statements live in another shard.
-        """
-        return node_id_for(obj)
 
     def _subject_node(
         self, pg: PropertyGraph, subject: Subject, stats: DataTransformStats

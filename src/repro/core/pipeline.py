@@ -44,8 +44,6 @@ class TransformResult:
     schema_result: SchemaTransformResult
     options: TransformOptions
     timings: dict[str, float] = field(default_factory=dict)
-    #: Engine phase timers / shard records for parallel runs, else None.
-    instrumentation: dict | None = None
 
     @property
     def graph(self):
@@ -97,43 +95,25 @@ class S3PG:
         """Run only ``F_st`` (Problem 1)."""
         return SchemaTransformer(self.options, self.prefixes).transform(shape_schema)
 
-    def transform(
-        self,
-        graph: Graph,
-        shape_schema: ShapeSchema,
-        parallel: int | None = None,
-    ) -> TransformResult:
+    def transform(self, graph: Graph, shape_schema: ShapeSchema) -> TransformResult:
         """Run the full pipeline: ``F_st`` then ``F_dt`` (Problems 1 & 2).
 
         Args:
             graph: the RDF instance data.
             shape_schema: the SHACL shape schema.
-            parallel: when set, run the data transformation through the
-                sharded process-parallel engine with this many workers
-                (``1`` exercises the partition/merge path in-process).
-                Monotonicity guarantees the output is isomorphic to the
-                serial one.
         """
         timings: dict[str, float] = {}
         with obs.span(
-            "s3pg.transform",
-            parsimonious=self.options.parsimonious,
-            parallel=parallel or 0,
+            "s3pg.transform", parsimonious=self.options.parsimonious
         ) as root:
             with obs.timed_span("s3pg.schema_transform") as schema_span:
                 schema_result = self.transform_schema(shape_schema)
             timings["schema_s"] = schema_span.duration_s
 
-            instrumentation: dict | None = None
             with obs.timed_span("s3pg.data_transform") as data_span:
-                if parallel is not None:
-                    transformed, instrumentation = self._transform_parallel(
-                        graph, schema_result, parallel, timings
-                    )
-                else:
-                    transformed = DataTransformer(
-                        schema_result, self.options
-                    ).transform(graph)
+                transformed = DataTransformer(
+                    schema_result, self.options
+                ).transform(graph)
             timings["data_s"] = data_span.duration_s
             timings["transform_s"] = timings["schema_s"] + timings["data_s"]
 
@@ -148,25 +128,7 @@ class S3PG:
             schema_result=schema_result,
             options=self.options,
             timings=timings,
-            instrumentation=instrumentation,
         )
-
-    def _transform_parallel(
-        self,
-        graph: Graph,
-        schema_result: SchemaTransformResult,
-        workers: int,
-        timings: dict[str, float],
-    ) -> tuple[TransformedGraph, dict]:
-        from ..engine import EngineConfig, ParallelEngine
-
-        engine = ParallelEngine(
-            schema_result, self.options, EngineConfig(max_workers=workers)
-        )
-        transformed = engine.transform(graph)
-        for name, record in engine.instrumentation.phases.items():
-            timings[f"engine_{name}_s"] = record.wall_s
-        return transformed, engine.instrumentation.as_dict()
 
 
 def _publish_transform_metrics(
@@ -198,73 +160,6 @@ def transform(
     shape_schema: ShapeSchema,
     options: TransformOptions = DEFAULT_OPTIONS,
     prefixes: PrefixMap | None = None,
-    parallel: int | None = None,
 ) -> TransformResult:
     """Transform an RDF graph + SHACL schema into a PG + PG-Schema."""
-    return S3PG(options, prefixes).transform(graph, shape_schema, parallel=parallel)
-
-
-def transform_file_parallel(
-    path,
-    shape_schema: ShapeSchema,
-    options: TransformOptions = DEFAULT_OPTIONS,
-    prefixes: PrefixMap | None = None,
-    workers: int | None = None,
-    shards: int | None = None,
-    shard_timeout_s: float | None = None,
-    debug: bool = False,
-) -> TransformResult:
-    """Transform an N-Triples file with the sharded parallel engine.
-
-    The file-based counterpart of ``transform(..., parallel=N)``: the
-    input is split into per-shard N-Triples files (bounded memory, one
-    streaming pass) and each shard is converted by a worker process.
-
-    Args:
-        path: the N-Triples document.
-        shape_schema: the SHACL shape schema.
-        options / prefixes: as for :func:`transform`.
-        workers: worker processes (default: one per CPU).
-        shards: subject-hash shards (default: ``workers``).
-        shard_timeout_s: per-shard budget before retry / serial fallback.
-        debug: assert the pure-union merge invariant.
-    """
-    from ..engine import EngineConfig, ParallelEngine
-
-    timings: dict[str, float] = {}
-    with obs.span("s3pg.transform_file", workers=workers or 0):
-        with obs.timed_span("s3pg.schema_transform") as schema_span:
-            schema_result = SchemaTransformer(options, prefixes).transform(
-                shape_schema
-            )
-        timings["schema_s"] = schema_span.duration_s
-
-        engine = ParallelEngine(
-            schema_result,
-            options,
-            EngineConfig(
-                max_workers=workers,
-                shards=shards,
-                shard_timeout_s=shard_timeout_s,
-                debug=debug,
-            ),
-        )
-        with obs.timed_span("s3pg.data_transform") as data_span:
-            transformed = engine.transform_file(path)
-        timings["data_s"] = data_span.duration_s
-    timings["transform_s"] = timings["schema_s"] + timings["data_s"]
-    for name, record in engine.instrumentation.phases.items():
-        timings[f"engine_{name}_s"] = record.wall_s
-    _publish_transform_metrics(
-        engine.instrumentation.counters.get("triples", 0),
-        transformed.graph.node_count(),
-        transformed.graph.edge_count(),
-        timings,
-    )
-    return TransformResult(
-        transformed=transformed,
-        schema_result=schema_result,
-        options=options,
-        timings=timings,
-        instrumentation=engine.instrumentation.as_dict(),
-    )
+    return S3PG(options, prefixes).transform(graph, shape_schema)

@@ -2,74 +2,33 @@
 
 Algorithm 1 "takes G in the form of file F and reads F triple by triple to
 process the stream of triples".  :func:`transform_file` follows that
-discipline literally: the N-Triples file is scanned twice (once per phase)
-and no triple set is ever materialized in memory — the peak footprint is
-the output property graph plus the entity-type map, which is what lets the
-paper process hundreds of millions of triples within a 32 GB budget.
+discipline literally: the N-Triples file is scanned twice (once per phase
+of :meth:`DataTransformer.transform`) and no triple set is ever
+materialized in memory — the peak footprint is the output property graph
+plus the entity-type map, which is what lets the paper process hundreds of
+millions of triples within a 32 GB budget.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from pathlib import Path
 
-from ..namespaces import RDF_TYPE
-from ..pg.model import PropertyGraph
 from ..rdf.ntriples import iter_ntriples
-from ..rdf.terms import IRI, Subject
+from ..rdf.terms import Triple
 from .config import DEFAULT_OPTIONS, TransformOptions
-from .data_transform import (
-    DataTransformer,
-    DataTransformStats,
-    TransformedGraph,
-)
+from .data_transform import DataTransformer, TransformedGraph
 from .schema_transform import SchemaTransformResult
 
-_TYPE = IRI(RDF_TYPE)
 
+class _NTriplesFile:
+    """A re-iterable over an N-Triples file: every ``iter()`` is a fresh scan."""
 
-class StreamingDataTransformer(DataTransformer):
-    """Runs Algorithm 1 over an N-Triples file in two streaming passes."""
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
 
-    def transform_file(self, path: str | Path) -> TransformedGraph:
-        """Transform the triples in ``path`` without materializing them.
-
-        Args:
-            path: an N-Triples document.
-
-        Returns:
-            The transformation result; ``stats.triples_processed`` counts
-            the first pass (the file is scanned twice).
-        """
-        path = Path(path)
-        pg = PropertyGraph()
-        stats = DataTransformStats()
-        result = TransformedGraph(
-            graph=pg, schema_result=self.schema_result,
-            options=self.options, stats=stats,
-        )
-
-        # Phase 1 - stream once for rdf:type statements.
-        entity_types: dict[Subject, list[IRI]] = {}
-        for triple in iter_ntriples(path):
-            stats.triples_processed += 1
-            if triple.p == _TYPE and isinstance(triple.o, IRI):
-                entity_types.setdefault(triple.s, []).append(triple.o)
-        for entity, types in entity_types.items():
-            self._create_entity_node(pg, entity, types, stats)
-
-        # Phase 2 - stream again for property statements.
-        type_keys = {
-            entity: tuple(sorted(t.value for t in types))
-            for entity, types in entity_types.items()
-        }
-        resolution_cache: dict = {}
-        for triple in iter_ntriples(path):
-            if triple.p == _TYPE and isinstance(triple.o, IRI):
-                continue
-            self._convert_property_triple(
-                pg, triple, entity_types, type_keys, resolution_cache, stats
-            )
-        return result
+    def __iter__(self) -> Iterator[Triple]:
+        return iter_ntriples(self.path)
 
 
 def transform_file(
@@ -77,5 +36,8 @@ def transform_file(
     schema_result: SchemaTransformResult,
     options: TransformOptions = DEFAULT_OPTIONS,
 ) -> TransformedGraph:
-    """Transform an N-Triples file with the streaming two-pass algorithm."""
-    return StreamingDataTransformer(schema_result, options).transform_file(path)
+    """Transform an N-Triples file with the streaming two-pass algorithm.
+
+    ``stats.triples_processed`` counts the first pass only.
+    """
+    return DataTransformer(schema_result, options).transform(_NTriplesFile(path))

@@ -70,15 +70,6 @@ class SnapshotError(ReproError):
     """
 
 
-class EngineError(ReproError):
-    """The parallel execution engine cannot complete a sharded run.
-
-    Raised when shard outcomes cannot be reconciled into one property
-    graph (e.g. two workers minted conflicting fallback names); callers
-    normally degrade to the serial transformation on this error.
-    """
-
-
 class QueryError(ReproError):
     """A query is syntactically or semantically invalid for the engine."""
 

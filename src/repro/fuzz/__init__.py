@@ -5,14 +5,14 @@ quantified guarantees: generators (:mod:`repro.fuzz.generators`) produce
 random schemas, instance graphs, property graphs, and adversarial
 documents; oracles (:mod:`repro.fuzz.oracles`) assert round-trip
 identity, validation equivalence, SPARQL-vs-Cypher differential
-agreement, serializer round-trips, engine equivalence, and parser
+agreement, serializer round-trips, CDC equivalence, and parser
 robustness; the runner (:mod:`repro.fuzz.runner`) shrinks failures with
 delta debugging (:mod:`repro.fuzz.shrinker`) and persists reproducers to
 a corpus replayed by the test suite.
 """
 
 from .generators import CASE_KINDS, FuzzCase, generate_case
-from .oracles import ORACLES, Oracle, OracleContext, fresh_memo_snapshot
+from .oracles import ORACLES, Oracle, fresh_memo_snapshot
 from .runner import (
     FuzzReport,
     OracleFailure,
@@ -29,7 +29,6 @@ __all__ = [
     "FuzzReport",
     "ORACLES",
     "Oracle",
-    "OracleContext",
     "OracleFailure",
     "fresh_memo_snapshot",
     "generate_case",

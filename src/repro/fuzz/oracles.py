@@ -45,24 +45,12 @@ def _mode(options: TransformOptions) -> str:
 
 
 @dataclass(frozen=True)
-class OracleContext:
-    """Per-case knobs the runner hands to oracles.
-
-    Attributes:
-        heavy: run the expensive variants (multi-process workers) for
-            this case; the runner sets it on a sampled subset of cases.
-    """
-
-    heavy: bool = False
-
-
-@dataclass(frozen=True)
 class Oracle:
     """A named property checker over a subset of case kinds."""
 
     name: str
     kinds: tuple[str, ...]
-    fn: Callable[[FuzzCase, OracleContext], str | None]
+    fn: Callable[[FuzzCase], str | None]
     description: str = ""
 
 
@@ -70,7 +58,7 @@ class Oracle:
 # Round-trip identity (Prop. 4.1): M(F_dt(G)) ≅ G and N(S_PG) ≅ S_G
 # --------------------------------------------------------------------- #
 
-def roundtrip_rdf(case: FuzzCase, ctx: OracleContext) -> str | None:
+def roundtrip_rdf(case: FuzzCase) -> str | None:
     graph = Graph(case.triples)
     for options in _BOTH_MODES:
         result = transform(graph, case.schema, options)
@@ -83,7 +71,7 @@ def roundtrip_rdf(case: FuzzCase, ctx: OracleContext) -> str | None:
     return None
 
 
-def roundtrip_schema(case: FuzzCase, ctx: OracleContext) -> str | None:
+def roundtrip_schema(case: FuzzCase) -> str | None:
     for options in _BOTH_MODES:
         result = transform(Graph(), case.schema, options)
         recovered = pgschema_to_shacl(result.mapping)
@@ -137,7 +125,7 @@ def _in_equivalence_fragment(case: FuzzCase) -> bool:
     return True
 
 
-def validation_equivalence(case: FuzzCase, ctx: OracleContext) -> str | None:
+def validation_equivalence(case: FuzzCase) -> str | None:
     graph = Graph(case.triples)
     if not _in_equivalence_fragment(case):
         return None
@@ -192,7 +180,7 @@ def _workload(case: FuzzCase) -> list[str]:
     return queries[:_MAX_QUERIES]
 
 
-def sparql_cypher_differential(case: FuzzCase, ctx: OracleContext) -> str | None:
+def sparql_cypher_differential(case: FuzzCase) -> str | None:
     graph = Graph(case.triples)
     result = transform(graph, case.schema)
     sparql_engine = SparqlEngine(graph)
@@ -224,7 +212,7 @@ def sparql_cypher_differential(case: FuzzCase, ctx: OracleContext) -> str | None
 # Serializer round-trips
 # --------------------------------------------------------------------- #
 
-def ntriples_roundtrip(case: FuzzCase, ctx: OracleContext) -> str | None:
+def ntriples_roundtrip(case: FuzzCase) -> str | None:
     original = set(case.triples)
     text = serialize_ntriples(case.triples, sort=True)
     if set(parse_ntriples(text)) != original:
@@ -244,7 +232,7 @@ def ntriples_roundtrip(case: FuzzCase, ctx: OracleContext) -> str | None:
     return None
 
 
-def snapshot_roundtrip(case: FuzzCase, ctx: OracleContext) -> str | None:
+def snapshot_roundtrip(case: FuzzCase) -> str | None:
     """save → load preserves the graph and its counters, byte-stably."""
     import os
     import tempfile
@@ -278,7 +266,7 @@ def snapshot_roundtrip(case: FuzzCase, ctx: OracleContext) -> str | None:
     return None
 
 
-def turtle_roundtrip(case: FuzzCase, ctx: OracleContext) -> str | None:
+def turtle_roundtrip(case: FuzzCase) -> str | None:
     original = set(case.triples)
     text = serialize_turtle(Graph(case.triples))
     try:
@@ -301,7 +289,7 @@ def _case_graphs(case: FuzzCase) -> list[tuple[str, PropertyGraph]]:
     ]
 
 
-def csv_roundtrip(case: FuzzCase, ctx: OracleContext) -> str | None:
+def csv_roundtrip(case: FuzzCase) -> str | None:
     for tag, pg in _case_graphs(case):
         nodes_csv, edges_csv = export_csv(pg)
         back = import_csv(nodes_csv, edges_csv)
@@ -318,7 +306,7 @@ def _yarspg_serializable(pg: PropertyGraph) -> bool:
     )
 
 
-def yarspg_roundtrip(case: FuzzCase, ctx: OracleContext) -> str | None:
+def yarspg_roundtrip(case: FuzzCase) -> str | None:
     for tag, pg in _case_graphs(case):
         if not _yarspg_serializable(pg):
             continue
@@ -332,7 +320,7 @@ def yarspg_roundtrip(case: FuzzCase, ctx: OracleContext) -> str | None:
 # Parser robustness: malformed input must fail with ParseError only
 # --------------------------------------------------------------------- #
 
-def parser_robustness(case: FuzzCase, ctx: OracleContext) -> str | None:
+def parser_robustness(case: FuzzCase) -> str | None:
     try:
         parse_ntriples(case.text)
     except ParseError as exc:
@@ -348,31 +336,10 @@ def parser_robustness(case: FuzzCase, ctx: OracleContext) -> str | None:
 
 
 # --------------------------------------------------------------------- #
-# Engine equivalence: parallel == serial for workers in {1, 2, 4}
-# --------------------------------------------------------------------- #
-
-def parallel_vs_serial(case: FuzzCase, ctx: OracleContext) -> str | None:
-    graph = Graph(case.triples)
-    workers = (1, 2, 4) if ctx.heavy else (1,)
-    for options in _BOTH_MODES:
-        serial = transform(graph, case.schema, options).graph.canonical_form()
-        for n in workers:
-            par = transform(
-                graph, case.schema, options, parallel=n
-            ).graph.canonical_form()
-            if par != serial:
-                return (
-                    f"parallel engine (workers={n}) diverges from the "
-                    f"serial transformation in {_mode(options)} mode"
-                )
-    return None
-
-
-# --------------------------------------------------------------------- #
 # openCypher undirected-match semantics (query-preservation support)
 # --------------------------------------------------------------------- #
 
-def cypher_undirected(case: FuzzCase, ctx: OracleContext) -> str | None:
+def cypher_undirected(case: FuzzCase) -> str | None:
     result = transform(Graph(case.triples), case.schema)
     pg = result.graph
     engine = CypherEngine(PropertyGraphStore(pg))
@@ -495,7 +462,7 @@ def _divergence(reference, planned, query: str, to_text) -> str | None:
     return None
 
 
-def planner_differential(case: FuzzCase, ctx: OracleContext) -> str | None:
+def planner_differential(case: FuzzCase) -> str | None:
     """Planned execution is result-identical to the reference evaluators.
 
     Runs the case's query workload through both engines twice — the
@@ -633,7 +600,7 @@ def fresh_memo_snapshot(schema, graph: Graph) -> dict[str, list[str]]:
     return snapshot
 
 
-def cdc_equivalence(case: FuzzCase, ctx: OracleContext) -> str | None:
+def cdc_equivalence(case: FuzzCase) -> str | None:
     """Streaming a delta history through the CDC pipeline is equivalent
     to transforming the final graph from scratch, with the store
     catalogs and the standing SHACL report maintained exactly."""
@@ -793,10 +760,6 @@ ORACLES: dict[str, Oracle] = {
         Oracle(
             "parser_robustness", ("text",), parser_robustness,
             "malformed N-Triples fail with ParseError, never crash",
-        ),
-        Oracle(
-            "parallel_vs_serial", ("valid", "noise"), parallel_vs_serial,
-            "sharded engine output is isomorphic to the serial output",
         ),
         Oracle(
             "cypher_undirected", ("valid", "noise"), cypher_undirected,

@@ -18,11 +18,8 @@ from ..rdf.ntriples import parse_ntriples, serialize_ntriples
 from ..shacl.parser import parse_shacl
 from ..shacl.serializer import serialize_shacl
 from .generators import FuzzCase, generate_case
-from .oracles import ORACLES, Oracle, OracleContext
+from .oracles import ORACLES, Oracle
 from .shrinker import shrink_case
-
-#: How often (in cases) the expensive multi-process engine check runs.
-DEFAULT_PARALLEL_EVERY = 50
 
 
 @dataclass
@@ -65,10 +62,10 @@ class FuzzReport:
         return not self.failures
 
 
-def _run_oracle(oracle: Oracle, case: FuzzCase, ctx: OracleContext) -> str | None:
+def _run_oracle(oracle: Oracle, case: FuzzCase) -> str | None:
     """Run one oracle; any escaping exception is a failure message."""
     try:
-        return oracle.fn(case, ctx)
+        return oracle.fn(case)
     except Exception as exc:  # noqa: BLE001 — crashes are counterexamples
         return f"oracle raised {type(exc).__name__}: {exc}"
 
@@ -78,7 +75,6 @@ def run_fuzz(
     cases: int = 100,
     oracle_names: list[str] | None = None,
     corpus_dir: str | Path | None = None,
-    parallel_every: int = DEFAULT_PARALLEL_EVERY,
     shrink_budget: int = 300,
     max_failures: int = 10,
 ) -> FuzzReport:
@@ -90,8 +86,6 @@ def run_fuzz(
         oracle_names: subset of :data:`ORACLES` to run (default: all).
         corpus_dir: where shrunk reproducers are written (skipped when
             None).
-        parallel_every: run the multi-worker engine comparison on every
-            N-th case (it forks process pools, the only expensive check).
         shrink_budget: oracle re-runs allowed per shrink.
         max_failures: stop the campaign after this many failures.
     """
@@ -99,7 +93,6 @@ def run_fuzz(
     report = FuzzReport(seed=seed, cases=cases)
     for index in range(cases):
         case = generate_case(seed, index)
-        ctx = OracleContext(heavy=parallel_every > 0 and index % parallel_every == 0)
         for oracle in selected:
             if case.kind not in oracle.kinds:
                 continue
@@ -107,11 +100,11 @@ def run_fuzz(
             report.oracle_runs[oracle.name] = (
                 report.oracle_runs.get(oracle.name, 0) + 1
             )
-            message = _run_oracle(oracle, case, ctx)
+            message = _run_oracle(oracle, case)
             if message is None:
                 continue
             failure = _handle_failure(
-                oracle, case, ctx, index, message, corpus_dir, shrink_budget
+                oracle, case, index, message, corpus_dir, shrink_budget
             )
             report.failures.append(failure)
             if len(report.failures) >= max_failures:
@@ -133,7 +126,6 @@ def _select_oracles(oracle_names: list[str] | None) -> list[Oracle]:
 def _handle_failure(
     oracle: Oracle,
     case: FuzzCase,
-    ctx: OracleContext,
     index: int,
     message: str,
     corpus_dir: str | Path | None,
@@ -141,10 +133,10 @@ def _handle_failure(
 ) -> OracleFailure:
     shrunk = shrink_case(
         case,
-        lambda candidate: _run_oracle(oracle, candidate, ctx) is not None,
+        lambda candidate: _run_oracle(oracle, candidate) is not None,
         budget=shrink_budget,
     )
-    final_message = _run_oracle(oracle, shrunk, ctx) or message
+    final_message = _run_oracle(oracle, shrunk) or message
     failure = OracleFailure(
         oracle=oracle.name,
         case_index=index,
@@ -230,17 +222,14 @@ def load_reproducer(path: str | Path) -> tuple[FuzzCase, str]:
     return case, payload["oracle"]
 
 
-def replay_corpus(
-    corpus_dir: str | Path, heavy: bool = False
-) -> list[OracleFailure]:
+def replay_corpus(corpus_dir: str | Path) -> list[OracleFailure]:
     """Re-run every reproducer in ``corpus_dir``; returns the failures."""
     corpus_dir = Path(corpus_dir)
     failures: list[OracleFailure] = []
-    ctx = OracleContext(heavy=heavy)
     for index, path in enumerate(sorted(corpus_dir.glob("*.json"))):
         case, oracle_name = load_reproducer(path)
         oracle = ORACLES[oracle_name]
-        message = _run_oracle(oracle, case, ctx)
+        message = _run_oracle(oracle, case)
         if message is not None:
             failures.append(
                 OracleFailure(

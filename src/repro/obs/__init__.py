@@ -1,9 +1,8 @@
 """Unified observability: hierarchical tracing + a metrics registry.
 
-One layer serves every subsystem — the serial pipeline, the parallel
-engine (with cross-process span re-parenting), the SHACL validator, and
-both query engines — replacing the per-module timing silos that existed
-before.  The two halves:
+One layer serves every subsystem — the transformation pipeline, the
+SHACL validator, the CDC service and both query engines — replacing the
+per-module timing silos that existed before.  The two halves:
 
 * :mod:`repro.obs.tracer` — contextvar-propagated spans with per-span
   attributes/counters, zero-cost when no tracer is configured;
@@ -69,10 +68,8 @@ from .workload import (
 )
 from .tracer import (
     Span,
-    SpanContext,
     Tracer,
     configure,
-    current_context,
     current_span,
     disable,
     enabled,
@@ -93,13 +90,11 @@ __all__ = [
     "OpsServer",
     "SelfTimeRow",
     "Span",
-    "SpanContext",
     "StatementStats",
     "Tracer",
     "WorkloadTracker",
     "aggregate_self_times",
     "configure",
-    "current_context",
     "current_span",
     "cypher_result_hash",
     "diff_reports",

@@ -53,6 +53,10 @@ _ROUTES = [
     "/quitquitquit",
 ]
 
+#: ``serve_forever``'s shutdown-poll period.  ``stop()`` blocks for up to
+#: one period; socketserver's default of 0.5 s is paid by every exit.
+_POLL_INTERVAL_S = 0.05
+
 #: Gauges surfaced by ``/healthz`` as the store-size summary (set by the
 #: CDC pipeline per batch and by the replay/serve CLI paths on load).
 _STORE_GAUGES = (
@@ -112,6 +116,7 @@ class OpsServer:
         self.host, self.port = self._httpd.server_address[:2]
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
+            kwargs={"poll_interval": _POLL_INTERVAL_S},
             name="repro-ops-server",
             daemon=True,
         )

@@ -7,7 +7,7 @@ clock) through the module-level :func:`span` helper, and the active
 finished span for export (JSON-lines, Chrome trace events, see
 :mod:`repro.obs.export`).
 
-Three properties drive the design:
+Two properties drive the design:
 
 * **zero cost when disabled** — :func:`span` short-circuits to a shared
   no-op context manager when no tracer is configured, so instrument
@@ -15,13 +15,7 @@ Three properties drive the design:
 * **contextvar parenting** — the current span lives in a
   :class:`~contextvars.ContextVar`, so nesting works across call
   boundaries without threading span objects through signatures, and
-  concurrent threads/tasks are isolated from each other;
-* **cross-process propagation** — a :class:`SpanContext` is picklable
-  and travels to worker processes; their spans (serialized as dicts)
-  are re-parented under the originating span via :meth:`Tracer.adopt`.
-  ``time.perf_counter_ns`` reads ``CLOCK_MONOTONIC``, which is
-  system-wide on the platforms the engine forks on, so worker
-  timestamps land on the coordinator's timeline directly.
+  concurrent threads/tasks are isolated from each other.
 """
 
 from __future__ import annotations
@@ -37,10 +31,8 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "Span",
-    "SpanContext",
     "Tracer",
     "configure",
-    "current_context",
     "current_span",
     "disable",
     "enabled",
@@ -56,14 +48,6 @@ _IDS = itertools.count(1)
 def _new_id(prefix: str = "s") -> str:
     """A process-unique identifier (pid + process-local counter)."""
     return f"{prefix}{os.getpid():x}-{next(_IDS):x}"
-
-
-@dataclass(frozen=True)
-class SpanContext:
-    """The picklable identity of a span, for cross-process propagation."""
-
-    trace_id: str
-    span_id: str
 
 
 @dataclass
@@ -108,7 +92,7 @@ class Span:
         return self.duration_ns / 1e9
 
     def as_dict(self) -> dict:
-        """A JSON- and pickle-friendly snapshot."""
+        """A JSON-friendly snapshot."""
         return {
             "name": self.name,
             "span_id": self.span_id,
@@ -121,22 +105,6 @@ class Span:
             "pid": self.pid,
             "tid": self.tid,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> Span:
-        """Rebuild a span from :meth:`as_dict` output."""
-        return cls(
-            name=data["name"],
-            span_id=data["span_id"],
-            trace_id=data["trace_id"],
-            parent_id=data.get("parent_id"),
-            start_ns=data["start_ns"],
-            end_ns=data.get("end_ns"),
-            attributes=dict(data.get("attributes", {})),
-            status=data.get("status", "ok"),
-            pid=data.get("pid", 0),
-            tid=data.get("tid", 0),
-        )
 
 
 #: The active span of the current execution context (thread / task).
@@ -172,21 +140,17 @@ class Tracer:
         self,
         name: str,
         parent: Span | None = None,
-        parent_context: SpanContext | None = None,
         cpu: bool = False,
         **attributes: object,
     ) -> Span:
         """Open a span without activating it (no contextvar push).
 
-        Parent resolution order: explicit ``parent`` span, explicit
-        ``parent_context`` (a remote span), then the contextvar-current
-        span.  ``cpu=True`` additionally samples process CPU time, ending
-        up in the ``cpu_s`` attribute.
+        Parent resolution order: explicit ``parent`` span, then the
+        contextvar-current span.  ``cpu=True`` additionally samples
+        process CPU time, ending up in the ``cpu_s`` attribute.
         """
         if parent is not None:
             parent_id, trace_id = parent.span_id, parent.trace_id
-        elif parent_context is not None:
-            parent_id, trace_id = parent_context.span_id, parent_context.trace_id
         else:
             current = _CURRENT.get()
             parent_id = current.span_id if current is not None else None
@@ -218,7 +182,6 @@ class Tracer:
         self,
         name: str,
         parent: Span | None = None,
-        parent_context: SpanContext | None = None,
         cpu: bool = False,
         **attributes: object,
     ):
@@ -228,10 +191,7 @@ class Tracer:
         the block; an exception marks it ``status="error"`` (recording
         the exception type) and propagates.
         """
-        span = self.start_span(
-            name, parent=parent, parent_context=parent_context, cpu=cpu,
-            **attributes,
-        )
+        span = self.start_span(name, parent=parent, cpu=cpu, **attributes)
         token = _CURRENT.set(span)
         try:
             yield span
@@ -244,7 +204,7 @@ class Tracer:
             self.end_span(span)
 
     # ------------------------------------------------------------------ #
-    # Access and propagation
+    # Access
     # ------------------------------------------------------------------ #
 
     def finished(self) -> list[Span]:
@@ -253,25 +213,8 @@ class Tracer:
             return list(self._spans)
 
     def serialized(self) -> list[dict]:
-        """All recorded spans as dicts (picklable, for worker -> parent)."""
+        """All recorded spans as dicts (for the exporters and ``/debug/trace``)."""
         return [span.as_dict() for span in self.finished()]
-
-    def adopt(self, span_dicts: list[dict] | tuple[dict, ...]) -> list[Span]:
-        """Attach spans recorded by another process to this trace.
-
-        The spans keep their own ids and parent links (the worker already
-        parented its roots on the propagated :class:`SpanContext`); only
-        the trace id is rewritten so every adopted span belongs to this
-        tracer's trace.
-        """
-        adopted = []
-        for data in span_dicts:
-            span = Span.from_dict(data)
-            span.trace_id = self.trace_id
-            adopted.append(span)
-        with self._lock:
-            self._spans.extend(adopted)
-        return adopted
 
     def clear(self) -> None:
         """Drop all recorded spans."""
@@ -369,14 +312,6 @@ def span(name: str, **attributes: object):
 def current_span() -> Span | None:
     """The contextvar-current span, or None."""
     return _CURRENT.get()
-
-
-def current_context() -> SpanContext | None:
-    """The propagation context of the current span (None outside spans)."""
-    current = _CURRENT.get()
-    if current is None:
-        return None
-    return SpanContext(trace_id=current.trace_id, span_id=current.span_id)
 
 
 @contextmanager

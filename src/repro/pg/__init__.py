@@ -2,7 +2,6 @@
 
 from .csv_io import export_csv, import_csv, read_csv, write_csv
 from .model import (
-    MergeStats,
     PGEdge,
     PGNode,
     PGStats,
@@ -14,7 +13,6 @@ from .store import PropertyGraphStore
 from .yarspg import export_yarspg, import_yarspg
 
 __all__ = [
-    "MergeStats",
     "PGEdge",
     "PGNode",
     "PGStats",

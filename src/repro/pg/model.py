@@ -138,46 +138,6 @@ class PGStats:
         }
 
 
-@dataclass
-class MergeStats:
-    """What one :meth:`PropertyGraph.merge_from` call did."""
-
-    nodes_added: int = 0
-    nodes_merged: int = 0
-    edges_added: int = 0
-    edges_merged: int = 0
-    conflicts: int = 0
-
-
-def _values_agree(a: PropertyValue, b: PropertyValue) -> bool:
-    """Property-value equality; arrays compare as multisets."""
-    if isinstance(a, list) and isinstance(b, list):
-        return sorted(map(repr, a)) == sorted(map(repr, b))
-    return type(a) is type(b) and a == b
-
-
-def _merge_records(
-    mine: dict[str, PropertyValue],
-    theirs: dict[str, PropertyValue],
-    strict: bool,
-    context: str,
-) -> int:
-    """Union ``theirs`` into ``mine``; returns the conflict count."""
-    conflicts = 0
-    for key, value in theirs.items():
-        existing = mine.get(key)
-        if existing is None:
-            mine[key] = list(value) if isinstance(value, list) else value
-        elif not _values_agree(existing, value):
-            if strict:
-                raise GraphError(
-                    f"merge conflict: {context} property {key!r} is "
-                    f"{existing!r} here but {value!r} in the merged graph"
-                )
-            conflicts += 1
-    return conflicts
-
-
 class PropertyGraph:
     """A mutable property graph: Definition 2.4 plus indexing-free storage.
 
@@ -428,79 +388,6 @@ class PropertyGraph:
     def structurally_equal(self, other: "PropertyGraph") -> bool:
         """True when both graphs have the same canonical form."""
         return self.canonical_form() == other.canonical_form()
-
-    def merge_from(self, other: "PropertyGraph", strict: bool = False) -> "MergeStats":
-        """Union ``other`` into this graph, reconciling elements by id.
-
-        Node ids in the S3PG output are deterministic functions of the RDF
-        terms (entity nodes are keyed on the entity IRI), so the same
-        logical node produced by two independent transformations carries
-        the same id; merging unions its label sets and records.  By the
-        monotonicity of ``F_dt`` (Proposition 4.3) the merge of two shard
-        outputs is a *pure* union: shared elements never disagree, they
-        only differ in which shard contributed which labels/properties.
-
-        Args:
-            other: the graph to union in (not modified).
-            strict: when True, raise :class:`GraphError` on any conflict —
-                a shared property key with different values, or a shared
-                edge id with different endpoints.  Used by the parallel
-                engine's debug mode to assert the pure-union invariant.
-
-        Returns:
-            Counters describing what the merge did.
-        """
-        stats = MergeStats()
-        for node in other._nodes.values():
-            mine = self._nodes.get(node.id)
-            if mine is None:
-                self.add_node(
-                    node.id,
-                    labels=set(node.labels),
-                    properties={
-                        k: list(v) if isinstance(v, list) else v
-                        for k, v in node.properties.items()
-                    },
-                )
-                stats.nodes_added += 1
-                continue
-            mine.labels.update(node.labels)
-            stats.conflicts += _merge_records(
-                mine.properties, node.properties, strict, f"node {node.id!r}"
-            )
-            stats.nodes_merged += 1
-        for edge in other._edges.values():
-            mine_edge = self._edges.get(edge.id)
-            if mine_edge is None:
-                self.add_edge(
-                    edge.src,
-                    edge.dst,
-                    labels=set(edge.labels),
-                    properties={
-                        k: list(v) if isinstance(v, list) else v
-                        for k, v in edge.properties.items()
-                    },
-                    edge_id=edge.id,
-                )
-                stats.edges_added += 1
-                continue
-            if (mine_edge.src, mine_edge.dst) != (edge.src, edge.dst):
-                if strict:
-                    raise GraphError(
-                        f"merge conflict: edge {edge.id!r} connects "
-                        f"{mine_edge.src!r}->{mine_edge.dst!r} here but "
-                        f"{edge.src!r}->{edge.dst!r} in the merged graph"
-                    )
-                stats.conflicts += 1
-                continue
-            mine_edge.labels.update(edge.labels)
-            stats.conflicts += _merge_records(
-                mine_edge.properties, edge.properties, strict, f"edge {edge.id!r}"
-            )
-            stats.edges_merged += 1
-        self._node_counter = max(self._node_counter, other._node_counter)
-        self._edge_counter = max(self._edge_counter, other._edge_counter)
-        return stats
 
     def copy(self) -> "PropertyGraph":
         """A deep copy of the graph."""

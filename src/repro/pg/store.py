@@ -271,17 +271,6 @@ class PropertyGraphStore:
         self.graph.remove_node(node_id)
         self._version += 1
 
-    def merge_from(self, other: PropertyGraph, strict: bool = False):
-        """Merge another property graph in and re-sync every index.
-
-        Merging rewrites nodes in place (label/property union, list
-        promotion), which can invalidate any index entry, so this is a
-        rebuild rather than an incremental update.
-        """
-        stats = self.graph.merge_from(other, strict=strict)
-        self.rebuild_indexes()
-        return stats
-
     def bulk_load(self, graph: PropertyGraph) -> None:
         """Replace the stored graph and rebuild all indexes.
 

@@ -1,8 +1,31 @@
 """Tests for the end-to-end S3PG pipeline API."""
 
+import importlib
+
+import pytest
+
 from repro import DEFAULT_OPTIONS, MONOTONE_OPTIONS, S3PG, transform
+from repro.cli import main
 from repro.pgschema import check_conformance
 from repro.pg import PropertyGraphStore
+
+
+def test_bulk_transform_has_one_execution_strategy(uni_graph, uni_shapes, capsys):
+    """The sharded engine and every way of selecting it are gone; these
+    are the two exceptions ``benchmarks/e2e`` catches to omit ``engine.*``."""
+    removed_keyword = {"parallel": 1}
+    with pytest.raises(TypeError):
+        transform(uni_graph, uni_shapes, **removed_keyword)
+    with pytest.raises(TypeError):
+        S3PG().transform(uni_graph, uni_shapes, **removed_keyword)
+    with pytest.raises(ImportError):
+        importlib.import_module(".engine", package="repro")
+    removed_flag = "--" + "workers"
+    for command in ("transform", "profile"):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "x.nt", removed_flag, "2"])
+        assert excinfo.value.code == 2
+        assert removed_flag in capsys.readouterr().err
 
 
 class TestTransformApi:

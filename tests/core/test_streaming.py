@@ -2,9 +2,16 @@
 
 import pytest
 
-from repro.core import DEFAULT_OPTIONS, MONOTONE_OPTIONS, S3PG, transform_schema
-from repro.core.streaming import StreamingDataTransformer, transform_file
+from repro.core import (
+    DEFAULT_OPTIONS,
+    MONOTONE_OPTIONS,
+    S3PG,
+    DataTransformer,
+    transform_schema,
+)
+from repro.core.streaming import transform_file
 from repro.datasets import university_graph, university_shapes
+from repro.pg import PropertyGraph
 from repro.rdf import write_ntriples
 
 
@@ -39,16 +46,66 @@ class TestStreaming:
         path = tmp_path / "dbp.nt"
         write_ntriples(small_dbpedia.graph, path)
         schema_result = transform_schema(small_dbpedia.shapes)
-        streamed = StreamingDataTransformer(
-            schema_result, DEFAULT_OPTIONS
-        ).transform_file(path)
+        streamed = transform_file(path, schema_result, DEFAULT_OPTIONS)
         in_memory = S3PG().transform(small_dbpedia.graph, small_dbpedia.shapes)
         assert streamed.graph.structurally_equal(in_memory.graph)
 
-    def test_missing_file_raises(self):
+    def test_missing_file_raises(self, monkeypatch):
+        """The first scan opens the file, so nothing is built before it fails."""
+        created = []
+        monkeypatch.setattr(
+            PropertyGraph, "add_node",
+            lambda self, *args, **kwargs: created.append(args),
+        )
         schema_result = transform_schema(university_shapes())
         with pytest.raises(FileNotFoundError):
             transform_file("/nonexistent/file.nt", schema_result)
+        assert created == []
+
+
+class _CountingSource:
+    """A re-iterable that counts its scans and refuses to be sized/copied."""
+
+    def __init__(self, triples):
+        self._triples = tuple(triples)
+        self.scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        yield from self._triples
+
+    def __len__(self):
+        raise AssertionError("source was materialized")
+
+
+class TestOneLoop:
+    """File, generator and Graph inputs all run DataTransformer.transform."""
+
+    @pytest.mark.parametrize("options", [DEFAULT_OPTIONS, MONOTONE_OPTIONS])
+    def test_reiterable_is_scanned_twice_never_listed(self, options):
+        graph = university_graph()
+        source = _CountingSource(graph)
+        transformer = DataTransformer(
+            transform_schema(university_shapes(), options), options
+        )
+        streamed = transformer.transform(source)
+        assert source.scans == 2
+        assert streamed.stats.triples_processed == len(graph)
+        assert streamed.graph.structurally_equal(
+            transformer.transform(graph).graph
+        )
+
+    @pytest.mark.parametrize("options", [DEFAULT_OPTIONS, MONOTONE_OPTIONS])
+    def test_one_shot_generator_matches_graph(self, options):
+        graph = university_graph()
+        transformer = DataTransformer(
+            transform_schema(university_shapes(), options), options
+        )
+        one_shot = (triple for triple in graph)
+        assert (
+            transformer.transform(one_shot).graph.canonical_form()
+            == transformer.transform(graph).graph.canonical_form()
+        )
 
 
 class TestStreamingEdgeCases:

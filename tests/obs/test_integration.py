@@ -1,9 +1,8 @@
 """End-to-end observability: traced runs across the instrumented layers.
 
-Covers the acceptance path of the subsystem: a traced ``--workers 2``
-transformation must produce a Chrome trace with the coordinator phases
-*and* the per-shard worker spans re-parented under the coordinator's
-execute span, plus a Prometheus exposition with the transform counters.
+Covers the acceptance path of the subsystem: a traced ``repro transform``
+must produce a Chrome trace with the CLI, parser and pipeline spans plus
+a Prometheus exposition with the parse and transform counters.
 """
 
 from __future__ import annotations
@@ -66,26 +65,6 @@ class TestTracedTransform:
         assert (("phase", "schema"),) in phases
         assert (("phase", "data"),) in phases
 
-    def test_parallel_worker_spans_reparent(self, uni_graph, uni_shapes):
-        obs.configure()
-        transform(uni_graph, uni_shapes, parallel=2)
-        names = _names(obs.get_tracer())
-        for phase in ("engine.run", "engine.partition", "engine.schema",
-                      "engine.execute", "engine.merge"):
-            assert phase in names, f"missing {phase}"
-        execute = names["engine.execute"][0]
-        shards = names.get("engine.shard", [])
-        assert len(shards) >= 1
-        for shard in shards:
-            assert shard.parent_id == execute.span_id
-            assert shard.trace_id == obs.get_tracer().trace_id
-        # Worker-internal phases hang off their shard span.
-        shard_ids = {shard.span_id for shard in shards}
-        assert any(
-            span.parent_id in shard_ids
-            for span in names.get("shard.phase1_nodes", [])
-        )
-
 
 class TestTracedValidatorAndQueries:
     def test_validator_spans_and_metrics(self, uni_graph, uni_shapes):
@@ -133,12 +112,11 @@ class TestCliArtifacts:
         )
         return path
 
-    def test_traced_parallel_transform_cli(self, nt_file, tmp_path, capsys):
+    def test_traced_transform_cli(self, nt_file, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"
         metrics_path = tmp_path / "metrics.prom"
         code = main([
             "transform", str(nt_file), "-o", str(tmp_path / "out"),
-            "--workers", "2",
             "--trace", str(trace_path), "--metrics", str(metrics_path),
         ])
         assert code == 0
@@ -146,16 +124,12 @@ class TestCliArtifacts:
 
         events = json.loads(trace_path.read_text(encoding="utf-8"))["traceEvents"]
         names = {event["name"] for event in events}
-        assert {"cli.transform", "s3pg.transform", "engine.run",
-                "engine.execute", "engine.shard"} <= names
-        execute = next(e for e in events if e["name"] == "engine.execute")
-        for shard in (e for e in events if e["name"] == "engine.shard"):
-            assert shard["args"]["parent_id"] == execute["args"]["span_id"]
+        assert {"cli.transform", "rdf.parse_ntriples", "s3pg.transform",
+                "s3pg.data_transform"} <= names
 
         metrics_text = metrics_path.read_text(encoding="utf-8")
         for name in ("repro_transform_runs_total",
                      "repro_transform_triples_total",
-                     "repro_engine_shards_total",
                      "repro_parse_triples_total"):
             assert name in metrics_text, f"missing {name}"
         # The CLI must leave the process clean for the next invocation.

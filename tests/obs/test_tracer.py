@@ -1,4 +1,4 @@
-"""Tracer unit tests: nesting, attributes, errors, threads, adoption."""
+"""Tracer unit tests: nesting, attributes, errors, threads."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro import obs
-from repro.obs import Span, SpanContext, Tracer
+from repro.obs import Span, Tracer
 
 
 def _by_name(tracer: Tracer) -> dict[str, Span]:
@@ -138,40 +138,6 @@ class TestThreadIsolation:
         assert spans["thread.b"].parent_id is None
 
 
-class TestSerializationAndAdoption:
-    def test_round_trip(self):
-        tracer = Tracer()
-        with tracer.span("work", triples=3):
-            pass
-        original = tracer.finished()[0]
-        rebuilt = Span.from_dict(original.as_dict())
-        assert rebuilt == original
-
-    def test_adopt_reparents_remote_spans_under_local_trace(self):
-        coordinator = Tracer()
-        with coordinator.span("execute") as execute:
-            context = SpanContext(
-                trace_id=execute.trace_id, span_id=execute.span_id
-            )
-
-        # Simulate the worker side: its own tracer, parented on the context.
-        worker = Tracer(trace_id=context.trace_id)
-        with worker.span("shard", parent_context=context) as shard:
-            with worker.span("shard.inner"):
-                pass
-        shipped = worker.serialized()
-
-        adopted = coordinator.adopt(shipped)
-        assert len(adopted) == 2
-        spans = _by_name(coordinator)
-        assert spans["shard"].parent_id == execute.span_id
-        assert spans["shard.inner"].parent_id == shard.span_id
-        assert all(
-            span.trace_id == coordinator.trace_id
-            for span in coordinator.finished()
-        )
-
-
 class TestModuleApi:
     def test_disabled_span_is_shared_noop(self):
         assert not obs.enabled()
@@ -200,15 +166,6 @@ class TestModuleApi:
         second = Tracer()
         assert obs.set_tracer(second) is first
         assert obs.set_tracer(None) is second
-
-    def test_current_context_inside_and_outside_spans(self):
-        assert obs.current_context() is None
-        tracer = obs.configure()
-        with obs.span("work") as span:
-            context = obs.current_context()
-            assert context == SpanContext(
-                trace_id=tracer.trace_id, span_id=span.span_id
-            )
 
     def test_timed_span_measures_when_disabled(self):
         with obs.timed_span("phase") as span:

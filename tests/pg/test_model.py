@@ -213,85 +213,6 @@ class TestIncidenceIndex:
         assert {e.id for e in pg.incident_edges("a")} == {"e3"}
 
 
-class TestMergeFrom:
-    def test_disjoint_union(self, pg):
-        other = PropertyGraph()
-        other.add_node("x")
-        other.add_node("y")
-        other.add_edge("x", "y", labels={"r"}, edge_id="ex")
-        stats = pg.merge_from(other)
-        assert stats.nodes_added == 2 and stats.edges_added == 1
-        assert stats.conflicts == 0
-        assert pg.has_node("x") and "ex" in pg.edges
-
-    def test_pure_union_is_idempotent(self, pg):
-        snapshot = pg.copy()
-        stats = pg.merge_from(snapshot)
-        assert stats.nodes_added == 0 and stats.edges_added == 0
-        assert stats.nodes_merged == pg.node_count()
-        assert stats.conflicts == 0
-        assert pg.structurally_equal(snapshot)
-
-    def test_merges_labels_and_properties(self):
-        a, b = PropertyGraph(), PropertyGraph()
-        a.add_node("n", labels={"A"}, properties={"p": 1})
-        b.add_node("n", labels={"B"}, properties={"q": 2})
-        a.merge_from(b)
-        node = a.get_node("n")
-        assert node.labels == {"A", "B"}
-        assert node.properties == {"p": 1, "q": 2}
-
-    def test_array_values_compare_as_multisets(self):
-        a, b = PropertyGraph(), PropertyGraph()
-        a.add_node("n", properties={"k": ["x", "y"]})
-        b.add_node("n", properties={"k": ["y", "x"]})
-        stats = a.merge_from(b, strict=True)
-        assert stats.conflicts == 0
-
-    def test_conflict_counted_lenient(self):
-        a, b = PropertyGraph(), PropertyGraph()
-        a.add_node("n", properties={"k": "mine"})
-        b.add_node("n", properties={"k": "theirs"})
-        stats = a.merge_from(b)
-        assert stats.conflicts == 1
-        # First writer wins in lenient mode.
-        assert a.get_node("n").properties["k"] == "mine"
-
-    def test_conflict_raises_strict(self):
-        a, b = PropertyGraph(), PropertyGraph()
-        a.add_node("n", properties={"k": "mine"})
-        b.add_node("n", properties={"k": "theirs"})
-        with pytest.raises(GraphError):
-            a.merge_from(b, strict=True)
-
-    def test_edge_endpoint_conflict_raises_strict(self):
-        a, b = PropertyGraph(), PropertyGraph()
-        for g in (a, b):
-            g.add_node("x")
-            g.add_node("y")
-        a.add_edge("x", "y", labels={"r"}, edge_id="e")
-        b.add_edge("y", "x", labels={"r"}, edge_id="e")
-        with pytest.raises(GraphError):
-            a.merge_from(b, strict=True)
-        stats = a.copy().merge_from(b)
-        assert stats.conflicts == 1
-
-    def test_merged_edges_update_incidence(self, pg):
-        other = PropertyGraph()
-        other.add_node("a")
-        other.add_node("c")
-        other.add_edge("c", "a", labels={"back"}, edge_id="e9")
-        pg.merge_from(other)
-        assert "e9" in {e.id for e in pg.incident_edges("a")}
-
-    def test_other_graph_unmodified(self, pg):
-        other = PropertyGraph()
-        other.add_node("n", properties={"k": ["v"]})
-        pg.merge_from(other)
-        pg.get_node("n").properties["k"].append("w")
-        assert other.get_node("n").properties["k"] == ["v"]
-
-
 class TestCanonicalForm:
     def test_equal_graphs_same_form(self, pg):
         assert pg.canonical_form() == pg.copy().canonical_form()

@@ -88,20 +88,6 @@ def test_add_label_updates_label_index():
     assert {n.id for n in store.nodes_with_label("Organisation")} == {"c"}
 
 
-def test_merge_from_reindexes():
-    store = _sample_store()
-    other = PropertyGraph()
-    d = other.add_node("d", ["Dept"], {"iri": "ex:d"})
-    e = other.add_node("a", ["Person"], {"iri": "ex:a", "age": 41})
-    other.add_edge(e.id, d.id, ["memberOf"], edge_id="e4")
-    version_before = store.version
-    store.merge_from(other)
-    _assert_fresh(store)
-    assert store.version > version_before
-    assert store.rel_type_count("memberOf") == 3
-    assert {n.id for n in store.nodes_with_label("Dept")} == {"c", "d"}
-
-
 def test_mutations_bump_version():
     store = _sample_store()
     seen = {store.version}
@@ -242,7 +228,7 @@ def test_randomized_counter_workload_matches_recount():
 
 
 def test_store_counters_survive_duplicate_and_readd_cycles():
-    """Rel-type/label counters under re-adds, removes, and merge overlap."""
+    """Rel-type/label counters under re-adds, removes, and duplicate adds."""
     store = _sample_store()
     # Re-add after remove: counter returns to exactly its old value.
     store.remove_edge("e1")
@@ -252,13 +238,6 @@ def test_store_counters_survive_duplicate_and_readd_cycles():
     store.add_label("a", "Person")
     store.add_label("a", "Person")
     assert sum(1 for n in store.nodes_with_label("Person") if n.id == "a") == 1
-    # Merge overlap: shared nodes/edges must not double-count.
-    other = PropertyGraph()
-    other.add_node("a", ["Person"], {"iri": "ex:a"})
-    other.add_node("b", ["Person"], {"iri": "ex:b"})
-    other.add_edge("a", "b", ["knows"], edge_id="e1")
-    store.merge_from(other)
-    assert store.rel_type_count("knows") == 2
     _assert_fresh(store)
 
 

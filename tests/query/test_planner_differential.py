@@ -185,7 +185,6 @@ def test_fuzz_oracle_campaign():
         cases=800,
         oracle_names=["planner_differential"],
         corpus_dir=None,
-        parallel_every=0,
     )
     assert report.ok, report.failures
     # Each oracle run exercises both engines, so >= 300 runs means
