@@ -5,7 +5,9 @@ work per index bucket (mmap + zero-copy posting views, lazy term
 decode), so loading should beat re-parsing the N-Triples source by a
 wide margin.  This bench times both paths over the same graph, checks
 the loaded graph is *usable* (a full scan plus a counter probe, so lazy
-materialization cannot hide in the load number), and persists the ratio.
+materialization cannot hide in the load number) and equal to the
+original, and persists the ratio.  It asserts identity, never the
+ratio: wall-clock ratios are not stable on shared runners.
 
 ``REPRO_BENCH_QUICK=1`` shrinks the dataset for CI smoke runs.
 """
@@ -81,6 +83,7 @@ def test_snapshot_load_vs_parse(benchmark, tmp_path):
 
     # Correctness: the loaded graph answers like the original.
     assert len(loaded) == len(graph)
+    assert loaded == graph
     assert loaded.stats() == graph.stats()
     start = time.perf_counter()
     scanned = sum(1 for _ in loaded.triples())
@@ -100,6 +103,7 @@ def test_snapshot_load_vs_parse(benchmark, tmp_path):
         {"metric": "load_s", "value": round(load_s, 4)},
         {"metric": "full_scan_s", "value": round(scan_s, 4)},
         {"metric": "load_speedup_vs_parse", "value": round(speedup, 1)},
+        {"metric": "loaded_equals_graph", "value": loaded == graph},
     ]
     write_result(
         "snapshot.txt",
@@ -110,7 +114,3 @@ def test_snapshot_load_vs_parse(benchmark, tmp_path):
         {row["metric"]: row["value"] for row in rows},
         quick=BENCH_QUICK, scale=SCALE,
     )
-
-    # Conservative floor — the measured margin is an order of magnitude;
-    # 3x keeps the assertion robust on slow shared CI runners.
-    assert speedup > 3.0, f"snapshot load only {speedup:.1f}x faster than parse"

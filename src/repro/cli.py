@@ -797,7 +797,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
         parse_s = time.perf_counter() - start
         ratio = parse_s / load_s if load_s > 0 else float("inf")
         print(f"parsing {args.compare} took {parse_s:.4f}s ({ratio:.1f}x slower)")
-        if set(other) != set(graph):
+        if other != graph:
             print(f"snapshot DIFFERS from parsed graph ({len(other)} triples parsed)")
             return 1
         print(f"snapshot matches parsed graph ({len(other)} triples)")

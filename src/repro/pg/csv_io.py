@@ -34,6 +34,8 @@ def _unescape_scalar_text(text: str) -> str:
 
 def _split_unescaped(text: str) -> list[str]:
     """Split at separators that are not preceded by the escape char."""
+    if "\\" not in text:
+        return text.split(ARRAY_SEPARATOR)
     parts: list[str] = []
     current: list[str] = []
     i = 0

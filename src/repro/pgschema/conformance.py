@@ -5,7 +5,9 @@ labels and its record satisfies the type's (effective) property specs.  An
 edge conforms to an edge type when its label matches and both endpoints
 conform to allowed endpoint types.  A property graph conforms to a schema
 when every element conforms to at least one type, and every PG-Keys
-constraint holds.
+constraint holds.  A check types nodes once per *signature* (label set,
+key -> value kind: all :meth:`node_conforms` can observe), edges once per
+(labels, endpoint typings), and reads PG-Keys from one label index.
 """
 
 from __future__ import annotations
@@ -16,17 +18,8 @@ from dataclasses import dataclass, field
 from .keys import CardinalityKey, PGKey, UniqueKey
 from ..pg.model import PGEdge, PGNode, PropertyGraph
 from .model import (
-    ANY,
-    BOOLEAN,
-    DATE,
-    DATETIME,
-    FLOAT,
-    INTEGER,
-    NodeType,
-    PGSchema,
-    PropertySpec,
-    STRING,
-    YEAR,
+    ANY, BOOLEAN, DATE, DATETIME, FLOAT, INTEGER, NodeType, PGSchema, PropertySpec,
+    STRING, YEAR,
 )
 
 
@@ -89,6 +82,13 @@ def property_value_matches(value: object, spec: PropertySpec) -> bool:
     return _scalar_matches(value, spec.content_type)
 
 
+def _kind(value: object) -> object:
+    """All :func:`property_value_matches` can observe of ``value``."""
+    if isinstance(value, list):
+        return (list, len(value), frozenset(map(type, value)))
+    return type(value)
+
+
 class ConformanceChecker:
     """Checks property graphs against a :class:`PGSchema` (Definition 2.6).
 
@@ -116,16 +116,31 @@ class ConformanceChecker:
         self.schema = schema
         self.max_violations = max_violations
         self.mode = mode
-        # The type hierarchy is static for the checker's lifetime: cache
-        # the descendant sets so edge checks don't walk it per edge.
-        self._descendants_cache: dict[str, list[str]] = {}
+        # The schema is static for the checker's lifetime: each node type's
+        # effective labels and properties, and each endpoint declaration's
+        # accepted types, are derived once.
+        self._node_facts: dict[str, tuple[set[str], dict[str, PropertySpec]]] = {}
+        self._accepted: dict[tuple[str, ...], frozenset[str]] = {}
 
-    def _descendants(self, type_name: str) -> list[str]:
-        cached = self._descendants_cache.get(type_name)
-        if cached is None:
-            cached = self.schema.descendants(type_name)
-            self._descendants_cache[type_name] = cached
-        return cached
+    def _facts(self, type_name: str) -> tuple[set[str], dict[str, PropertySpec]]:
+        if type_name not in self._node_facts:
+            self._node_facts[type_name] = (self.schema.effective_labels(type_name),
+                                           self.schema.effective_properties(type_name))
+        return self._node_facts[type_name]
+
+    def _accepts(self, type_names: tuple[str, ...], conforming: frozenset[str]) -> bool:
+        """An endpoint declared as any of ``type_names`` (none: unconstrained)
+        admits a node conforming to ``conforming`` when it shares a type with
+        ``{t} ∪ descendants(t)`` — type hierarchies make an endpoint declared
+        as Person accept a GraduateStudent (subtype polymorphism over gamma_S)."""
+        if not type_names:
+            return True
+        accepted = self._accepted.get(type_names)
+        if accepted is None:
+            accepted = self._accepted[type_names] = frozenset(
+                name for t in type_names
+                for name in (self.schema.node_type(t).name, *self.schema.descendants(t)))
+        return not accepted.isdisjoint(conforming)
 
     # ------------------------------------------------------------------ #
     # Element-level conformance
@@ -133,10 +148,9 @@ class ConformanceChecker:
 
     def node_conforms(self, node: PGNode, node_type: NodeType) -> bool:
         """``n ⊨ tau``: labels and record satisfy the (effective) type."""
-        required_labels = self.schema.effective_labels(node_type.name)
+        required_labels, specs = self._facts(node_type.name)
         if not required_labels <= node.labels:
             return False
-        specs = self.schema.effective_properties(node_type.name)
         for key, spec in specs.items():
             value = node.properties.get(key)
             if value is None:
@@ -170,41 +184,17 @@ class ConformanceChecker:
             if not t.abstract and self.node_conforms(node, t)
         ]
 
-    def _conforms_to_or_below(self, node: PGNode, type_name: str) -> bool:
-        """``node`` conforms to ``type_name`` or to one of its subtypes
-        (type hierarchies make an endpoint declared as Person accept a
-        GraduateStudent — standard subtype polymorphism over gamma_S)."""
-        if self.node_conforms(node, self.schema.node_type(type_name)):
-            return True
-        return any(
-            self.node_conforms(node, self.schema.node_type(sub))
-            for sub in self._descendants(type_name)
-        )
-
-    def edge_conforms(self, graph: PropertyGraph, edge: PGEdge, name: str) -> bool:
-        """``e ⊨ sigma`` for the edge type called ``name``."""
-        edge_type = self.schema.edge_type(name)
-        if edge_type.label not in edge.labels:
-            return False
-        src = graph.nodes.get(edge.src)
-        dst = graph.nodes.get(edge.dst)
+    def _edge_typing(self, labels: frozenset[str], src: frozenset[str] | None,
+                     dst: frozenset[str] | None) -> list[str]:
+        """``T(e)`` for an edge with ``labels`` whose endpoints conform to the
+        node types ``src`` / ``dst`` (abstract included; None: dangling)."""
         if src is None or dst is None:
-            return False
-        src_ok = not edge_type.source_types or any(
-            self._conforms_to_or_below(src, t) for t in edge_type.source_types
-        )
-        dst_ok = not edge_type.target_types or any(
-            self._conforms_to_or_below(dst, t) for t in edge_type.target_types
-        )
-        return src_ok and dst_ok
-
-    def edge_typing(self, graph: PropertyGraph, edge: PGEdge) -> list[str]:
-        """``T(e)``: all edge types the edge conforms to."""
-        return [
-            name
-            for name in self.schema.edge_types
-            if self.edge_conforms(graph, edge, name)
-        ]
+            return []
+        names = [t.name for label in labels for t in self.schema.edge_types_with_label(label)
+                 if self._accepts(t.source_types, src) and self._accepts(t.target_types, dst)]
+        if len(labels) > 1:
+            names.sort(key=list(self.schema.edge_types).index)
+        return names
 
     # ------------------------------------------------------------------ #
     # Graph-level conformance
@@ -220,18 +210,38 @@ class ConformanceChecker:
         """
         report = ConformanceReport(conforms=True)
         strict = self.mode == self.STRICT
+        node_types = list(self.schema.node_types.values())
+        by_signature: dict[tuple, tuple[frozenset[str], list[str]]] = {}
+        conforming: dict[str, frozenset[str]] = {}
+        nodes_by_label: dict[str, list[PGNode]] = defaultdict(list)
         for node in graph.nodes.values():
-            typing = self.node_typing(node)
-            report.typing_nodes[node.id] = typing
+            signature = (frozenset(node.labels),
+                         frozenset([(k, _kind(v)) for k, v in node.properties.items()]))
+            typed = by_signature.get(signature)
+            if typed is None:
+                ok = [t for t in node_types if self.node_conforms(node, t)]
+                typed = by_signature[signature] = (
+                    frozenset(t.name for t in ok), [t.name for t in ok if not t.abstract])
+            conforming[node.id], typing = typed
+            report.typing_nodes[node.id] = list(typing)
             if strict and not typing:
                 self._record(report, node.id, "node", "conforms to no node type")
+            for label in node.labels:
+                nodes_by_label[label].append(node)
+        by_ends: dict[tuple, list[str]] = {}
+        edges_by_label: dict[str, list[PGEdge]] = defaultdict(list)
         for edge in graph.edges.values():
-            typing = self.edge_typing(graph, edge)
-            report.typing_edges[edge.id] = typing
+            ends = (frozenset(edge.labels), conforming.get(edge.src), conforming.get(edge.dst))
+            typing = by_ends.get(ends)
+            if typing is None:
+                typing = by_ends[ends] = self._edge_typing(*ends)
+            report.typing_edges[edge.id] = list(typing)
             if strict and not typing:
                 self._record(report, edge.id, "edge", "conforms to no edge type")
+            for label in edge.labels:
+                edges_by_label[label].append(edge)
         for key in self.schema.keys:
-            self._check_key(graph, key, report)
+            self._check_key(graph, key, nodes_by_label, edges_by_label, report)
         return report
 
     def conforms(self, graph: PropertyGraph) -> bool:
@@ -240,54 +250,42 @@ class ConformanceChecker:
 
     # ------------------------------------------------------------------ #
 
-    def _check_key(self, graph: PropertyGraph, key: PGKey, report: ConformanceReport) -> None:
+    def _check_key(self, graph: PropertyGraph, key: PGKey, nodes_by_label: dict,
+                   edges_by_label: dict, report: ConformanceReport) -> None:
         if isinstance(key, UniqueKey):
             seen: dict[object, str] = {}
-            for node in graph.nodes.values():
-                if key.label not in node.labels:
-                    continue
+            for node in nodes_by_label.get(key.label, ()):
                 value = node.properties.get(key.property_key)
                 if value is None:
-                    self._record(
-                        report, node.id, "key",
-                        f"missing mandatory key property {key.property_key!r}",
-                    )
+                    self._record(report, node.id, "key",
+                                 f"missing mandatory key property {key.property_key!r}")
                     continue
                 hashable = tuple(value) if isinstance(value, list) else value
                 other = seen.get(hashable)
                 if other is not None:
-                    self._record(
-                        report, node.id, "key",
-                        f"duplicate {key.property_key}={value!r} (also on {other})",
-                    )
+                    self._record(report, node.id, "key",
+                                 f"duplicate {key.property_key}={value!r} (also on {other})")
                 else:
                     seen[hashable] = node.id
             return
         if isinstance(key, CardinalityKey):
-            counts: dict[str, int] = defaultdict(int)
-            sources = [
-                n for n in graph.nodes.values() if key.source_label in n.labels
-            ]
+            # COUNT bounds the *distinct* results of the WITHIN query, so
+            # parallel edges to one target count once.
+            targets: dict[str, set[str]] = defaultdict(set)
             allowed = set(key.target_labels)
-            for edge in graph.edges.values():
-                if key.edge_label not in edge.labels:
-                    continue
-                src = graph.nodes.get(edge.src)
-                dst = graph.nodes.get(edge.dst)
+            for edge in edges_by_label.get(key.edge_label, ()):
+                src, dst = graph.nodes.get(edge.src), graph.nodes.get(edge.dst)
                 if src is None or dst is None or key.source_label not in src.labels:
                     continue
                 if allowed and not (allowed & dst.labels):
                     continue
-                counts[edge.src] += 1
-            for node in sources:
-                count = counts.get(node.id, 0)
+                targets[edge.src].add(edge.dst)
+            for node in nodes_by_label.get(key.source_label, ()):
+                count = len(targets.get(node.id, ()))
                 if count < key.lower or count > key.upper:
                     upper_text = "*" if key.upper == float("inf") else int(key.upper)
-                    self._record(
-                        report, node.id, "key",
-                        f"{key.edge_label} count {count} outside "
-                        f"[{key.lower}, {upper_text}]",
-                    )
+                    self._record(report, node.id, "key", f"{key.edge_label} count "
+                                 f"{count} outside [{key.lower}, {upper_text}]")
             return
         raise TypeError(f"unknown PG-Key {key!r}")  # pragma: no cover
 

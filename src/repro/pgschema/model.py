@@ -210,11 +210,6 @@ class PGSchema:
     def __contains__(self, name: str) -> bool:
         return name in self._node_types or name in self._edge_types
 
-    def node_type_for_label(self, label: str) -> NodeType | None:
-        """The node type whose label set contains ``label``, if unique."""
-        matches = [t for t in self._node_types.values() if label in t.labels]
-        return matches[0] if len(matches) == 1 else (matches[0] if matches else None)
-
     def ancestors(self, name: str) -> list[str]:
         """Transitive parents of a node type (``gamma_S`` closure).
 

@@ -564,7 +564,24 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return len(self) == len(other) and all(t in other for t in self)
+        return len(self) == len(other) and self._subset_of(other)
+
+    def _subset_of(self, other: "Graph", skip: frozenset[int] = frozenset()) -> bool:
+        """Every triple whose subject and object ids are not in ``skip`` is
+        in ``other``, tested on ids: each distinct term id is translated
+        into ``other``'s interner once, then probed in its SPO postings."""
+        ids = _IdMap(self._terms, other._terms)
+        spo = other._spo
+        for si, by_p in self._spo.items():
+            if si in skip:
+                continue
+            theirs = spo.get(ids[si], {})
+            for pi, objs in by_p.items():
+                their_objs = theirs.get(ids[pi], ())
+                for oi in objs:
+                    if oi not in skip and ids[oi] not in their_objs:
+                        return False
+        return True
 
     def __hash__(self):  # pragma: no cover - graphs are mutable
         raise TypeError("Graph objects are mutable and unhashable")
@@ -609,45 +626,59 @@ class Graph:
             g.add(Triple(s, p, o))
         return g
 
-    def isomorphic_signature(self) -> frozenset[str]:
-        """A canonical signature treating blank-node labels as opaque.
-
-        Two graphs that differ only in blank-node labels map to the same
-        signature, which is what the information-preservation check
-        (Proposition 4.1) needs. Blank nodes are canonicalized by the
-        multiset of their ground neighbourhood, iterated to a fixpoint
-        (a simple colour-refinement).  Each round's colour is *hashed*
-        to a fixed size — colours embed their neighbours' colours, so
-        raw strings would grow exponentially on interlinked blank nodes
-        — and refinement stops once the induced partition of blank
-        nodes stabilizes (raw colour values keep churning forever on
-        blank-node cycles).  Hashes are content-derived, so isomorphic
-        graphs refine through identical colour sequences.
-        """
-        colour: dict[BlankNode, str] = {}
-        bnodes = [
-            n for n in self.subject_set() | self.object_set() if isinstance(n, BlankNode)
-        ]
+    def _blank_part(self) -> tuple[frozenset[int], set[tuple[int, int, int]]]:
+        """The blank-node ids (subject or object position) and the id
+        triples touching them, read from their SPO / OSP buckets."""
+        term = self._terms.term
+        bnodes = frozenset(
+            i for index in (self._spo, self._osp) for i in index
+            if isinstance(term(i), BlankNode)
+        )
+        triples = set()
         for b in bnodes:
-            colour[b] = "b"
+            for p, objs in self._spo.get(b, {}).items():
+                triples.update((b, p, o) for o in objs)
+            for s, preds in self._osp.get(b, {}).items():
+                triples.update((s, p, b) for p in preds)
+        return bnodes, triples
 
-        def partition(colours: dict[BlankNode, str]) -> frozenset[frozenset[BlankNode]]:
-            classes: dict[str, set[BlankNode]] = {}
+    def _bnode_lines(
+        self, bnodes: frozenset[int], triples: set[tuple[int, int, int]]
+    ) -> frozenset[str]:
+        """``triples`` rendered with each blank node replaced by its colour,
+        so that blank-node labels are opaque.
+
+        Blank nodes are canonicalized by the multiset of their ground
+        neighbourhood, iterated to a fixpoint (a simple colour-refinement).
+        Each round's colour is *hashed* to a fixed size — colours embed
+        their neighbours' colours, so raw strings would grow exponentially
+        on interlinked blank nodes — and refinement stops once the induced
+        partition of blank nodes stabilizes (raw colour values keep
+        churning forever on blank-node cycles).  Hashes are content-derived,
+        so isomorphic graphs refine through identical colour sequences.
+        """
+        term = self._terms.term
+        n3 = {i: term(i).n3() for t in triples for i in t if i not in bnodes}
+        incident: dict[int, list[tuple[str, int]]] = {b: [] for b in bnodes}
+        for s, p, o in triples:
+            if s in bnodes:
+                incident[s].append((f">{term(p).value}:", o))
+            if o in bnodes:
+                incident[o].append((f"<{term(p).value}:", s))
+
+        def partition(colours: dict[int, str]) -> frozenset[frozenset[int]]:
+            classes: dict[str, set[int]] = {}
             for node, value in colours.items():
                 classes.setdefault(value, set()).add(node)
             return frozenset(frozenset(members) for members in classes.values())
 
+        colour = dict.fromkeys(bnodes, "b")
         for _ in range(max(1, len(bnodes))):
-            new_colour: dict[BlankNode, str] = {}
-            for b in bnodes:
-                parts = []
-                for t in self.triples(s=b):
-                    o_key = colour.get(t.o, t.o.n3()) if isinstance(t.o, BlankNode) else t.o.n3()
-                    parts.append(f">{t.p.value}:{o_key}")
-                for t in self.triples(o=b):
-                    s_key = colour.get(t.s, t.s.n3()) if isinstance(t.s, BlankNode) else t.s.n3()
-                    parts.append(f"<{t.p.value}:{s_key}")
-                raw = "|".join(sorted(parts))
+            new_colour: dict[int, str] = {}
+            for b, edges in incident.items():
+                raw = "|".join(sorted(
+                    prefix + (colour[n] if n in bnodes else n3[n]) for prefix, n in edges
+                ))
                 new_colour[b] = hashlib.blake2b(
                     raw.encode("utf-8"), digest_size=8
                 ).hexdigest()
@@ -655,18 +686,39 @@ class Graph:
             colour = new_colour
             if stable:
                 break
-        lines = []
-        for t in self:
-            s_key = colour.get(t.s, None) if isinstance(t.s, BlankNode) else None
-            o_key = colour.get(t.o, None) if isinstance(t.o, BlankNode) else None
-            s_repr = f"_:{s_key}" if s_key is not None else t.s.n3()
-            o_repr = f"_:{o_key}" if o_key is not None else t.o.n3()
-            lines.append(f"{s_repr} {t.p.n3()} {o_repr}")
-        return frozenset(lines)
+        render = n3 | {b: f"_:{c}" for b, c in colour.items()}
+        return frozenset(f"{render[s]} {render[p]} {render[o]}" for s, p, o in triples)
+
+
+class _IdMap(dict):
+    """Term id in one interner -> id of the same term in another (-1 when
+    absent), each translated on first use."""
+
+    __slots__ = ("_term", "_lookup")
+
+    def __init__(self, source: TermInterner, target: TermInterner):
+        super().__init__()
+        self._term, self._lookup = source.term, target.lookup
+
+    def __missing__(self, i: int) -> int:
+        j = self._lookup(self._term(i))
+        j = self[i] = -1 if j is None else j
+        return j
 
 
 def graphs_equal_modulo_bnodes(a: Graph, b: Graph) -> bool:
-    """True when the two graphs are isomorphic up to blank-node renaming."""
+    """True when the two graphs are isomorphic up to blank-node renaming.
+
+    The ground triples (no blank node) must be equal, which is tested on
+    term ids; colour refinement (:meth:`Graph._bnode_lines`) runs only on
+    the triples that touch a blank node.
+    """
     if len(a) != len(b):
         return False
-    return a.isomorphic_signature() == b.isomorphic_signature()
+    a_bnodes, a_triples = a._blank_part()
+    b_bnodes, b_triples = b._blank_part()
+    return (
+        len(a_triples) == len(b_triples)
+        and a._subset_of(b, a_bnodes)
+        and a._bnode_lines(a_bnodes, a_triples) == b._bnode_lines(b_bnodes, b_triples)
+    )

@@ -1,9 +1,12 @@
 """Round-trip tests for the Neo4j-style bulk CSV serialization."""
 
+import itertools
+
 import pytest
 
 from repro.errors import GraphError
 from repro.pg import PropertyGraph, export_csv, import_csv, read_csv, write_csv
+from repro.pg.csv_io import _split_unescaped
 
 
 def build_graph() -> PropertyGraph:
@@ -153,3 +156,29 @@ def test_empty_array_distinct_from_marker_string():
     assert props["arr"] == []
     assert props["text"] == "\\a"
     assert props["boxed"] == ["\\a"]
+
+
+def _split_char_by_char(text: str) -> list[str]:
+    """The character loop the decoder runs on cells holding an escape."""
+    parts, current, i = [], [], 0
+    while i < len(text):
+        if text[i] == "\\" and i + 1 < len(text):
+            current += text[i:i + 2]
+            i += 2
+            continue
+        if text[i] == ";":
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(text[i])
+        i += 1
+    parts.append("".join(current))
+    return parts
+
+
+def test_split_fast_path_equals_character_loop():
+    # Every string of length <= 7 over {a, ;, \}: with and without escapes.
+    for n in range(8):
+        for chars in itertools.product("a;\\", repeat=n):
+            text = "".join(chars)
+            assert _split_unescaped(text) == _split_char_by_char(text), text

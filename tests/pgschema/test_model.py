@@ -141,11 +141,6 @@ class TestLookups:
         assert "personType" in schema and "knowsType" in schema
         assert "nope" not in schema
 
-    def test_node_type_for_label(self):
-        schema = build_schema()
-        assert schema.node_type_for_label("Student").name == "studentType"
-        assert schema.node_type_for_label("Robot") is None
-
     def test_edge_types_with_label(self):
         schema = build_schema()
         assert [t.name for t in schema.edge_types_with_label("knows")] == ["knowsType"]

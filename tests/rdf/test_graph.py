@@ -4,6 +4,7 @@ import pytest
 
 from repro.namespaces import RDF_TYPE, RDFS, XSD
 from repro.rdf import IRI, BlankNode, Graph, Literal, Triple, graphs_equal_modulo_bnodes
+from repro.storage import load_snapshot, save_snapshot
 
 EX = "http://example.org/"
 
@@ -256,3 +257,67 @@ class TestBlankNodeEquality:
             Triple(BlankNode("n"), iri("q"), Literal("v")),
         ])
         assert graphs_equal_modulo_bnodes(a, b)
+
+    def test_one_differing_ground_triple(self):
+        bnode_part = [Triple(BlankNode("x"), iri("p"), iri("a")),
+                      Triple(iri("a"), iri("q"), BlankNode("x"))]
+        a = Graph([*bnode_part, t("a", "p", "b"), t("a", "p", "c")])
+        b = Graph([*bnode_part, t("a", "p", "b"), t("a", "p", Literal("c"))])
+        assert len(a) == len(b)
+        assert a != b
+        assert not graphs_equal_modulo_bnodes(a, b)
+
+    def test_same_ground_part_different_blank_structure(self):
+        ground = [t("a", "p", "b"), t("b", "p", "c")]
+        a = Graph([*ground, Triple(BlankNode("x"), iri("p"), iri("a")),
+                   Triple(BlankNode("x"), iri("p"), iri("b"))])
+        b = Graph([*ground, Triple(BlankNode("x"), iri("p"), iri("a")),
+                   Triple(BlankNode("y"), iri("p"), iri("b"))])
+        assert a != b
+        assert not graphs_equal_modulo_bnodes(a, b)
+        # Ground triples moved into the blank-node part do not cancel out.
+        c = Graph([t("a", "p", "b"), Triple(BlankNode("x"), iri("p"), iri("a")),
+                   Triple(BlankNode("x"), iri("p"), iri("b")),
+                   Triple(BlankNode("x"), iri("p"), iri("c"))])
+        assert not graphs_equal_modulo_bnodes(a, c)
+
+    def test_ground_triple_cannot_stand_in_for_blank_triple(self):
+        # Two blank-node triples of a render as one line; b has that line
+        # plus a ground triple a lacks.
+        a = Graph([Triple(BlankNode("x"), iri("q"), BlankNode("y")),
+                   Triple(BlankNode("z"), iri("q"), BlankNode("w"))])
+        b = Graph([Triple(BlankNode("x"), iri("q"), BlankNode("y")), t("a", "p", "a")])
+        assert not graphs_equal_modulo_bnodes(a, b)
+        assert not graphs_equal_modulo_bnodes(b, a)
+
+    def test_blank_node_cycle(self):
+        def cycle(labels, last="p"):
+            x, y, z = (BlankNode(label) for label in labels)
+            return Graph([Triple(x, iri("p"), y), Triple(y, iri("p"), z),
+                          Triple(z, iri(last), x), Triple(x, iri("name"), Literal("x")),
+                          t("a", "p", "b")])
+        assert graphs_equal_modulo_bnodes(cycle("xyz"), cycle("mno"))
+        pointed_at = cycle("mno")
+        pointed_at.add(Triple(iri("a"), iri("q"), BlankNode("m")))
+        pointing = cycle("xyz")
+        pointing.add(Triple(iri("a"), iri("q"), BlankNode("x")))
+        assert graphs_equal_modulo_bnodes(pointing, pointed_at)
+        assert cycle("xyz") == cycle("xyz") and cycle("xyz") != cycle("mno")
+        assert not graphs_equal_modulo_bnodes(cycle("xyz"), cycle("mno", last="q"))
+
+    def test_snapshot_loaded_twin(self, tmp_path):
+        g = Graph([t("a", "p", "b"), t("b", "q", Literal("1", XSD.integer)),
+                   Triple(BlankNode("x"), iri("p"), iri("a")),
+                   Triple(iri("c"), iri("p"), BlankNode("x"))])
+        # Intern in another order, through terms the graph no longer holds.
+        twin = Graph([t("zz", "zz", "zz")])
+        twin.update(reversed(sorted(g, key=str)))
+        twin.remove(t("zz", "zz", "zz"))
+        save_snapshot(twin, tmp_path / "g.snap")
+        loaded = load_snapshot(tmp_path / "g.snap")
+        assert loaded == g and g == loaded and twin == g
+        assert graphs_equal_modulo_bnodes(loaded, g)
+        loaded.remove(t("a", "p", "b"))
+        loaded.add(t("a", "p", "c"))
+        assert loaded != g
+        assert not graphs_equal_modulo_bnodes(g, loaded)
