@@ -210,7 +210,7 @@ class NeoSemanticsTransformer:
     def _erase(literal: Literal) -> object:
         """n10s value conversion: native types, custom datatypes and
         language tags erased."""
-        return encode_literal_value(literal, typed=True)
+        return encode_literal_value(literal)
 
 
 def neosemantics_transform(

@@ -229,7 +229,7 @@ class Rdf2pgTransformer:
             return
         key = resolver.name_for(triple.p.value)
         subject_node.append_property(
-            key, encode_literal_value(triple.o, typed=True)
+            key, encode_literal_value(triple.o)
         )
         stats.attributes += 1
 

@@ -8,6 +8,7 @@ from .data_transform import (
     TransformedGraph,
     edge_id_for,
     encode_literal_value,
+    is_literal_node,
     literal_node_id,
     node_id_for,
     transform_data,
@@ -88,6 +89,7 @@ __all__ = [
     "apply_schema_delta",
     "edge_id_for",
     "encode_literal_value",
+    "is_literal_node",
     "literal_node_id",
     "merge_shape_schemas",
     "node_id_for",

@@ -27,14 +27,11 @@ class TransformOptions:
             heterogeneous-property rule (fully information preserving),
             ``"skip"`` drops them (lossy; useful for comparisons),
             ``"error"`` raises :class:`repro.errors.TransformError`.
-        typed_literal_values: store integers/booleans as native PG values
-            instead of strings when the lexical form is canonical.
     """
 
     parsimonious: bool = True
     use_prefixes: bool = True
     on_unknown: str = "fallback"
-    typed_literal_values: bool = True
 
     def __post_init__(self) -> None:
         if self.on_unknown not in ("fallback", "skip", "error"):

@@ -6,7 +6,9 @@ generated identifier is a deterministic function of the input terms (see
 :mod:`repro.core.data_transform`), adding the conversion of
 ``G_delta`` to the conversion of ``G`` yields exactly the conversion of
 ``G ∪ G_delta`` — this is Definition 3.4, and the test suite checks it
-structurally.
+structurally.  The bulk transformation is this add path run over an empty
+property graph, so Algorithm 1's case analysis lives here once, with its
+mirror for retraction.
 
 Deletions are supported as the natural inverse: key/values and edges
 introduced by removed triples are retracted, and literal/resource nodes
@@ -33,31 +35,59 @@ from dataclasses import dataclass
 
 from ..errors import TransformError
 from ..namespaces import RDF_TYPE
-from ..pg.model import PGNode, PropertyGraph
+from ..pg.model import PGNode
 from ..pg.store import PropertyGraphStore
-from ..rdf.terms import IRI, BlankNode, Literal, Triple
+from ..rdf.terms import IRI, Literal, Triple
 from .config import TransformOptions
 from .data_transform import (
     DataTransformStats,
     TransformedGraph,
     edge_id_for,
     encode_literal_value,
+    is_literal_node,
     literal_node_id,
     node_id_for,
 )
-from .mapping import IRI_KEY, RESOURCE_LABEL
+from .mapping import (
+    DTYPE_KEY,
+    IRI_KEY,
+    LANG_KEY,
+    RESOURCE_LABEL,
+    VALUE_KEY,
+    PropertyMapping,
+)
+
+_TYPE = IRI(RDF_TYPE)
+
+
+def _is_type(triple: Triple) -> bool:
+    return triple.p == _TYPE and isinstance(triple.o, IRI)
 
 
 @dataclass
-class DeltaStats:
-    """Counters for one incremental update."""
+class DeltaStats(DataTransformStats):
+    """Counters for one incremental update.
 
-    added_triples: int = 0
+    Additions are counted exactly as a bulk run counts them (it is the
+    same add path); ``added_triples`` / ``nodes_added`` / ``edges_added``
+    are views of those counters.
+    """
+
     removed_triples: int = 0
-    nodes_added: int = 0
     nodes_removed: int = 0
-    edges_added: int = 0
     edges_removed: int = 0
+
+    @property
+    def added_triples(self) -> int:
+        return self.triples_processed
+
+    @property
+    def nodes_added(self) -> int:
+        return self.entity_nodes + self.literal_nodes
+
+    @property
+    def edges_added(self) -> int:
+        return self.edges
 
 
 class IncrementalTransformer:
@@ -77,75 +107,70 @@ class IncrementalTransformer:
     ):
         self.transformed = transformed
         self.graph = transformed.graph
-        if store is not None and store.graph is not transformed.graph:
+        # Every mutation goes to the sink; reads go to the graph.
+        if store is None:
+            self._sink = transformed.graph
+        elif store.graph is transformed.graph:
+            self._sink = store
+        else:
             raise TransformError(
                 "store must wrap the transformed graph it maintains"
             )
-        self.store = store
         self.mapping = transformed.mapping
         self.registry = transformed.schema_result.registry
         self.options: TransformOptions = transformed.options
-        # Incident-edge counts, maintained across updates so orphan
-        # detection does not need to scan the edge set.
-        self._degree: dict[str, int] = {}
-        for edge in self.graph.edges.values():
-            self._degree[edge.src] = self._degree.get(edge.src, 0) + 1
-            self._degree[edge.dst] = self._degree.get(edge.dst, 0) + 1
+        # (node label set, predicate) -> resolved mapping; real graphs have
+        # few distinct label sets.  Entries stay valid while the transformer
+        # lives: conversion only adds fallback predicates and shapeless
+        # classes to the mapping, which never change a resolution made.
+        self._resolved: dict[tuple[frozenset, str], PropertyMapping | None] = {}
 
     # ------------------------------------------------------------------ #
-    # Store-aware mutation primitives
+    # Resolution (shared by add, retract and probe)
     # ------------------------------------------------------------------ #
 
-    def _create_node(self, node_id, labels, properties) -> PGNode:
-        if self.store is not None:
-            return self.store.add_node(node_id, labels, properties)
-        return self.graph.add_node(node_id, labels=labels, properties=properties)
+    def _label_for_class(self, class_iri: str) -> str | None:
+        label = self.mapping.label_for_class(class_iri)
+        if label is not None:
+            return label
+        if self.options.on_unknown == "error":
+            raise TransformError(f"no shape targets class {class_iri}")
+        if self.options.on_unknown == "skip":
+            return None
+        return self.registry.ensure_external_class(class_iri)
 
-    def _add_label(self, node: PGNode, label: str) -> None:
-        if label in node.labels:
-            return
-        if self.store is not None:
-            self.store.add_label(node.id, label)
-        else:
-            node.labels.add(label)
+    def _resolve(
+        self, labels: Iterable[str], predicate: str
+    ) -> PropertyMapping | None:
+        """How ``predicate`` is realised on a node carrying ``labels``,
+        after the ``on_unknown`` policy (None: the triple is skipped)."""
+        key = (frozenset(labels), predicate)
+        try:
+            return self._resolved[key]
+        except KeyError:
+            pass
+        classes = [
+            class_iri for class_iri in map(self.mapping.class_for_label, key[0])
+            if class_iri is not None
+        ]
+        prop = self.mapping.property_for(classes, predicate)
+        if prop is None:
+            if self.options.on_unknown == "error":
+                raise TransformError(
+                    f"no property shape covers predicate {predicate} "
+                    f"for subject types {sorted(classes)}"
+                )
+            if self.options.on_unknown == "fallback":
+                prop = self.registry.fallback_property(predicate)
+        self._resolved[key] = prop
+        return prop
 
-    def _discard_label(self, node: PGNode, label: str) -> None:
-        if label not in node.labels:
-            return
-        if self.store is not None:
-            self.store.remove_label(node.id, label)
-        else:
-            node.labels.discard(label)
-
-    def _set_property(self, node: PGNode, key: str, value) -> None:
-        if self.store is not None:
-            self.store.set_node_property(node.id, key, value)
-        else:
-            node.set_property(key, value)
-
-    def _delete_property(self, node: PGNode, key: str) -> None:
-        if self.store is not None:
-            self.store.delete_node_property(node.id, key)
-        else:
-            node.properties.pop(key, None)
-
-    def _create_edge(self, src: str, rel_type: str, dst: str, edge_id: str) -> None:
-        if self.store is not None:
-            self.store.add_edge(src, dst, labels={rel_type}, edge_id=edge_id)
-        else:
-            self.graph.add_edge(src, dst, labels={rel_type}, edge_id=edge_id)
-
-    def _delete_edge(self, edge_id: str) -> None:
-        if self.store is not None:
-            self.store.remove_edge(edge_id)
-        else:
-            self.graph.remove_edge(edge_id)
-
-    def _delete_isolated_node(self, node_id: str) -> None:
-        if self.store is not None:
-            self.store.remove_node(node_id)
-        else:
-            self.graph.remove_isolated_node(node_id)
+    def _rel_type(self, prop: PropertyMapping) -> str:
+        """The relationship type realising ``prop`` as an edge (the
+        predicate's fallback type for a key/value mapping)."""
+        if prop.rel_type is not None:
+            return prop.rel_type
+        return self.registry.fallback_property(prop.predicate).rel_type
 
     # ------------------------------------------------------------------ #
     # Additions
@@ -159,24 +184,11 @@ class IncrementalTransformer:
         delta are known before their properties are converted).
         """
         stats = DeltaStats()
-        materialized = list(triples)
-        type_triples = [
-            t for t in materialized if t.p == _TYPE and isinstance(t.o, IRI)
-        ]
-        other_triples = [
-            t for t in materialized if not (t.p == _TYPE and isinstance(t.o, IRI))
-        ]
-
-        for triple in type_triples:
-            stats.added_triples += 1
-            self._add_type(triple, stats)
-        for triple in other_triples:
-            stats.added_triples += 1
-            self._add_property(triple, stats)
+        self._apply(list(triples), stats)
         return stats
 
     def probe_additions(self, triples: Iterable[Triple]) -> None:
-        """Resolve a batch of additions without mutating anything.
+        """Resolve a batch of additions without mutating the graph.
 
         Raises:
             TransformError: when the batch contains a construct the
@@ -186,123 +198,102 @@ class IncrementalTransformer:
                 half-updated.
         """
         for triple in triples:
-            if triple.p == _TYPE and isinstance(triple.o, IRI):
+            if _is_type(triple):
                 self._label_for_class(triple.o.value)
-                continue
-            types: list[str] = []
-            src_id = node_id_for(triple.s)
-            if self.graph.has_node(src_id):
-                types = self._entity_classes(self.graph.get_node(src_id).labels)
-            prop = self.mapping.property_for(types, triple.p.value)
-            if prop is None and self.options.on_unknown == "error":
-                raise TransformError(
-                    f"no property shape covers predicate {triple.p.value}"
-                )
+            else:
+                node = self.graph.nodes.get(node_id_for(triple.s))
+                labels = node.labels if node is not None else ()
+                self._resolve(labels, triple.p.value)
 
-    def _add_type(self, triple: Triple, stats: DeltaStats) -> None:
+    def _apply(self, triples: Iterable[Triple], stats: DataTransformStats) -> None:
+        """Algorithm 1 over ``triples``, which is scanned twice: phase 1
+        (lines 4-14) applies the type triples, phase 2 (lines 15-31) the
+        rest, so every entity is labelled before its properties resolve."""
+        for triple in triples:
+            stats.triples_processed += 1
+            if _is_type(triple):
+                self._add_type(triple, stats)
+        for triple in triples:
+            if not _is_type(triple):
+                self._add_property(triple, stats)
+
+    def _add_type(self, triple: Triple, stats: DataTransformStats) -> None:
         node_id = node_id_for(triple.s)
-        if self.graph.has_node(node_id):
-            node = self.graph.get_node(node_id)
-            self._discard_label(node, RESOURCE_LABEL)
+        if node_id in self.graph.nodes:
+            self._sink.remove_label(node_id, RESOURCE_LABEL)
         else:
-            node = self._create_node(node_id, (), {IRI_KEY: node_id})
-            stats.nodes_added += 1
+            self._sink.add_node(node_id, (), {IRI_KEY: node_id})
+            stats.entity_nodes += 1
         label = self._label_for_class(triple.o.value)
         if label is not None:
-            self._add_label(node, label)
+            self._sink.add_label(node_id, label)
 
-    def _label_for_class(self, class_iri: str) -> str | None:
-        label = self.mapping.label_for_class(class_iri)
-        if label is not None:
-            return label
-        if self.options.on_unknown == "error":
-            raise TransformError(f"no shape targets class {class_iri}")
-        if self.options.on_unknown == "skip":
-            return None
-        return self.registry.ensure_external_class(class_iri)
-
-    def _entity_classes(self, node_labels: set[str]) -> list[str]:
-        classes = []
-        for label in node_labels:
-            class_iri = self.mapping.class_for_label(label)
-            if class_iri is not None:
-                classes.append(class_iri)
-        return classes
-
-    def _add_property(self, triple: Triple, stats: DeltaStats) -> None:
-        src_id = node_id_for(triple.s)
-        if self.graph.has_node(src_id):
-            node = self.graph.get_node(src_id)
-        else:
-            node = self._create_node(
-                src_id, {RESOURCE_LABEL}, {IRI_KEY: src_id}
-            )
-            stats.nodes_added += 1
-        types = self._entity_classes(node.labels)
-        prop = self.mapping.property_for(types, triple.p.value)
+    def _add_property(self, triple: Triple, stats: DataTransformStats) -> None:
+        node = self._resource_node(node_id_for(triple.s), stats)
+        prop = self._resolve(node.labels, triple.p.value)
         if prop is None:
-            if self.options.on_unknown == "error":
-                raise TransformError(
-                    f"no property shape covers predicate {triple.p.value}"
-                )
-            if self.options.on_unknown == "skip":
-                return
-            prop = self.registry.fallback_property(triple.p.value)
-
+            stats.skipped += 1
+            return
         obj = triple.o
-        if isinstance(obj, (IRI, BlankNode)):
-            dst_id = node_id_for(obj)
-            # An IRI object that is a typed entity node, or becomes a
-            # generic resource node.
-            if not self.graph.has_node(dst_id):
-                self._create_node(dst_id, {RESOURCE_LABEL}, {IRI_KEY: dst_id})
-                stats.nodes_added += 1
-            rel_type = prop.rel_type or self.registry.fallback_property(
-                triple.p.value
-            ).rel_type
-            self._ensure_edge(src_id, rel_type, dst_id, stats)
+        if (
+            isinstance(obj, Literal)
+            and prop.is_key_value()
+            and obj.datatype == prop.datatype
+        ):
+            # Lines 21-23: parsimonious key/value storage.  The literal must
+            # carry the datatype the schema mapped the key to; off-schema
+            # values fall through to the literal node below.  A second
+            # value for a max-1 key promotes the entry to an array, which
+            # keeps the transformation lossless and makes the cardinality
+            # violation visible to PG-Schema conformance checking.
+            value = encode_literal_value(obj)
+            current = node.properties.get(prop.pg_key)
+            if isinstance(current, list):
+                value = current + [value]
+            elif current is not None:
+                value = [current, value]
+            self._sink.set_node_property(node.id, prop.pg_key, value)
+            stats.key_values += 1
             return
-        if prop.is_key_value() and obj.datatype == prop.datatype:
-            value = encode_literal_value(obj, self.options.typed_literal_values)
-            key = prop.pg_key
-            if key not in node.properties:
-                self._set_property(node, key, value)
-            else:
-                current = node.properties[key]
-                if isinstance(current, list):
-                    self._set_property(node, key, current + [value])
-                else:
-                    self._set_property(node, key, [current, value])
-            return
-        rel_type = prop.rel_type or self.registry.fallback_property(
-            triple.p.value
-        ).rel_type
-        dst_id = self._ensure_literal_node(obj, stats)
-        self._ensure_edge(src_id, rel_type, dst_id, stats)
+        if isinstance(obj, Literal):
+            # Lines 25-31: multi-type / heterogeneous values become typed
+            # literal nodes.
+            dst_id = self._literal_node(obj, stats)
+        else:
+            # Line 16: an IRI object is an edge to its entity node, or to a
+            # generic resource node when it has no type.
+            dst_id = self._resource_node(node_id_for(obj), stats).id
+        rel_type = self._rel_type(prop)
+        edge_id = edge_id_for(node.id, rel_type, dst_id)
+        if edge_id not in self.graph.edges:
+            self._sink.add_edge(
+                node.id, dst_id, labels={rel_type}, edge_id=edge_id
+            )
+            stats.edges += 1
 
-    def _ensure_literal_node(self, literal: Literal, stats: DeltaStats) -> str:
-        dst_id = literal_node_id(literal)
-        if not self.graph.has_node(dst_id):
-            info = self.registry.ensure_literal_type(literal.datatype)
-            properties: dict[str, object] = {
-                "value": encode_literal_value(
-                    literal, self.options.typed_literal_values
-                ),
-                "dtype": literal.datatype,
+    def _resource_node(self, node_id: str, stats: DataTransformStats) -> PGNode:
+        """The node ``node_id``; a generic resource node when it is new."""
+        node = self.graph.nodes.get(node_id)
+        if node is None:
+            node = self._sink.add_node(
+                node_id, {RESOURCE_LABEL}, {IRI_KEY: node_id}
+            )
+            stats.entity_nodes += 1
+        return node
+
+    def _literal_node(self, literal: Literal, stats: DataTransformStats) -> str:
+        node_id = literal_node_id(literal)
+        if node_id not in self.graph.nodes:
+            record: dict[str, object] = {
+                VALUE_KEY: encode_literal_value(literal),
+                DTYPE_KEY: literal.datatype,
             }
             if literal.language is not None:
-                properties["lang"] = literal.language
-            self._create_node(dst_id, {info.label}, properties)
-            stats.nodes_added += 1
-        return dst_id
-
-    def _ensure_edge(self, src: str, rel_type: str, dst: str, stats: DeltaStats) -> None:
-        edge_id = edge_id_for(src, rel_type, dst)
-        if edge_id not in self.graph.edges:
-            self._create_edge(src, rel_type, dst, edge_id)
-            self._degree[src] = self._degree.get(src, 0) + 1
-            self._degree[dst] = self._degree.get(dst, 0) + 1
-            stats.edges_added += 1
+                record[LANG_KEY] = literal.language
+            label = self.registry.ensure_literal_type(literal.datatype).label
+            self._sink.add_node(node_id, {label}, record)
+            stats.literal_nodes += 1
+        return node_id
 
     # ------------------------------------------------------------------ #
     # Deletions
@@ -311,103 +302,91 @@ class IncrementalTransformer:
     def apply_deletions(self, triples: Iterable[Triple]) -> DeltaStats:
         """Retract the PG elements introduced by the given triples."""
         stats = DeltaStats()
-        for triple in triples:
-            stats.removed_triples += 1
-            self._remove_triple(triple, stats)
+        self._retract(triples, stats)
         return stats
 
-    def _remove_triple(self, triple: Triple, stats: DeltaStats) -> None:
-        src_id = node_id_for(triple.s)
-        if not self.graph.has_node(src_id):
-            return
-        node = self.graph.get_node(src_id)
-        if triple.p == _TYPE and isinstance(triple.o, IRI):
-            label = self.mapping.label_for_class(triple.o.value)
-            if label is not None:
-                self._discard_label(node, label)
-            self._gc_node(src_id, stats)
-            # A de-typed entity that still carries data must fall back to
-            # the generic resource label, exactly as a from-scratch
-            # transformation of the remaining triples would label it.
-            self._restore_resource_label(src_id)
-            return
-        types = self._entity_classes(node.labels)
-        prop = self.mapping.property_for(types, triple.p.value)
+    def _retract(self, triples: Iterable[Triple], stats: DeltaStats) -> None:
+        for triple in triples:
+            stats.removed_triples += 1
+            node = self.graph.nodes.get(node_id_for(triple.s))
+            if node is None:
+                continue
+            if _is_type(triple):
+                self._retract_type(node, triple.o.value, stats)
+            else:
+                self._retract_property(node, triple, stats)
+
+    def _retract_type(self, node: PGNode, class_iri: str, stats: DeltaStats) -> None:
+        label = self.mapping.label_for_class(class_iri)
+        if label is not None:
+            self._sink.remove_label(node.id, label)
+        self._gc_node(node.id, stats)
+        # A de-typed entity that still carries data must fall back to the
+        # generic resource label, exactly as a from-scratch transformation
+        # of the remaining triples would label it.
+        if node.id in self.graph.nodes and not node.labels:
+            self._sink.add_label(node.id, RESOURCE_LABEL)
+
+    def _retract_property(
+        self, node: PGNode, triple: Triple, stats: DeltaStats
+    ) -> None:
+        prop = self._resolve(node.labels, triple.p.value)
         obj = triple.o
-        if (
-            prop is not None
+        # prop is None for a triple skipped on the way in: only the subject
+        # node it may have created is left to collect.
+        if prop is None:
+            pass
+        elif (
+            isinstance(obj, Literal)
             and prop.is_key_value()
-            and isinstance(obj, Literal)
             and obj.datatype == prop.datatype
             and prop.pg_key in node.properties
         ):
-            value = encode_literal_value(obj, self.options.typed_literal_values)
-            current = node.properties[prop.pg_key]
-            if isinstance(current, list):
-                if value in current:
-                    rest = list(current)
-                    rest.remove(value)
-                    if not rest:
-                        self._delete_property(node, prop.pg_key)
-                    elif len(rest) == 1:
-                        # A from-scratch transform stores a single value
-                        # as a scalar; demote so remove matches it.
-                        self._set_property(node, prop.pg_key, rest[0])
-                    else:
-                        self._set_property(node, prop.pg_key, rest)
-            elif current == value:
-                self._delete_property(node, prop.pg_key)
-            self._gc_node(src_id, stats)
-            return
-        rel_type = (
-            prop.rel_type
-            if prop is not None and prop.rel_type is not None
-            else self.registry.fallback_property(triple.p.value).rel_type
-        )
-        if isinstance(obj, Literal):
-            dst_id = literal_node_id(obj)
+            self._remove_value(node, prop.pg_key, encode_literal_value(obj))
         else:
-            dst_id = node_id_for(obj)
-        edge_id = edge_id_for(src_id, rel_type, dst_id)
-        if edge_id in self.graph.edges:
-            self._delete_edge(edge_id)
-            self._degree[src_id] = self._degree.get(src_id, 1) - 1
-            self._degree[dst_id] = self._degree.get(dst_id, 1) - 1
-            stats.edges_removed += 1
-        self._gc_node(dst_id, stats)
+            if isinstance(obj, Literal):
+                dst_id = literal_node_id(obj)
+            else:
+                dst_id = node_id_for(obj)
+            edge_id = edge_id_for(node.id, self._rel_type(prop), dst_id)
+            if edge_id in self.graph.edges:
+                self._sink.remove_edge(edge_id)
+                stats.edges_removed += 1
+            self._gc_node(dst_id, stats)
         # The subject may have been an untyped resource node kept alive
-        # only by this edge; collect it too (a from-scratch transform of
+        # only by this triple; collect it too (a from-scratch transform of
         # the remaining triples would not materialize it).
-        self._gc_node(src_id, stats)
+        self._gc_node(node.id, stats)
 
-    def _restore_resource_label(self, node_id: str) -> None:
-        if not self.graph.has_node(node_id):
+    def _remove_value(self, node: PGNode, key: str, value: object) -> None:
+        current = node.properties[key]
+        if not isinstance(current, list):
+            if current == value:
+                self._sink.delete_node_property(node.id, key)
             return
-        node = self.graph.get_node(node_id)
-        if node_id.startswith("lit:"):
+        if value not in current:
             return
-        if not (node.labels - {RESOURCE_LABEL}):
-            self._add_label(node, RESOURCE_LABEL)
+        rest = list(current)
+        rest.remove(value)
+        if not rest:
+            self._sink.delete_node_property(node.id, key)
+        else:
+            # A from-scratch transform stores a single value as a scalar.
+            self._sink.set_node_property(
+                node.id, key, rest[0] if len(rest) == 1 else rest
+            )
 
     def _gc_node(self, node_id: str, stats: DeltaStats) -> None:
         """Remove a node once it carries no information of its own."""
-        if not self.graph.has_node(node_id):
+        node = self.graph.nodes.get(node_id)
+        if node is None or self.graph.degree(node_id):
             return
-        node = self.graph.get_node(node_id)
-        entity_labels = node.labels - {RESOURCE_LABEL}
-        is_literal_node = node_id.startswith("lit:")
-        has_entity_payload = bool(entity_labels) and not is_literal_node
-        extra_props = set(node.properties) - {IRI_KEY, "value", "dtype", "lang"}
-        if has_entity_payload or extra_props:
+        if not is_literal_node(node) and (
+            node.labels - {RESOURCE_LABEL} or node.properties.keys() - {IRI_KEY}
+        ):
             return
-        if self._degree.get(node_id, 0) > 0:
-            return
-        self._delete_isolated_node(node_id)
-        self._degree.pop(node_id, None)
+        self._sink.remove_node(node_id)
         stats.nodes_removed += 1
-
-
-_TYPE = IRI(RDF_TYPE)
 
 
 def apply_delta(
@@ -418,9 +397,7 @@ def apply_delta(
 ) -> DeltaStats:
     """Apply an (added, removed) delta to a transformed graph in place."""
     incremental = IncrementalTransformer(transformed, store=store)
-    stats = incremental.apply_deletions(removed)
-    add_stats = incremental.apply_additions(added)
-    stats.added_triples = add_stats.added_triples
-    stats.nodes_added = add_stats.nodes_added
-    stats.edges_added = add_stats.edges_added
+    stats = DeltaStats()
+    incremental._retract(removed, stats)
+    incremental._apply(list(added), stats)
     return stats

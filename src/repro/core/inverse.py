@@ -34,6 +34,7 @@ from ..shacl.model import (
     ShapeSchema,
     ValueType,
 )
+from .data_transform import is_literal_node
 from .mapping import (
     DTYPE_KEY,
     IRI_KEY,
@@ -63,10 +64,6 @@ def _subject_term(node: PGNode) -> Subject:
     return IRI(iri_value)
 
 
-def _is_literal_node(node: PGNode) -> bool:
-    return DTYPE_KEY in node.properties and VALUE_KEY in node.properties
-
-
 def _literal_term(node: PGNode) -> Literal:
     dtype = node.properties[DTYPE_KEY]
     lexical = scalar_to_lexical(node.properties[VALUE_KEY])
@@ -93,7 +90,7 @@ def pg_to_rdf(graph: PropertyGraph, mapping: SchemaMapping) -> Graph:
             if prop.pg_key is not None and prop.datatype is not None:
                 key_datatypes.setdefault(prop.pg_key, prop.datatype)
     for node in graph.nodes.values():
-        if _is_literal_node(node):
+        if is_literal_node(node):
             continue
         subject = _subject_term(node)
         subjects[node.id] = subject
@@ -130,7 +127,7 @@ def pg_to_rdf(graph: PropertyGraph, mapping: SchemaMapping) -> Graph:
             raise TransformError(f"edge {edge.id} starts at a literal node")
         target_node = graph.nodes[edge.dst]
         obj: Object
-        if _is_literal_node(target_node):
+        if is_literal_node(target_node):
             obj = _literal_term(target_node)
         else:
             obj = _subject_term(target_node)

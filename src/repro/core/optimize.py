@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from ..pg.model import PropertyGraph
 from .config import DEFAULT_OPTIONS, TransformOptions
-from .data_transform import TransformedGraph
+from .data_transform import TransformedGraph, is_literal_node
 from .inverse import pgschema_to_shacl
 from .mapping import DTYPE_KEY, LANG_KEY, VALUE_KEY
 from .schema_transform import SchemaTransformer, SchemaTransformResult
@@ -115,15 +115,11 @@ def optimize(
         edges_to_delete.append(edge.id)
         stats.edges_folded += 1
 
-    referenced: set[str] = set()
     for edge_id in edges_to_delete:
         graph.remove_edge(edge_id)
-    for edge in graph.edges.values():
-        referenced.add(edge.dst)
-        referenced.add(edge.src)
     for node_id in [
         nid for nid, node in graph.nodes.items()
-        if nid.startswith("lit:") and nid not in referenced
+        if is_literal_node(node) and not graph.degree(nid)
     ]:
         graph.remove_isolated_node(node_id)
         stats.literal_nodes_removed += 1

@@ -7,8 +7,8 @@ Three families of cases are generated:
 * **RDF cases** — a random SHACL shape schema covering every Figure 3
   constraint category plus a random instance graph: *valid* (conforms to
   the schema), *mutated* (one controlled violation injected), or *noisy*
-  (off-schema predicates, untyped subjects, blank nodes — exercising the
-  fallback rules).
+  (off-schema predicates and classes, untyped subjects, blank nodes,
+  non-``http`` IRIs — exercising the fallback rules).
 * **Property-graph cases** — a random PG with adversarial property
   values (empty arrays, empty strings, number-looking strings, the CSV
   escape characters) for serializer round-trips.
@@ -392,24 +392,35 @@ def mutate_instance(
 # Noise (fallback-path coverage)
 # --------------------------------------------------------------------- #
 
+#: Non-``http`` schemes a noise batch sometimes mints its IRIs under:
+#: ``lit:`` is the prefix of literal node ids, ``urn:`` a scheme with no
+#: authority, so the PG node-id encoding has to keep entities and values
+#: apart.
+_NOISE_SCHEMES = ("lit:", "urn:x-noise:")
+
+
 def generate_noise(rng: random.Random, offset: int) -> list[Triple]:
-    """Off-schema triples: unknown predicates, untyped subjects, blank
-    nodes, language tags, exotic datatypes — the ``on_unknown="fallback"``
-    territory that information preservation still covers."""
+    """Off-schema triples: unknown predicates and classes, untyped
+    subjects, blank nodes, non-``http`` IRIs, language tags, exotic
+    datatypes — the ``on_unknown="fallback"`` territory that information
+    preservation still covers."""
     triples: list[Triple] = []
+    base = rng.choice((EX, EX) + _NOISE_SCHEMES)
     for i in range(rng.randint(1, 6)):
         subject: Subject = (
             BlankNode(f"n{offset + i}")
             if rng.random() < 0.3
-            else IRI(f"{EX}x{offset + i}")
+            else IRI(f"{base}x{offset + i}")
         )
+        if rng.random() < 0.3:
+            triples.append(Triple(subject, _TYPE, IRI(f"{EX}Noise")))
         predicate = IRI(f"{EX}q{rng.randint(0, 3)}")
         roll = rng.random()
         obj: Object
         if roll < 0.25:
             obj = BlankNode(f"m{rng.randint(0, 4)}")
         elif roll < 0.5:
-            obj = IRI(f"{EX}y{rng.randint(0, 4)}")
+            obj = IRI(f"{base}y{rng.randint(0, 4)}")
         elif roll < 0.7:
             obj = Literal(random_string(rng), language=rng.choice(("en", "de")))
         elif roll < 0.8:

@@ -221,6 +221,22 @@ class PropertyGraph:
         """True when a node with this id exists."""
         return node_id in self._nodes
 
+    def add_label(self, node_id: str, label: str) -> None:
+        """Add a label to an existing node (no-op when already present)."""
+        self.get_node(node_id).labels.add(label)
+
+    def remove_label(self, node_id: str, label: str) -> None:
+        """Drop a label from an existing node (no-op when absent)."""
+        self.get_node(node_id).labels.discard(label)
+
+    def set_node_property(self, node_id: str, key: str, value: PropertyValue) -> None:
+        """Assign a property of an existing node, validating the value."""
+        self.get_node(node_id).set_property(key, value)
+
+    def delete_node_property(self, node_id: str, key: str) -> None:
+        """Remove a property of an existing node (no-op when absent)."""
+        self.get_node(node_id).properties.pop(key, None)
+
     def remove_node(self, node_id: str) -> None:
         """Delete a node and all its incident edges (O(degree))."""
         if node_id not in self._nodes:
@@ -233,8 +249,7 @@ class PropertyGraph:
     def remove_isolated_node(self, node_id: str) -> None:
         """Delete a node that has no incident edges.
 
-        O(1); used by incremental maintenance, which tracks degrees
-        itself.  Raises GraphError when edges still touch the node, so
+        O(1).  Raises GraphError when edges still touch the node, so
         the ``rho`` totality invariant cannot be silently broken.
         """
         if node_id not in self._nodes:

@@ -193,8 +193,11 @@ class PropertyGraphStore:
         return edge
 
     def add_label(self, node_id: str, label: str) -> None:
-        """Add a label to an existing node, keeping the label index fresh."""
+        """Add a label to an existing node, keeping the label index fresh
+        (no-op when already present)."""
         node = self.graph.get_node(node_id)
+        if label in node.labels:
+            return
         node.labels.add(label)
         li = self._labels.intern(label)
         bucket = self._label_index.get(li)

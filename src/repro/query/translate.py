@@ -60,15 +60,14 @@ class SparqlToCypherTranslator:
             (variable predicates, variable classes, unsupported builtins).
     """
 
-    def __init__(self, mapping: SchemaMapping, typed_literal_values: bool = True):
+    def __init__(self, mapping: SchemaMapping):
         self.mapping = mapping
-        self.typed_literal_values = typed_literal_values
 
     def translate(self, query: SelectQuery) -> str:
         """Translate ``query``; returns Cypher text."""
         if query.unions:
             return self._translate_union(query)
-        return _Translation(self.mapping, query, self.typed_literal_values).build()
+        return _Translation(self.mapping, query).build()
 
     def _translate_union(self, query: SelectQuery) -> str:
         """``{A} UNION {B}`` becomes one translated part per alternative,
@@ -86,9 +85,7 @@ class SparqlToCypherTranslator:
             branch = copy(query)
             branch.patterns = [*query.patterns, *alternative]
             branch.unions = []
-            parts.append(
-                _Translation(self.mapping, branch, self.typed_literal_values).build()
-            )
+            parts.append(_Translation(self.mapping, branch).build())
         return "\nUNION ALL\n".join(parts)
 
     def translate_text(self, sparql_text: str) -> str:
@@ -101,15 +98,9 @@ class SparqlToCypherTranslator:
 class _Translation:
     """One translation run (collects MATCH paths, UNWINDs, WHERE, RETURN)."""
 
-    def __init__(
-        self,
-        mapping: SchemaMapping,
-        query: SelectQuery,
-        typed_literal_values: bool = True,
-    ):
+    def __init__(self, mapping: SchemaMapping, query: SelectQuery):
         self.mapping = mapping
         self.query = query
-        self.typed_literal_values = typed_literal_values
         self.subject_labels: dict[str, list[str]] = {}
         self.subject_classes: dict[str, list[str]] = {}
         self.paths: list[str] = []
@@ -248,7 +239,7 @@ class _Translation:
             self.projections.setdefault(value_var, ("value", value_var))
             return
         if isinstance(pattern.o, Literal):
-            constant = encode_literal_value(pattern.o, self.typed_literal_values)
+            constant = encode_literal_value(pattern.o)
             helper = self._fresh_var("kv")
             self.unwinds.append(f"UNWIND {subject_var}.{key} AS {helper}")
             self.where.append(f"{helper} = {_cypher_value(constant)}")
@@ -274,7 +265,7 @@ class _Translation:
             )
             return
         # Constant literal object: match the literal node by value.
-        constant = encode_literal_value(pattern.o, self.typed_literal_values)
+        constant = encode_literal_value(pattern.o)
         target_var = self._fresh_var("t")
         self.paths.append(
             f"({subject_var})-[:{rel_type}]->({target_var} {{value: {_cypher_value(constant)}}})"
@@ -308,9 +299,7 @@ class _Translation:
                 return f"COALESCE({var}.value, {var}.iri)"
             return f"{var}.iri"
         if isinstance(expression, Literal):
-            return _cypher_value(
-                encode_literal_value(expression, self.typed_literal_values)
-            )
+            return _cypher_value(encode_literal_value(expression))
         if isinstance(expression, IRI):
             return _cypher_value(expression.value)
         raise TranslationError(f"unsupported FILTER operand {expression!r}")
@@ -407,20 +396,11 @@ class _Translation:
         return f"RETURN {distinct}" + ", ".join(items) + order + limit
 
 
-def translate_sparql_to_cypher(
-    sparql_text: str,
-    mapping: SchemaMapping,
-    typed_literal_values: bool = True,
-) -> str:
+def translate_sparql_to_cypher(sparql_text: str, mapping: SchemaMapping) -> str:
     """Translate SPARQL text to Cypher text for an S3PG-transformed graph.
 
     Args:
         sparql_text: the SELECT/ASK query to translate.
         mapping: the ``F_st`` mapping of the target graph's transformation.
-        typed_literal_values: must match the
-            :class:`~repro.core.config.TransformOptions` flag the graph was
-            transformed with, so constant literals compare correctly.
     """
-    return SparqlToCypherTranslator(mapping, typed_literal_values).translate_text(
-        sparql_text
-    )
+    return SparqlToCypherTranslator(mapping).translate_text(sparql_text)

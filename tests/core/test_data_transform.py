@@ -9,6 +9,7 @@ from repro.core import (
     DataTransformer,
     edge_id_for,
     encode_literal_value,
+    is_literal_node,
     literal_node_id,
     node_id_for,
     transform_schema,
@@ -82,6 +83,15 @@ class TestIdentifiers:
     def test_edge_id(self):
         assert edge_id_for("s", "rel", "o") == "s|rel|o"
 
+    def test_literal_nodes_recognised_by_record_not_id(self):
+        result = run(
+            '<lit:x> a :Person ; :name "X" ; :dob "1999"^^xsd:gYear .'
+        )
+        entity = result.graph.get_node("lit:x")
+        value = result.graph.get_node(literal_node_id(Literal("1999", XSD.gYear)))
+        assert not is_literal_node(entity)
+        assert is_literal_node(value)
+
 
 class TestEncodeLiteralValue:
     def test_integer_native(self):
@@ -99,9 +109,6 @@ class TestEncodeLiteralValue:
 
     def test_string_kept(self):
         assert encode_literal_value(Literal("abc")) == "abc"
-
-    def test_untyped_mode_keeps_lexical(self):
-        assert encode_literal_value(Literal("42", XSD.integer), typed=False) == "42"
 
 
 class TestPhase1Entities:

@@ -3,12 +3,16 @@
 import pytest
 
 from repro.core import (
+    DEFAULT_OPTIONS,
     IncrementalTransformer,
     MONOTONE_OPTIONS,
     S3PG,
     apply_delta,
 )
 from repro.datasets import make_evolution_pair
+from repro.fuzz.generators import generate_case
+from repro.fuzz.oracles import _cdc_history
+from repro.pg import PropertyGraphStore
 from repro.rdf import Graph, parse_turtle
 from repro.shacl import parse_shacl
 
@@ -250,6 +254,68 @@ class TestStoreRouting:
         foreign = PropertyGraphStore()
         with pytest.raises(TransformError):
             IncrementalTransformer(result.transformed, store=foreign)
+
+
+class TestLiteralSchemeIRIs:
+    """An IRI under the ``lit:`` scheme names an entity, not a literal
+    node: whether a node is a literal node is decided by its record."""
+
+    BASE = PREFIX + "<lit:x> a :Person ; :friend :b . :b a :Person ."
+
+    def _retract(self, fragment: str):
+        base = parse_turtle(self.BASE)
+        removed = parse_turtle(PREFIX + fragment)
+        result = full_transform(base)
+        apply_delta(result.transformed, removed=removed)
+        assert result.graph.structurally_equal(full_transform(base - removed).graph)
+        return result.graph.get_node("lit:x")
+
+    def test_typed_node_survives_losing_its_only_edge(self):
+        assert self._retract("<lit:x> :friend :b .").labels == {"Person"}
+
+    def test_detyped_node_falls_back_to_resource_label(self):
+        assert self._retract("<lit:x> a :Person .").labels == {"Resource"}
+
+
+#: Fuzz cases with a schema and triples (the valid / mutated / noise kinds).
+RDF_CASES = [
+    case
+    for case in (generate_case(seed, index) for seed in (0, 1) for index in range(10))
+    if case.schema is not None
+]
+
+
+class TestOneMutationSurface:
+    """The same delta history streamed through a bare graph and through a
+    store lands on the same graph, the from-scratch transform, and fresh
+    store catalogs: the two sinks take identical mutations."""
+
+    @pytest.mark.parametrize(
+        "options", [DEFAULT_OPTIONS, MONOTONE_OPTIONS], ids=["pars", "monotone"]
+    )
+    @pytest.mark.parametrize(
+        "case", RDF_CASES, ids=lambda case: f"{case.kind}-{case.seed}"
+    )
+    def test_graph_and_store_sinks_agree(self, case, options):
+        base, deltas, final = _cdc_history(case)
+        bare = S3PG(options).transform(Graph(base), case.schema)
+        stored = S3PG(options).transform(Graph(base), case.schema)
+        store = PropertyGraphStore(stored.graph)
+        transformers = (
+            IncrementalTransformer(bare.transformed),
+            IncrementalTransformer(stored.transformed, store=store),
+        )
+        tracked = Graph(base)
+        for delta in deltas:
+            removed = [t for t in delta.removed if tracked.remove(t)]
+            added = [t for t in delta.added if tracked.add(t)]
+            for incremental in transformers:
+                incremental.apply_deletions(removed)
+                incremental.apply_additions(added)
+        scratch = S3PG(options).transform(Graph(final), case.schema)
+        assert bare.graph.structurally_equal(stored.graph)
+        assert bare.graph.structurally_equal(scratch.graph)
+        assert store.catalog_discrepancies() == []
 
 
 class TestProbeAdditions:

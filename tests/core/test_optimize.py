@@ -75,6 +75,23 @@ class TestStats:
         )
 
 
+    def test_typed_entity_under_lit_scheme_is_kept(self, uni_shapes):
+        # Only literal *nodes* are garbage after folding; an entity whose
+        # IRI happens to start with "lit:" keeps its node and its type.
+        graph = parse_turtle("""
+        @prefix : <http://example.org/university#> .
+        <lit:x> a :Person .
+        :b a :Person .
+        """)
+        result = S3PG(MONOTONE_OPTIONS).transform(graph, uni_shapes)
+        optimized = optimize(result.transformed)
+        assert optimized.graph.has_node("lit:x")
+        pars = S3PG(DEFAULT_OPTIONS).transform(graph, uni_shapes)
+        assert optimized.graph.structurally_equal(pars.graph)
+        back = pg_to_rdf(optimized.graph, optimized.schema_result.mapping)
+        assert graphs_equal_modulo_bnodes(graph, back)
+
+
 class TestPipelineIntegration:
     def test_convert_incrementally_then_compact(self, uni_graph, uni_shapes):
         """The intended usage: monotone conversion while evolving, then

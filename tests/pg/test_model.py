@@ -62,6 +62,50 @@ class TestNodes:
             pg.remove_node("zzz")
 
 
+class TestNodeMutators:
+    """The store's node mutators, offered by the graph with the same
+    signatures so one caller can write to either."""
+
+    def test_add_label(self, pg):
+        pg.add_label("c", "Archived")
+        pg.add_label("c", "Archived")
+        assert pg.get_node("c").labels == {"Archived"}
+
+    def test_remove_label(self, pg):
+        pg.remove_label("b", "Student")
+        assert pg.get_node("b").labels == {"Person"}
+
+    def test_remove_absent_label_is_noop(self, pg):
+        pg.remove_label("a", "Student")
+        assert pg.get_node("a").labels == {"Person"}
+
+    def test_set_node_property(self, pg):
+        pg.set_node_property("a", "name", ["Ann", "Anna"])
+        assert pg.get_node("a").properties["name"] == ["Ann", "Anna"]
+
+    def test_set_node_property_validates_value(self, pg):
+        with pytest.raises(GraphError):
+            pg.set_node_property("a", "name", {"not": "scalar"})
+
+    def test_delete_node_property(self, pg):
+        pg.delete_node_property("a", "name")
+        assert pg.get_node("a").properties == {"iri": "http://x/a"}
+
+    def test_delete_absent_property_is_noop(self, pg):
+        pg.delete_node_property("c", "name")
+        assert pg.get_node("c").properties == {}
+
+    def test_mutating_a_missing_node_raises(self, pg):
+        for mutate in (
+            lambda: pg.add_label("zzz", "L"),
+            lambda: pg.remove_label("zzz", "L"),
+            lambda: pg.set_node_property("zzz", "k", 1),
+            lambda: pg.delete_node_property("zzz", "k"),
+        ):
+            with pytest.raises(GraphError):
+                mutate()
+
+
 class TestProperties:
     def test_set_property_scalar_types(self):
         node = PGNode(id="n")

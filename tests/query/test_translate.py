@@ -176,22 +176,8 @@ class TestUnsupportedConstructs:
             )
 
 
-class TestTypedLiteralValuesOption:
-    def test_untyped_graphs_match_constant_queries(self):
-        """The translator must encode constants the way the graph stores
-        them (typed_literal_values=False keeps lexical forms)."""
-        from repro.core import TransformOptions
-
-        untyped = TransformOptions(typed_literal_values=False)
-        result = transform(GRAPH, SHAPES, options=untyped)
-        engine = CypherEngine(PropertyGraphStore(result.graph))
-        sparql = PROLOG + "SELECT ?e WHERE { ?e a :Album ; :year 2001 . }"
-        cypher = translate_sparql_to_cypher(
-            sparql, result.mapping, typed_literal_values=False
-        )
-        assert len(engine.query(cypher)) == len(SparqlEngine(GRAPH).query(sparql))
-
-    def test_default_typed_translation_unchanged(self):
+class TestConstantEncoding:
+    def test_typed_constant_matches_native_value(self):
         result = transform(GRAPH, SHAPES)
         engine = CypherEngine(PropertyGraphStore(result.graph))
         sparql = PROLOG + "SELECT ?e WHERE { ?e a :Album ; :year 2001 . }"
