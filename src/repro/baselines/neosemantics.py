@@ -106,7 +106,7 @@ class NeoSemanticsTransformer:
         records in the transaction state, and every commit flushes them to
         a write-ahead log with an fsync."""
         start = time.perf_counter()
-        resolver = NameResolver(use_prefixes=True)
+        resolver = NameResolver()
         store = PropertyGraphStore(property_indexes=(URI_KEY,))
         stats = NeoSemanticsStats()
         tx_state: dict[int, str] = {}

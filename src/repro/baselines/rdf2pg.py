@@ -143,7 +143,7 @@ class Rdf2pgTransformer:
     def transform(self, source: Graph | Iterable[Triple]) -> Rdf2pgResult:
         """Run transformation (to YARS-PG + CSV) and bulk load."""
         start = time.perf_counter()
-        resolver = NameResolver(use_prefixes=True)
+        resolver = NameResolver()
         pg = PropertyGraph()
         stats = Rdf2pgStats()
         if isinstance(source, Graph):

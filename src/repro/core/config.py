@@ -19,9 +19,6 @@ class TransformOptions:
     Attributes:
         parsimonious: use the parsimonious model (default True).  With
             False, the non-parsimonious (fully monotone) model is used.
-        use_prefixes: derive PG labels/keys as ``prefix_localName``
-            (e.g. ``dbp_address``); with False bare local names are used,
-            matching the paper's Figure 2 display convention.
         on_unknown: what to do with triples not covered by the shape
             schema: ``"fallback"`` converts them with a generic
             heterogeneous-property rule (fully information preserving),
@@ -30,7 +27,6 @@ class TransformOptions:
     """
 
     parsimonious: bool = True
-    use_prefixes: bool = True
     on_unknown: str = "fallback"
 
     def __post_init__(self) -> None:

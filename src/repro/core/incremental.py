@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from ..errors import TransformError
 from ..namespaces import RDF_TYPE
-from ..pg.model import PGNode
+from ..pg.model import PGEdge, PGNode
 from ..pg.store import PropertyGraphStore
 from ..rdf.terms import IRI, Literal, Triple
 from .config import TransformOptions
@@ -235,27 +235,13 @@ class IncrementalTransformer:
             stats.skipped += 1
             return
         obj = triple.o
-        if (
-            isinstance(obj, Literal)
-            and prop.is_key_value()
-            and obj.datatype == prop.datatype
-        ):
-            # Lines 21-23: parsimonious key/value storage.  The literal must
-            # carry the datatype the schema mapped the key to; off-schema
-            # values fall through to the literal node below.  A second
-            # value for a max-1 key promotes the entry to an array, which
-            # keeps the transformation lossless and makes the cardinality
-            # violation visible to PG-Schema conformance checking.
-            value = encode_literal_value(obj)
-            current = node.properties.get(prop.pg_key)
-            if isinstance(current, list):
-                value = current + [value]
-            elif current is not None:
-                value = [current, value]
-            self._sink.set_node_property(node.id, prop.pg_key, value)
-            stats.key_values += 1
-            return
         if isinstance(obj, Literal):
+            key = prop.key_for(obj.datatype)
+            if key is not None:
+                # Lines 21-23: parsimonious key/value storage.
+                self._add_value(node, key, encode_literal_value(obj))
+                stats.key_values += 1
+                return
             # Lines 25-31: multi-type / heterogeneous values become typed
             # literal nodes.
             dst_id = self._literal_node(obj, stats)
@@ -270,6 +256,18 @@ class IncrementalTransformer:
                 node.id, dst_id, labels={rel_type}, edge_id=edge_id
             )
             stats.edges += 1
+
+    def _add_value(self, node: PGNode, key: str, value: object) -> None:
+        """Store ``value`` under record key ``key``.  A second value for a
+        max-1 key promotes the entry to an array, which keeps the
+        transformation lossless and makes the cardinality violation visible
+        to PG-Schema conformance checking."""
+        current = node.properties.get(key)
+        if isinstance(current, list):
+            value = current + [value]
+        elif current is not None:
+            value = [current, value]
+        self._sink.set_node_property(node.id, key, value)
 
     def _resource_node(self, node_id: str, stats: DataTransformStats) -> PGNode:
         """The node ``node_id``; a generic resource node when it is new."""
@@ -332,22 +330,14 @@ class IncrementalTransformer:
     ) -> None:
         prop = self._resolve(node.labels, triple.p.value)
         obj = triple.o
+        is_literal = isinstance(obj, Literal)
+        key = prop.key_for(obj.datatype) if prop and is_literal else None
         # prop is None for a triple skipped on the way in: only the subject
         # node it may have created is left to collect.
-        if prop is None:
-            pass
-        elif (
-            isinstance(obj, Literal)
-            and prop.is_key_value()
-            and obj.datatype == prop.datatype
-            and prop.pg_key in node.properties
-        ):
-            self._remove_value(node, prop.pg_key, encode_literal_value(obj))
-        else:
-            if isinstance(obj, Literal):
-                dst_id = literal_node_id(obj)
-            else:
-                dst_id = node_id_for(obj)
+        if key is not None:
+            self._remove_value(node, key, encode_literal_value(obj))
+        elif prop is not None:
+            dst_id = literal_node_id(obj) if is_literal else node_id_for(obj)
             edge_id = edge_id_for(node.id, self._rel_type(prop), dst_id)
             if edge_id in self.graph.edges:
                 self._sink.remove_edge(edge_id)
@@ -359,7 +349,7 @@ class IncrementalTransformer:
         self._gc_node(node.id, stats)
 
     def _remove_value(self, node: PGNode, key: str, value: object) -> None:
-        current = node.properties[key]
+        current = node.properties.get(key)
         if not isinstance(current, list):
             if current == value:
                 self._sink.delete_node_property(node.id, key)
@@ -375,6 +365,30 @@ class IncrementalTransformer:
             self._sink.set_node_property(
                 node.id, key, rest[0] if len(rest) == 1 else rest
             )
+
+    # ------------------------------------------------------------------ #
+    # Compaction
+    # ------------------------------------------------------------------ #
+
+    def fold_edge(self, edge: PGEdge, predicate: str, stats: DeltaStats) -> bool:
+        """Re-take the add path's key/value decision for an existing edge
+        realising ``predicate``; True when the edge was folded into its
+        source's record (its literal node collected once orphaned).  An
+        edge that stays registers the types the add path registers for it.
+        """
+        node, dst = self.graph.nodes[edge.src], self.graph.nodes[edge.dst]
+        prop = self._resolve(node.labels, predicate)
+        datatype = dst.properties[DTYPE_KEY] if is_literal_node(dst) else None
+        key = None if datatype is None else prop.key_for(datatype)
+        if key is None:
+            self._rel_type(prop)
+            if datatype is not None:
+                self.registry.ensure_literal_type(datatype)
+            return False
+        self._add_value(node, key, dst.properties[VALUE_KEY])
+        self._sink.remove_edge(edge.id)
+        self._gc_node(dst.id, stats)
+        return True
 
     def _gc_node(self, node_id: str, stats: DeltaStats) -> None:
         """Remove a node once it carries no information of its own."""

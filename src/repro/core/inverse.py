@@ -19,8 +19,11 @@ defines as part of the transformation output).
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from ..errors import TransformError
 from ..namespaces import RDF_TYPE, XSD
+from ..pg.csv_io import read_csv
 from ..pg.model import PGNode, PropertyGraph
 from ..rdf.graph import Graph
 from ..rdf.terms import IRI, BlankNode, Literal, Object, Subject, Triple
@@ -34,7 +37,8 @@ from ..shacl.model import (
     ShapeSchema,
     ValueType,
 )
-from .data_transform import is_literal_node
+from .config import DEFAULT_OPTIONS, MONOTONE_OPTIONS, TransformOptions
+from .data_transform import TransformedGraph, is_literal_node
 from .mapping import (
     DTYPE_KEY,
     IRI_KEY,
@@ -44,6 +48,7 @@ from .mapping import (
     SchemaMapping,
     VALUE_KEY,
 )
+from .schema_transform import SchemaTransformer, SchemaTransformResult
 
 _TYPE = IRI(RDF_TYPE)
 
@@ -212,36 +217,37 @@ def shape_schemas_equivalent(a: ShapeSchema, b: ShapeSchema) -> bool:
     return True
 
 
-def rebuild_transformed(pgdir, mapping_path):
+def schema_result_for(
+    mapping: SchemaMapping, options: TransformOptions
+) -> SchemaTransformResult:
+    """``(S_PG, F_st)`` re-derived from a mapping under ``options``.
+
+    ``N`` recovers the shape schema, ``F_st`` transforms it, and the
+    external classes and fallback predicates the mapping's own run minted
+    are re-registered, so the result covers every graph that run produced.
+    """
+    result = SchemaTransformer(options).transform(pgschema_to_shacl(mapping))
+    for class_mapping in mapping.classes.values():
+        if not class_mapping.from_shape:
+            result.registry.ensure_external_class(class_mapping.class_iri)
+    for predicate in mapping.fallback:
+        result.registry.fallback_property(predicate)
+    return result
+
+
+def rebuild_transformed(pgdir, mapping_path) -> TransformedGraph:
     """Rebuild a :class:`TransformedGraph` from CSV + ``mapping.json`` artifacts.
 
-    The schema mapping records everything a fresh run needs: the model
-    flavour (parsimonious or monotone), the shape-derived PG-Schema (via
-    :func:`pgschema_to_shacl`), and the fallback predicates / external
-    classes the original run minted.  Used by ``repro compact``,
+    The mapping records the model flavour (parsimonious or monotone) and
+    everything :func:`schema_result_for` needs.  Used by ``repro compact``,
     ``repro serve``, and checkpoint resume.
     """
-    from pathlib import Path
-
-    from ..pg.csv_io import read_csv
-    from .config import DEFAULT_OPTIONS, MONOTONE_OPTIONS
-    from .data_transform import TransformedGraph
-    from .schema_transform import SchemaTransformer
-
     mapping = SchemaMapping.from_json(
         Path(mapping_path).read_text(encoding="utf-8")
     )
     options = DEFAULT_OPTIONS if mapping.parsimonious else MONOTONE_OPTIONS
-    schema_result = SchemaTransformer(options).transform(
-        pgschema_to_shacl(mapping)
-    )
-    # Re-register the fallback predicates and external classes the
-    # original run added, so the rebuilt schema covers the whole graph.
-    for class_mapping in mapping.classes.values():
-        if not class_mapping.from_shape:
-            schema_result.registry.ensure_external_class(class_mapping.class_iri)
-    for predicate in mapping.fallback:
-        schema_result.registry.fallback_property(predicate)
     return TransformedGraph(
-        graph=read_csv(pgdir), schema_result=schema_result, options=options
+        graph=read_csv(pgdir),
+        schema_result=schema_result_for(mapping, options),
+        options=options,
     )

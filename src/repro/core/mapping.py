@@ -90,6 +90,17 @@ class PropertyMapping:
         """True for key/value (record attribute) realization."""
         return self.mode == MODE_KEY_VALUE
 
+    def key_for(self, datatype: str) -> str | None:
+        """The record key a literal of ``datatype`` folds into, or None when
+        it stays an edge to a literal node — the per-literal half of the
+        parsimonious fold (:func:`~repro.core.schema_transform.foldable_predicates`
+        is the schema half).  A language-tagged literal's datatype is
+        ``rdf:langString``, never foldable, so the datatype alone decides.
+        """
+        if self.mode == MODE_KEY_VALUE and datatype == self.datatype:
+            return self.pg_key
+        return None
+
     def to_dict(self) -> dict:
         """JSON-ready representation."""
         return {

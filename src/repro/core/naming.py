@@ -38,14 +38,12 @@ class NameResolver:
     """Maps IRIs to unique PG names and remembers the inverse.
 
     Args:
-        prefixes: prefix table used to derive ``prefix_local`` names.
-        use_prefixes: when False, bare local names are used (Figure 2
-            style); collisions are still disambiguated.
+        prefixes: prefix table used to derive ``prefix_local`` names; an
+            IRI outside every prefix gets its bare local name.
     """
 
-    def __init__(self, prefixes: PrefixMap | None = None, use_prefixes: bool = True):
+    def __init__(self, prefixes: PrefixMap | None = None):
         self.prefixes = prefixes or PrefixMap.with_defaults()
-        self.use_prefixes = use_prefixes
         self._iri_to_name: dict[str, str] = {}
         self._name_to_iri: dict[str, str] = {}
 
@@ -62,11 +60,10 @@ class NameResolver:
         return candidate
 
     def _base_name(self, iri: str) -> str:
-        if self.use_prefixes:
-            compacted = self.prefixes.compact(iri)
-            if compacted != iri:
-                prefix, local = compacted.split(":", 1)
-                return sanitize(f"{prefix}_{local}")
+        compacted = self.prefixes.compact(iri)
+        if compacted != iri:
+            prefix, local = compacted.split(":", 1)
+            return sanitize(f"{prefix}_{local}")
         return sanitize(local_name(iri))
 
     def iri_for(self, name: str) -> str | None:

@@ -26,8 +26,11 @@ from dataclasses import dataclass, field
 
 from ..errors import TransformError
 from ..shacl.model import NodeShape, ShapeSchema
-from .mapping import MODE_KEY_VALUE
-from .schema_transform import SchemaTransformer, SchemaTransformResult
+from .schema_transform import (
+    SchemaTransformer,
+    SchemaTransformResult,
+    foldable_predicates,
+)
 
 
 class SchemaEvolutionConflict(TransformError):
@@ -95,7 +98,7 @@ def apply_schema_delta(
     transformer = SchemaTransformer(options)
 
     if options.parsimonious:
-        _check_parsimonious_conflicts(result, merged, transformer)
+        _check_parsimonious_conflicts(base_schema, merged)
 
     # Transform the merged schema with a fresh transformer, then graft the
     # *new* elements into the existing result.  Because naming is a
@@ -155,17 +158,13 @@ def _options_for(result: SchemaTransformResult):
     return DEFAULT_OPTIONS if result.mapping.parsimonious else MONOTONE_OPTIONS
 
 
-def _check_parsimonious_conflicts(
-    result: SchemaTransformResult,
-    merged: ShapeSchema,
-    transformer: SchemaTransformer,
-) -> None:
-    """Detect predicates whose key/value realization the delta invalidates."""
-    edge_forced = transformer._compute_edge_forced(merged)
-    conflicts: list[str] = []
-    for class_mapping in result.mapping.classes.values():
-        for predicate, prop in class_mapping.properties.items():
-            if prop.mode == MODE_KEY_VALUE and predicate in edge_forced:
-                conflicts.append(predicate)
+def _check_parsimonious_conflicts(base: ShapeSchema, merged: ShapeSchema) -> None:
+    """Detect predicates whose key/value realization the delta invalidates:
+    the fold rule's answer for them differs on the merged schema."""
+    folded = foldable_predicates(merged)
+    conflicts = [
+        predicate for predicate, datatype in foldable_predicates(base).items()
+        if folded.get(predicate) != datatype
+    ]
     if conflicts:
-        raise SchemaEvolutionConflict(sorted(set(conflicts)))
+        raise SchemaEvolutionConflict(conflicts)

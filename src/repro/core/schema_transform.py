@@ -211,6 +211,28 @@ class TypeRegistry:
         return prop
 
 
+def foldable_predicates(shape_schema: ShapeSchema) -> dict[str, str]:
+    """The parsimonious fold rule: predicate -> the datatype of its key.
+
+    A predicate is stored as a record key when every property shape on it
+    admits exactly one literal datatype, the same one everywhere, and that
+    datatype is not ``rdf:langString``.  The rule is global: if any shape
+    needs an edge for a predicate (multi-type, heterogeneous, or another
+    datatype elsewhere), every shape uses the edge.  Otherwise an entity
+    carrying several types — or a query phrased against a superclass —
+    would resolve the same predicate to different representations.
+    """
+    datatypes: dict[str, str | None] = {}
+    for _, phi in shape_schema.all_property_shapes():
+        sole = phi.sole_literal_type()
+        datatype = (
+            None if sole is None or sole.datatype == _LANG_STRING else sole.datatype
+        )
+        if datatypes.setdefault(phi.path, datatype) != datatype:
+            datatypes[phi.path] = None
+    return {p: d for p, d in datatypes.items() if d is not None}
+
+
 class SchemaTransformer:
     """Transforms a :class:`ShapeSchema` into ``(S_PG, F_st)``.
 
@@ -234,18 +256,14 @@ class SchemaTransformer:
             TransformError: when shapes reference unknown shapes.
         """
         shape_schema.validate_references()
-        resolver = NameResolver(self.prefixes, use_prefixes=self.options.use_prefixes)
+        resolver = NameResolver(self.prefixes)
         pg_schema = PGSchema()
         mapping = SchemaMapping(parsimonious=self.options.parsimonious)
         registry = TypeRegistry(pg_schema, mapping, resolver)
 
-        # A predicate's realization must be *globally consistent*: if any
-        # shape needs the edge realization for a predicate (multi-type,
-        # heterogeneous, or a different datatype elsewhere), every shape
-        # uses the edge realization.  Otherwise an entity carrying several
-        # types — or a query phrased against a superclass — would resolve
-        # the same predicate to different representations.
-        self._edge_forced = self._compute_edge_forced(shape_schema)
+        self._foldable = (
+            foldable_predicates(shape_schema) if self.options.parsimonious else {}
+        )
 
         # Pass 1: allocate node types and labels for every shape so that
         # forward references (inheritance, shape refs) resolve.
@@ -306,21 +324,6 @@ class SchemaTransformer:
 
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _compute_edge_forced(shape_schema: ShapeSchema) -> set[str]:
-        """Predicates that must use the edge realization in every shape."""
-        datatype_seen: dict[str, str] = {}
-        forced: set[str] = set()
-        for _, phi in shape_schema.all_property_shapes():
-            sole = phi.sole_literal_type()
-            if sole is None or sole.datatype == _LANG_STRING:
-                forced.add(phi.path)
-                continue
-            previous = datatype_seen.setdefault(phi.path, sole.datatype)
-            if previous != sole.datatype:
-                forced.add(phi.path)
-        return forced
-
     def _transform_property(
         self,
         phi: PropertyShape,
@@ -333,15 +336,9 @@ class SchemaTransformer:
         resolver: NameResolver,
         pg_schema: PGSchema,
     ) -> PropertyMapping:
-        sole_literal = phi.sole_literal_type()
-        parsimonious_ok = (
-            self.options.parsimonious
-            and sole_literal is not None
-            and sole_literal.datatype != _LANG_STRING
-            and phi.path not in self._edge_forced
-        )
-        if parsimonious_ok:
-            return self._as_key_value(phi, sole_literal, node_type, resolver)
+        datatype = self._foldable.get(phi.path)
+        if datatype is not None:
+            return self._as_key_value(phi, datatype, node_type, resolver)
         return self._as_edge(
             phi, shape_schema, shape_labels, label, type_name, registry,
             resolver, pg_schema,
@@ -350,13 +347,13 @@ class SchemaTransformer:
     def _as_key_value(
         self,
         phi: PropertyShape,
-        literal_type: LiteralType,
+        datatype: str,
         node_type: NodeType,
         resolver: NameResolver,
     ) -> PropertyMapping:
         """Table 1: single-type literal -> record property."""
         pg_key = resolver.name_for(phi.path)
-        content = content_type_for_datatype(literal_type.datatype)
+        content = content_type_for_datatype(datatype)
         array = phi.max_count == UNBOUNDED or phi.max_count > 1
         spec = PropertySpec(
             key=pg_key,
@@ -372,12 +369,12 @@ class SchemaTransformer:
         # Record the provenance of the key so that the PG-Schema text alone
         # suffices to reconstruct the SHACL property shape (used by N).
         node_type.annotations[f"{pg_key}__iri"] = phi.path
-        node_type.annotations[f"{pg_key}__datatype"] = literal_type.datatype
+        node_type.annotations[f"{pg_key}__datatype"] = datatype
         return PropertyMapping(
             predicate=phi.path,
             mode=MODE_KEY_VALUE,
             pg_key=pg_key,
-            datatype=literal_type.datatype,
+            datatype=datatype,
             min_count=phi.min_count,
             max_count=phi.max_count,
             array=array,

@@ -19,6 +19,7 @@ from typing import Callable
 from ..core.config import DEFAULT_OPTIONS, MONOTONE_OPTIONS, TransformOptions
 from ..core.inverse import pg_to_rdf, pgschema_to_shacl, scalar_to_lexical, \
     shape_schemas_equivalent
+from ..core.optimize import optimize
 from ..core.pipeline import transform
 from ..errors import ParseError, TranslationError
 from ..namespaces import RDF_TYPE, local_name
@@ -77,6 +78,38 @@ def roundtrip_schema(case: FuzzCase) -> str | None:
         recovered = pgschema_to_shacl(result.mapping)
         if not shape_schemas_equivalent(recovered, case.schema):
             return f"N(F_st(S)) != S in {_mode(options)} mode"
+    return None
+
+
+# --------------------------------------------------------------------- #
+# Parsimonious is a fold (Sec. 4.1.1): optimize(F_dt^np(G)) = F_dt^p(G)
+# --------------------------------------------------------------------- #
+
+def fold_exact(case: FuzzCase) -> str | None:
+    """Parsimonious ``F_dt`` is the fold of the non-parsimonious one:
+    ``optimize(F_dt^np(G))`` equals ``F_dt^p(G)`` as a graph, ``M`` maps it
+    back to ``G``, and the two agree in their conformance reports and
+    their mappings (checked in that order, most severe first)."""
+    graph = Graph(case.triples)
+    pars = transform(graph, case.schema, DEFAULT_OPTIONS)
+    folded = optimize(transform(graph, case.schema, MONOTONE_OPTIONS).transformed)
+    target = folded.schema_result
+    if not folded.graph.structurally_equal(pars.graph):
+        return "optimize(F_dt^np(G)) != F_dt^p(G) as graphs"
+    if not graphs_equal_modulo_bnodes(graph, pg_to_rdf(folded.graph, target.mapping)):
+        return "M(optimize(F_dt^np(G))) != G"
+    got = check_conformance(folded.graph, target.pg_schema)
+    want = check_conformance(pars.graph, pars.pg_schema)
+    if (got.conforms, sorted(map(str, got.violations))) != (
+        want.conforms, sorted(map(str, want.violations))
+    ):
+        return (
+            f"conformance of optimize(F_dt^np(G)) is {got.conforms} with "
+            f"{len(got.violations)} violation(s), of F_dt^p(G) {want.conforms} "
+            f"with {len(want.violations)}"
+        )
+    if target.mapping.to_json() != pars.mapping.to_json():
+        return "optimize(F_dt^np(G)) and F_dt^p(G) have different mappings"
     return None
 
 
@@ -712,6 +745,11 @@ ORACLES: dict[str, Oracle] = {
         Oracle(
             "roundtrip_schema", ("valid",), roundtrip_schema,
             "N(F_st(S)) ≅ S in both modes",
+        ),
+        Oracle(
+            "fold_exact", _RDF_KINDS, fold_exact,
+            "optimize(F_dt^np(G)) = F_dt^p(G) in graph, mapping and "
+            "conformance, and M of it is G",
         ),
         Oracle(
             "validation_equivalence", ("valid", "mutated"),

@@ -38,17 +38,13 @@ class TestNameResolver:
         resolver = NameResolver(PrefixMap({}))
         assert resolver.name_for("http://unknown.example/ns#Thing") == "Thing"
 
-    def test_without_prefixes(self):
-        resolver = NameResolver(use_prefixes=False)
-        assert resolver.name_for("http://dbpedia.org/property/address") == "address"
-
     def test_stable_across_calls(self):
         resolver = NameResolver()
         first = resolver.name_for("http://x/a")
         assert resolver.name_for("http://x/a") == first
 
     def test_collisions_disambiguated(self):
-        resolver = NameResolver(PrefixMap({}), use_prefixes=False)
+        resolver = NameResolver(PrefixMap({}))
         a = resolver.name_for("http://one.example/Thing")
         b = resolver.name_for("http://two.example/Thing")
         assert a != b

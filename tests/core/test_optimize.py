@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cli import main
 from repro.core import (
     DEFAULT_OPTIONS,
     MONOTONE_OPTIONS,
@@ -10,14 +11,29 @@ from repro.core import (
     optimize,
     pg_to_rdf,
 )
-from repro.datasets import university_graph, university_shapes
 from repro.pgschema import check_conformance
-from repro.rdf import graphs_equal_modulo_bnodes, parse_turtle
+from repro.rdf import (
+    graphs_equal_modulo_bnodes,
+    parse_ntriples,
+    parse_turtle,
+    serialize_ntriples,
+)
+from repro.shacl import serialize_shacl
+from repro.shapes import ExtractionConfig, extract_shapes
 
 
 @pytest.fixture
 def nonpars(uni_graph, uni_shapes):
     return S3PG(MONOTONE_OPTIONS).transform(uni_graph, uni_shapes)
+
+
+@pytest.fixture(scope="module")
+def pruned_shapes(small_dbpedia):
+    """A support-pruned schema the data outruns: some values of key/value
+    predicates carry another datatype and stay edges in both modes."""
+    return extract_shapes(small_dbpedia.graph, ExtractionConfig(
+        min_class_support=3, min_property_support=0.6, min_type_confidence=0.3,
+    ))
 
 
 class TestExactness:
@@ -53,7 +69,6 @@ class TestStats:
     def test_folding_counted(self, nonpars):
         optimized = optimize(nonpars.transformed)
         assert optimized.stats.edges_folded > 0
-        assert optimized.stats.edges_folded == optimized.stats.record_values_created
         assert optimized.stats.literal_nodes_removed > 0
 
     def test_shared_literal_nodes_survive_if_still_referenced(self, uni_shapes):
@@ -106,10 +121,6 @@ class TestPipelineIntegration:
         pars = S3PG(DEFAULT_OPTIONS).transform(uni_graph | delta, uni_shapes)
         assert optimized.graph.structurally_equal(pars.graph)
 
-    def test_rejects_non_parsimonious_target(self, nonpars):
-        with pytest.raises(ValueError):
-            optimize(nonpars.transformed, options=MONOTONE_OPTIONS)
-
     def test_idempotent_on_parsimonious_input(self, uni_graph, uni_shapes):
         pars = S3PG(DEFAULT_OPTIONS).transform(uni_graph, uni_shapes)
         before = pars.graph.canonical_form()
@@ -130,3 +141,40 @@ class TestFallbackCarryOver:
             optimized.graph, optimized.schema_result.pg_schema
         )
         assert report.conforms, [str(v) for v in report.violations[:3]]
+
+
+class TestPrunedSchema:
+    """Edges the fold leaves alone must be registered in the target schema
+    exactly as the parsimonious transform registers them."""
+
+    def test_compaction_round_trips_through_m(self, small_dbpedia, pruned_shapes):
+        graph = small_dbpedia.graph
+        nonpars = S3PG(MONOTONE_OPTIONS).transform(graph, pruned_shapes)
+        pars = S3PG(DEFAULT_OPTIONS).transform(graph, pruned_shapes)
+        optimized = optimize(nonpars.transformed)
+        mapping = optimized.schema_result.mapping
+        assert mapping.to_json() == pars.mapping.to_json()
+        assert graphs_equal_modulo_bnodes(graph, pg_to_rdf(optimized.graph, mapping))
+
+    def test_cli_compact_then_to_rdf(self, small_dbpedia, pruned_shapes,
+                                     tmp_path, capsys):
+        data, shapes = tmp_path / "kg.nt", tmp_path / "shapes.ttl"
+        data.write_text(serialize_ntriples(small_dbpedia.graph), encoding="utf-8")
+        shapes.write_text(serialize_shacl(pruned_shapes), encoding="utf-8")
+        nonpars, compacted = tmp_path / "np", tmp_path / "compacted"
+        back = tmp_path / "back.nt"
+        assert main([
+            "transform", str(data), "--shapes", str(shapes), "-o", str(nonpars),
+            "--non-parsimonious",
+        ]) == 0
+        assert main([
+            "compact", str(nonpars), str(nonpars / "mapping.json"),
+            "-o", str(compacted),
+        ]) == 0
+        assert main([
+            "to-rdf", str(compacted), str(compacted / "mapping.json"),
+            "-o", str(back),
+        ]) == 0
+        assert graphs_equal_modulo_bnodes(
+            parse_ntriples(back), small_dbpedia.graph
+        )
