@@ -13,6 +13,7 @@ routes cases without the oracles having to re-check applicability.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -193,7 +194,31 @@ _PROLOG = f"PREFIX : <{EX}> "
 _MAX_QUERIES = 8
 
 
+def _bound_constant_queries(case: FuzzCase) -> list[str]:
+    """Point lookups on a typed IRI subject sampled from the case's own
+    triples: a bound subject, the same subject typed, and the subject
+    bound through ``FILTER(?e = <s>)`` — the shapes both planners turn
+    into index seeks."""
+    types: dict[IRI, IRI] = {}
+    for t in case.triples:
+        if t.p.value == RDF_TYPE and isinstance(t.s, IRI) and isinstance(t.o, IRI):
+            types.setdefault(t.s, t.o)
+    facts = [t for t in case.triples if t.p.value != RDF_TYPE and t.s in types]
+    if not facts:
+        return []
+    fact = random.Random(case.seed).choice(facts)
+    s, p, cls = fact.s.n3(), fact.p.n3(), types[fact.s].n3()
+    return [
+        f"SELECT ?o WHERE {{ {s} {p} ?o . }}",
+        f"SELECT ?o WHERE {{ {s} a {cls} ; {p} ?o . }}",
+        f"SELECT ?e ?o WHERE {{ ?e {p} ?o . FILTER(?e = {s}) }}",
+    ]
+
+
 def _workload(case: FuzzCase) -> list[str]:
+    """At most ``_MAX_QUERIES`` queries: the bound-constant lookups keep
+    their slots, the per-shape scans fill the rest."""
+    bound = _bound_constant_queries(case)
     queries: list[str] = []
     schema = case.schema
     for shape in schema:
@@ -210,7 +235,7 @@ def _workload(case: FuzzCase) -> list[str]:
                 + f"SELECT (COUNT(*) AS ?n) WHERE {{ ?e a :{cls} ; "
                 f":{prop} ?v . }}"
             )
-    return queries[:_MAX_QUERIES]
+    return queries[:_MAX_QUERIES - len(bound)] + bound
 
 
 def sparql_cypher_differential(case: FuzzCase) -> str | None:
@@ -426,8 +451,6 @@ def _skewed_rdf(seed: int):
     than 4x, so the plan runs with a join order and operator choice
     made on badly wrong cardinalities.  Deterministic in ``seed``.
     """
-    import random
-
     from ..rdf.graph import Triple
     from ..rdf.terms import Literal
 
@@ -457,8 +480,6 @@ def _skewed_rdf(seed: int):
 
 def _skewed_pg(seed: int):
     """A hub-skewed property graph + multi-path MATCH (see _skewed_rdf)."""
-    import random
-
     rng = random.Random(seed ^ 0xADAB)
     starts = rng.randint(4, 8)
     fan = rng.randint(40, 80)
@@ -559,8 +580,6 @@ def _cdc_history(case: FuzzCase) -> tuple[list, list, set]:
     removed triples, duplicate adds, and removes of absent triples — the
     pipeline has to reduce every delta to its effective part.
     """
-    import random
-
     from ..cdc import Delta
 
     pool = list(dict.fromkeys(case.triples))

@@ -15,6 +15,7 @@ from ... import obs
 from ...errors import QueryError
 from ...pg.model import PGEdge, PGNode
 from ...pg.store import PropertyGraphStore
+from ..plan.cypher_plan import absorb_where
 from .ast import (
     Coalesce,
     CountStar,
@@ -193,7 +194,9 @@ class CypherEngine:
                     else:
                         plan_node = snapshots[cursor]
                         cursor += 1
-                        detail = "with WHERE" if clause.where is not None else ""
+                        # only a WHERE left over after absorption runs
+                        residual = absorb_where(clause).where
+                        detail = "with WHERE" if residual is not None else ""
                         chain = ExplainNode(
                             "Match", detail, children=prev + (plan_node,)
                         )
@@ -313,12 +316,12 @@ class CypherEngine:
     ) -> list[tuple] | None:
         """MATCH + simple RETURN on the planner, fully columnar.
 
-        When the whole query is one non-optional MATCH (no WHERE)
-        returning literals, variables, and property accesses — with
-        ORDER BY keys limited to returned aliases — the projection runs
-        straight off the plan's interned-id columns and no per-row
-        binding dicts are built.  Any other shape falls back to the
-        generic pipeline (returns None).
+        When the whole query is one non-optional MATCH (whose WHERE, if
+        any, is absorbed into its patterns entirely) returning literals,
+        variables, and property accesses — with ORDER BY keys limited to
+        returned aliases — the projection runs straight off the plan's
+        interned-id columns and no per-row binding dicts are built.  Any
+        other shape falls back to the generic pipeline (returns None).
         """
         planner = self.planner
         if planner is None or len(query.clauses) != 2:
@@ -327,9 +330,11 @@ class CypherEngine:
         if (
             not isinstance(match, MatchClause)
             or match.optional
-            or match.where is not None
             or not isinstance(ret, ReturnClause)
         ):
+            return None
+        match = absorb_where(match)
+        if match.where is not None:
             return None
         for item in ret.items:
             if not isinstance(
@@ -382,6 +387,7 @@ class CypherEngine:
     ) -> list[Binding]:
         if not clause.optional:
             if self.planner is not None:
+                clause = absorb_where(clause)
                 result = self.planner.execute_match(bindings, clause, self, analyze)
             else:
                 result = bindings

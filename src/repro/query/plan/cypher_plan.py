@@ -15,6 +15,11 @@ to a full node scan otherwise.  The planner instead:
   disconnected path always hash-joins, replacing the reference arm's
   per-row rescan with one cartesian build.
 
+Before planning, :func:`absorb_where` moves each ``var.key = constant``
+conjunct of the clause's WHERE into that variable's node pattern, so a
+bound constant reaches seed selection (an ``iri`` index seek) instead
+of filtering a scan afterwards.
+
 Plans are built from, and executed by, the batch operators of
 :mod:`repro.query.plan.vectorized`: batches carry an ``anchor`` column
 (the node the next expansion starts from) and a ``pivot`` column (the
@@ -30,13 +35,23 @@ from __future__ import annotations
 
 from ... import obs
 from ...pg.store import PropertyGraphStore
-from ..cypher.ast import MatchClause, PathPattern, RelPattern
+from ..cypher.ast import (
+    CypherBoolean,
+    CypherComparison,
+    CypherExpr,
+    CypherLiteral,
+    MatchClause,
+    NodePattern,
+    PathPattern,
+    PropertyAccess,
+    RelPattern,
+)
 from .cache import PlanCache
 from .explain import ExplainNode
 from .stats import FeedbackStore, SeedChoice, StoreCatalog
 from .vectorized import DEFAULT_BATCH_SIZE, BatchMatchPlan, build_batched_match
 
-__all__ = ["CypherPlanner"]
+__all__ = ["CypherPlanner", "absorb_where"]
 
 Binding = dict[str, object]
 
@@ -55,6 +70,83 @@ def _path_variables(path: PathPattern) -> set[str]:
     names = {node.var for node in path.node_patterns() if node.var is not None}
     names |= {rel.var for rel, _ in path.hops if rel.var is not None}
     return names
+
+
+def _conjuncts(expr: CypherExpr):
+    """The top-level AND operands of ``expr`` (flattened)."""
+    if isinstance(expr, CypherBoolean) and expr.op == "and":
+        for operand in expr.operands:
+            yield from _conjuncts(operand)
+    else:
+        yield expr
+
+
+def _bound_constant(expr: CypherExpr) -> tuple[str, str, object] | None:
+    """``(var, key, value)`` when ``expr`` is ``var.key = scalar``."""
+    if not isinstance(expr, CypherComparison) or expr.op != "=":
+        return None
+    for access, constant in ((expr.lhs, expr.rhs), (expr.rhs, expr.lhs)):
+        if isinstance(access, PropertyAccess) and isinstance(constant, CypherLiteral):
+            value = constant.value
+            # None matches nothing under WHERE but "absent" in a pattern,
+            # and NaN equals nothing, not even itself: neither is pushed.
+            if isinstance(value, (str, int, float, bool)) and value == value:
+                return access.var, access.key, value
+    return None
+
+
+def absorb_where(clause: MatchClause) -> MatchClause:
+    """Push WHERE's ``var.key = scalar`` conjuncts into node patterns.
+
+    Returns a MATCH whose paths carry the pushed constants and whose
+    WHERE is the residual (None when every conjunct was absorbed).  Only
+    top-level AND conjuncts on a node variable of the clause move;
+    anything under OR / NOT, and any comparison on a relationship
+    variable, stays in the residual.  The rewrite is exact for a
+    non-optional MATCH: a pattern property, the store's property index
+    and WHERE ``=`` all compare scalars with Python ``==``, and WHERE
+    runs on the match's output rows, where the variable is bound to the
+    node the pattern matched.  OPTIONAL MATCH is not planned, so the
+    engine keeps its WHERE as written.
+    """
+    if clause.where is None:
+        return clause
+    node_vars: set[str] = set()
+    rel_vars: set[str] = set()
+    for path in clause.paths:
+        node_vars.update(n.var for n in path.node_patterns() if n.var is not None)
+        rel_vars.update(rel.var for rel, _ in path.hops if rel.var is not None)
+    node_vars -= rel_vars
+    pushed: dict[str, list[tuple[str, object]]] = {}
+    residual: list[CypherExpr] = []
+    for conjunct in _conjuncts(clause.where):
+        constant = _bound_constant(conjunct)
+        if constant is None or constant[0] not in node_vars:
+            residual.append(conjunct)
+        else:
+            var, key, value = constant
+            pushed.setdefault(var, []).append((key, value))
+    if not pushed:
+        return clause
+
+    def absorb(node: NodePattern) -> NodePattern:
+        properties = node.properties
+        for constraint in pushed.get(node.var, ()):
+            if constraint not in properties:
+                properties += (constraint,)
+        if properties is node.properties:
+            return node
+        return NodePattern(node.var, node.labels, properties)
+
+    paths = [
+        PathPattern(
+            absorb(path.start), tuple((rel, absorb(node)) for rel, node in path.hops)
+        )
+        for path in clause.paths
+    ]
+    if len(residual) > 1:
+        return MatchClause(paths, CypherBoolean("and", tuple(residual)))
+    return MatchClause(paths, residual[0] if residual else None)
 
 
 class CypherPlanner:
@@ -94,7 +186,12 @@ class CypherPlanner:
     def _lookup_plan(
         self, rows: list[Binding], clause: MatchClause
     ) -> tuple[tuple, BatchMatchPlan]:
-        """Plan-cache lookup (build on miss) with shared bookkeeping."""
+        """Plan-cache lookup (build on miss) with shared bookkeeping.
+
+        ``clause`` arrives rewritten by :func:`absorb_where`, so the key's
+        paths carry the constants pushed out of WHERE: two texts that
+        differ only in a WHERE constant get different plans.
+        """
         bound = frozenset(rows[0].keys()) if rows else frozenset()
         clause_vars = set(clause.pattern_variables())
         nullable = frozenset(

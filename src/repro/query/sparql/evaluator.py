@@ -205,6 +205,56 @@ def _as_bool(value: object) -> bool:
     return bool(value)
 
 
+def _pin_filter_iris(
+    query: SelectQuery,
+) -> tuple[list[TriplePattern], dict[str, IRI]]:
+    """The BGP with each FILTER-bound ``?v = <iri>`` substituted in.
+
+    Returns the rewritten patterns and the pinned ``{var: iri}``; the
+    caller re-binds each pinned variable on every solution and keeps the
+    FILTER.  A top-level ``?v = <iri>`` conjunct (either operand order)
+    is pinned only when ``?v`` sits in a subject or predicate position
+    of the BGP: every solution then binds ``?v`` to an IRI or a blank
+    node, and ``=`` holds for exactly the one IRI.  In object position a
+    string literal spelling the IRI would compare equal too, so such a
+    FILTER (and any literal constant) stays a plain filter.
+    """
+    positional = {
+        term.name
+        for pattern in query.patterns
+        for term in (pattern.s, pattern.p)
+        if isinstance(term, Var)
+    }
+    pinned: dict[str, IRI] = {}
+    conjuncts = list(query.filters)
+    while conjuncts:
+        expr = conjuncts.pop()
+        if isinstance(expr, BooleanOp) and expr.op == "and":
+            conjuncts.extend(expr.operands)
+            continue
+        if not isinstance(expr, Comparison) or expr.op != "=":
+            continue
+        for var, constant in ((expr.lhs, expr.rhs), (expr.rhs, expr.lhs)):
+            if (
+                isinstance(var, Var)
+                and var.name in positional
+                and isinstance(constant, IRI)
+                # a blank node compares equal to an IRI spelled "_:label"
+                and not constant.value.startswith("_:")
+            ):
+                pinned.setdefault(var.name, constant)
+    if not pinned:
+        return query.patterns, pinned
+    patterns = [
+        TriplePattern(*(
+            pinned.get(term.name, term) if isinstance(term, Var) else term
+            for term in (pattern.s, pattern.p, pattern.o)
+        ))
+        for pattern in query.patterns
+    ]
+    return patterns, pinned
+
+
 # --------------------------------------------------------------------- #
 # Query execution
 # --------------------------------------------------------------------- #
@@ -270,7 +320,10 @@ def _evaluate(
 ) -> list[dict[str, Term]]:
     solutions: list[Binding] = []
     if planner is not None and query.patterns:
-        bgp = planner.execute_bgp(query.patterns, stats, analyze)
+        patterns, pinned = _pin_filter_iris(query)
+        bgp = planner.execute_bgp(patterns, stats, analyze)
+        if pinned:
+            bgp = (binding | pinned for binding in bgp)
     else:
         bgp = _evaluate_optional_group(graph, query.patterns, {}, stats)
     for binding in bgp:

@@ -111,6 +111,8 @@ class _Translation:
         #        | ("mixed", cypher_var)
         self.projections: dict[str, tuple[str, str]] = {}
         self.standalone_nodes: set[str] = set()
+        #: Constant subject term -> the Cypher variable standing for it.
+        self.constant_vars: dict[IRI | BlankNode, str] = {}
         self._fresh = 0
 
     # ------------------------------------------------------------------ #
@@ -187,11 +189,15 @@ class _Translation:
         if isinstance(term, Var):
             return term.name
         if isinstance(term, (IRI, BlankNode)):
-            # Constant subject: introduce a var constrained by iri.
-            var = self._fresh_var("s")
-            iri_text = term.value if isinstance(term, IRI) else f"_:{term.label}"
-            self.subject_labels.setdefault(var, [])
-            self.where.append(f"{var}.iri = {_cypher_value(iri_text)}")
+            # Constant subject: one var per constant, constrained by iri,
+            # so every pattern on it lands on the same (connected) node
+            # and sees the classes its type patterns gave it.
+            var = self.constant_vars.get(term)
+            if var is None:
+                var = self.constant_vars[term] = self._fresh_var("s")
+                iri_text = term.value if isinstance(term, IRI) else f"_:{term.label}"
+                self.subject_labels.setdefault(var, [])
+                self.where.append(f"{var}.iri = {_cypher_value(iri_text)}")
             return var
         raise TranslationError(f"unsupported subject term {term!r}")
 

@@ -53,6 +53,13 @@ CYPHER_CASES = {
         "MATCH (p)-[:uni_worksFor]->(d:uni_Department) "
         "RETURN p.iri AS p ORDER BY p"
     ),
+    # A WHERE equality on a bound constant becomes the seed: an iri
+    # index seek, with no residual WHERE left to evaluate.
+    "cypher_where_seek": (
+        "MATCH (s:uni_Student)-[:uni_advisedBy]->(p) "
+        "WHERE s.iri = 'http://example.org/university#bob' "
+        "RETURN p.iri AS p"
+    ),
 }
 
 

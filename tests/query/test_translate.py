@@ -108,6 +108,18 @@ class TestEquivalence:
             setup, PROLOG + "SELECT ?w WHERE { :a1 :writer ?w . }"
         )
 
+    def test_typed_constant_subject_is_one_path(self, setup):
+        """``<s> a C ; p ?o`` names the constant once: one connected path
+        on one variable carrying C's label, not two disconnected ones."""
+        from repro.query import parse_cypher
+
+        cypher = assert_equivalent(
+            setup, PROLOG + "SELECT ?w WHERE { :a1 a :Album ; :writer ?w . }"
+        )
+        match = parse_cypher(cypher).parts[0].clauses[0]
+        assert len(match.paths) == 1, cypher
+        assert match.paths[0].start.labels and cypher.count(".iri = ") == 1
+
     def test_count_query(self, setup):
         assert_equivalent(
             setup,
