@@ -19,6 +19,7 @@ defines as part of the transformation output).
 
 from __future__ import annotations
 
+from array import array
 from pathlib import Path
 
 from ..errors import TransformError
@@ -26,7 +27,7 @@ from ..namespaces import RDF_TYPE, XSD
 from ..pg.csv_io import read_csv
 from ..pg.model import PGNode, PropertyGraph
 from ..rdf.graph import Graph
-from ..rdf.terms import IRI, BlankNode, Literal, Object, Subject, Triple
+from ..rdf.terms import IRI, BlankNode, Literal, Object, Subject
 from ..shacl.model import (
     UNBOUNDED,
     ClassType,
@@ -37,6 +38,7 @@ from ..shacl.model import (
     ShapeSchema,
     ValueType,
 )
+from ..storage.intern import Memo, TermInterner
 from .config import DEFAULT_OPTIONS, MONOTONE_OPTIONS, TransformOptions
 from .data_transform import TransformedGraph, is_literal_node
 from .mapping import (
@@ -81,12 +83,15 @@ def _literal_term(node: PGNode) -> Literal:
 def pg_to_rdf(graph: PropertyGraph, mapping: SchemaMapping) -> Graph:
     """The computable mapping ``M``: rebuild the RDF graph from the PG.
 
+    Each term is built once: per node, label, record key, rel type,
+    literal node and (lexical, datatype) record value.  Statements are
+    collected as slots into that term table, the distinct slots are
+    interned in first-appearance order, and the ids are indexed in bulk.
+
     Raises:
         TransformError: when the PG contains elements the mapping cannot
             attribute to an RDF construct (never happens for S3PG output).
     """
-    rdf = Graph()
-    subjects: dict[str, Subject] = {}
     # Record keys map to a single (predicate, datatype) by construction;
     # precompute the table instead of scanning the mapping per node key.
     key_datatypes: dict[str, str] = {}
@@ -94,50 +99,61 @@ def pg_to_rdf(graph: PropertyGraph, mapping: SchemaMapping) -> Graph:
         for prop in class_mapping.properties.values():
             if prop.pg_key is not None and prop.datatype is not None:
                 key_datatypes.setdefault(prop.pg_key, prop.datatype)
-    for node in graph.nodes.values():
-        if is_literal_node(node):
-            continue
-        subject = _subject_term(node)
-        subjects[node.id] = subject
-        for label in node.labels:
-            if label == RESOURCE_LABEL:
-                continue
-            class_iri = mapping.class_for_label(label)
-            if class_iri is None:
-                raise TransformError(f"label {label!r} has no class mapping")
-            rdf.add(Triple(subject, _TYPE, IRI(class_iri)))
-        for key, value in node.properties.items():
-            if key == IRI_KEY:
-                continue
-            predicate = mapping.predicate_for_key(key)
-            if predicate is None:
-                raise TransformError(f"record key {key!r} has no predicate mapping")
-            datatype = key_datatypes.get(key, XSD.string)
-            values = value if isinstance(value, list) else [value]
-            for item in values:
-                rdf.add(
-                    Triple(
-                        subject,
-                        IRI(predicate),
-                        Literal(scalar_to_lexical(item), datatype),
-                    )
-                )
-    for edge in graph.edges.values():
-        rel_type = edge.label()
+
+    table: list[Object] = [_TYPE]  # slot -> term; slot 0 is rdf:type
+
+    def slot(term: Object) -> int:
+        table.append(term)
+        return len(table) - 1
+
+    def class_slot(label: str) -> int:
+        class_iri = mapping.class_for_label(label)
+        if class_iri is None:
+            raise TransformError(f"label {label!r} has no class mapping")
+        return slot(IRI(class_iri))
+
+    def key_slot(key: str) -> tuple[int, str]:
+        predicate = mapping.predicate_for_key(key)
+        if predicate is None:
+            raise TransformError(f"record key {key!r} has no predicate mapping")
+        return slot(IRI(predicate)), key_datatypes.get(key, XSD.string)
+
+    def rel_slot(rel_type: str) -> int:
         predicate = mapping.predicate_for_rel(rel_type)
         if predicate is None:
             raise TransformError(f"relationship {rel_type!r} has no predicate mapping")
-        subject = subjects.get(edge.src)
-        if subject is None:
+        return slot(IRI(predicate))
+
+    classes, keys, rels = Memo(class_slot), Memo(key_slot), Memo(rel_slot)
+    values = Memo(lambda lexical_datatype: slot(Literal(*lexical_datatype)))
+    literals = Memo(lambda node_id: slot(_literal_term(graph.nodes[node_id])))
+    subjects: dict[str, int] = {}
+    flat: list[int] = []  # the statements' slots, s -> p -> o
+    emit = flat.extend
+    for node in graph.nodes.values():
+        if is_literal_node(node):
+            continue
+        s = subjects[node.id] = slot(_subject_term(node))
+        for label in node.labels:
+            if label != RESOURCE_LABEL:
+                emit((s, 0, classes[label]))
+        for key, value in node.properties.items():
+            if key == IRI_KEY:
+                continue
+            p, datatype = keys[key]
+            for item in value if isinstance(value, list) else (value,):
+                emit((s, p, values[scalar_to_lexical(item), datatype]))
+    for edge in graph.edges.values():
+        p = rels[edge.label()]
+        s = subjects.get(edge.src)
+        if s is None:
             raise TransformError(f"edge {edge.id} starts at a literal node")
-        target_node = graph.nodes[edge.dst]
-        obj: Object
-        if is_literal_node(target_node):
-            obj = _literal_term(target_node)
-        else:
-            obj = _subject_term(target_node)
-        rdf.add(Triple(subject, IRI(predicate), obj))
-    return rdf
+        # Every non-literal node is in ``subjects``.
+        o = subjects.get(edge.dst)
+        emit((s, p, literals[edge.dst] if o is None else o))
+    terms = TermInterner()
+    ids = {i: terms.intern(table[i]) for i in dict.fromkeys(flat)}
+    return Graph._from_ids(terms, array("q", map(ids.__getitem__, flat)))
 
 
 def pgschema_to_shacl(mapping: SchemaMapping) -> ShapeSchema:

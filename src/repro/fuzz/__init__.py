@@ -12,7 +12,13 @@ a corpus replayed by the test suite.
 """
 
 from .generators import CASE_KINDS, FuzzCase, generate_case
-from .oracles import ORACLES, Oracle, fresh_memo_snapshot
+from .oracles import (
+    ORACLES,
+    Oracle,
+    fresh_memo_snapshot,
+    graph_layout,
+    reference_parse,
+)
 from .runner import (
     FuzzReport,
     OracleFailure,
@@ -32,7 +38,9 @@ __all__ = [
     "OracleFailure",
     "fresh_memo_snapshot",
     "generate_case",
+    "graph_layout",
     "load_reproducer",
+    "reference_parse",
     "replay_corpus",
     "run_fuzz",
     "shrink_case",

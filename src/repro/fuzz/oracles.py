@@ -14,6 +14,7 @@ routes cases without the oracles having to re-check applicability.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -34,7 +35,7 @@ from ..query.sparql.evaluator import SparqlEngine
 from ..query.translate import translate_sparql_to_cypher
 from ..rdf.graph import Graph, graphs_equal_modulo_bnodes
 from ..rdf.terms import BlankNode, IRI
-from ..rdf.ntriples import parse_ntriples, serialize_ntriples
+from ..rdf.ntriples import parse_line, parse_ntriples, serialize_ntriples
 from ..rdf.turtle import parse_turtle, serialize_turtle
 from ..shacl.validator import validate as shacl_validate
 from .generators import EX, FuzzCase
@@ -270,6 +271,56 @@ def sparql_cypher_differential(case: FuzzCase) -> str | None:
 # Serializer round-trips
 # --------------------------------------------------------------------- #
 
+def graph_layout(graph: Graph) -> tuple:
+    """Everything a bulk-built graph must share with the same statements
+    added one by one: the term table, each index's key order and
+    postings, the counters with their key order, the size and version."""
+    terms, spo, pos, osp, p_count, p_subjects = graph._storage()
+    return (
+        [terms.term(i) for i in range(len(terms))],
+        *(
+            [(k1, [(k2, list(b)) for k2, b in inner.items()])
+             for k1, inner in index.items()]
+            for index in (spo, pos, osp)
+        ),
+        list(p_count.items()),
+        list(p_subjects.items()),
+        len(graph),
+        graph.version,
+    )
+
+
+def reference_parse(lines: Iterable[str]) -> Graph:
+    """The reference :func:`parse_ntriples` must reproduce on a document's
+    lines: the grammar's line parser, then one ``Graph.add`` per
+    statement."""
+    graph = Graph()
+    for lineno, line in enumerate(lines, start=1):
+        triple = parse_line(line, lineno)
+        if triple is not None:
+            graph.add(triple)
+    return graph
+
+
+def _parse_differential(text: str) -> str | None:
+    """``parse_ntriples(text)`` against :func:`reference_parse`: the same
+    :func:`graph_layout`, or the same ``ParseError``."""
+    def outcome(build: Callable[[], Graph]) -> tuple[str, object]:
+        try:
+            return "a graph", graph_layout(build())
+        except ParseError as exc:
+            return f"ParseError({exc})", (exc.line, exc.column)
+
+    got = outcome(lambda: parse_ntriples(text))
+    want = outcome(lambda: reference_parse(text.splitlines()))
+    if got != want:
+        return (
+            f"parse_ntriples gave {got[0]}, parse_line + Graph.add gave "
+            f"{want[0]} (differing in structure or error position)"
+        )
+    return None
+
+
 def ntriples_roundtrip(case: FuzzCase) -> str | None:
     original = set(case.triples)
     text = serialize_ntriples(case.triples, sort=True)
@@ -287,7 +338,7 @@ def ntriples_roundtrip(case: FuzzCase) -> str | None:
         return f"tight N-Triples document rejected: {exc}"
     if reparsed != original:
         return "tight N-Triples round-trip lost or altered triples"
-    return None
+    return _parse_differential(text) or _parse_differential(tight)
 
 
 def snapshot_roundtrip(case: FuzzCase) -> str | None:
@@ -384,13 +435,12 @@ def parser_robustness(case: FuzzCase) -> str | None:
     except ParseError as exc:
         if case.note.startswith("tight"):
             return f"valid tight-terminator document rejected: {exc}"
-        return None
     except Exception as exc:  # noqa: BLE001 — the property under test
         return (
             f"parser crashed with {type(exc).__name__}: {exc} "
             f"({case.note})"
         )
-    return None
+    return _parse_differential(case.text)
 
 
 # --------------------------------------------------------------------- #

@@ -13,13 +13,21 @@ ids — instead of a Python ``set`` of term objects.  Index traversal is
 int comparisons over machine arrays; term objects are only touched at the
 API boundary.  Graphs can be persisted to and memory-mapped back from
 binary snapshots (:mod:`repro.storage.snapshot`) without re-parsing.
+
+A whole graph — ``Graph(triples)``, the N-Triples parser, the inverse
+mapping ``M`` — is indexed in bulk from a flat array of interned
+``(s, p, o)`` ids; :meth:`Graph.add` / :meth:`Graph.remove` are the
+incremental path, and both paths build the same structure.
 """
 
 from __future__ import annotations
 
 import hashlib
+from array import array
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 from ..namespaces import RDF_TYPE, RDFS
 from ..storage.intern import TermInterner
@@ -42,6 +50,37 @@ def _triple(s: Subject, p: IRI, o: Object) -> Triple:
     _set(t, "p", p)
     _set(t, "o", o)
     return t
+
+
+def _group(
+    first: array, second: array, third: array
+) -> tuple[dict[int, dict[int, IntPostings]], dict[int, int]]:
+    """One permutation index ``first -> second -> postings of third`` with
+    keys in first-appearance order, and the distinct statements per
+    ``first`` key: per-bucket values (an int until a second one arrives,
+    then a list), then sorted distinct postings."""
+    index: dict = {}
+    for k1, k2, v in zip(first, second, third):
+        inner = index.get(k1)
+        if inner is None:
+            index[k1] = {k2: v}
+        else:
+            bucket = inner.get(k2)
+            if bucket is None:
+                inner[k2] = v
+            elif type(bucket) is int:
+                inner[k2] = [bucket, v]
+            else:
+                bucket.append(v)
+    sizes: dict[int, int] = {}
+    for k1, inner in index.items():
+        n = 0
+        for k2, bucket in inner.items():
+            bucket = (bucket,) if type(bucket) is int else sorted(set(bucket))
+            n += len(bucket)
+            inner[k2] = IntPostings(array("q", bucket))
+        sizes[k1] = n
+    return index, sizes
 
 
 @dataclass(frozen=True)
@@ -88,29 +127,51 @@ class Graph:
     """
 
     def __init__(self, triples: Iterable[Triple] | None = None):
+        terms = TermInterner()
+        ids = array("q")
+        if triples is not None:
+            intern = terms.intern
+            ids = array("q", [intern(x) for t in triples for x in (t.s, t.p, t.o)])
+        self._index(terms, ids)
+
+    # ------------------------------------------------------------------ #
+    # Bulk build and storage plumbing (parser / M / snapshot interface)
+    # ------------------------------------------------------------------ #
+
+    @classmethod
+    def _from_ids(cls, terms: TermInterner, ids: array) -> "Graph":
+        """A graph over ``terms`` holding the statements of ``ids``, a flat
+        ``(s, p, o)`` id array interned in statement order."""
+        g = cls.__new__(cls)
+        g._index(terms, ids)
+        return g
+
+    def _index(self, terms: TermInterner, ids: array) -> None:
+        """The bulk build: SPO / POS / OSP from a flat ``(s, p, o)`` id array.
+
+        The result is structurally identical to adding the statements one
+        by one in order: every index dict has its keys in first-appearance
+        order, every bucket is a sorted, distinct ``array('q')``, the
+        counters have the POS key order, and ``version == len``.
+        """
         #: Term ⇄ dense-int dictionary shared by all three indexes.
-        self._terms = TermInterner()
+        self._terms = terms
+        s, p, o = ids[0::3], ids[1::3], ids[2::3]
         # spo[s][p] -> postings of o ; pos[p][o] -> postings of s ;
         # osp[o][s] -> postings of p  (all keys/values are interned ids).
-        self._spo: dict[int, dict[int, IntPostings]] = {}
-        self._pos: dict[int, dict[int, IntPostings]] = {}
-        self._osp: dict[int, dict[int, IntPostings]] = {}
-        self._size = 0
+        self._spo, _ = _group(s, p, o)
+        self._pos, p_count = _group(p, o, s)
+        self._osp, _ = _group(o, s, p)
+        self._size = sum(p_count.values())
         # Incrementally maintained statistics for the query planner:
         # triples per predicate and distinct subjects per predicate.  Both
         # are O(1) dict updates on add/remove; distinct *objects* per
         # predicate need no counter (len of the POS bucket).
-        self._p_count: dict[int, int] = {}
-        self._p_subjects: dict[int, int] = {}
+        self._p_count = p_count
+        pairs = Counter(chain.from_iterable(self._spo.values()))
+        self._p_subjects = {pi: pairs[pi] for pi in p_count}
         #: Monotonic mutation counter (plan/statistics cache invalidation).
-        self._version = 0
-        if triples is not None:
-            for t in triples:
-                self.add(t)
-
-    # ------------------------------------------------------------------ #
-    # Storage plumbing (snapshot friend interface)
-    # ------------------------------------------------------------------ #
+        self._version = self._size
 
     @classmethod
     def _from_storage(
@@ -535,9 +596,7 @@ class Graph:
 
     def union(self, other: "Graph") -> "Graph":
         """A new graph containing the triples of both operands."""
-        result = Graph(self)
-        result.update(other)
-        return result
+        return Graph(chain(self, other))
 
     def difference(self, other: "Graph") -> "Graph":
         """A new graph with the triples of ``self`` not in ``other``."""
@@ -621,10 +680,7 @@ class Graph:
     @classmethod
     def from_triples(cls, triples: Iterable[tuple[Subject, IRI, Object]]) -> "Graph":
         """Build a graph from raw ``(s, p, o)`` tuples."""
-        g = cls()
-        for s, p, o in triples:
-            g.add(Triple(s, p, o))
-        return g
+        return cls(Triple(s, p, o) for s, p, o in triples)
 
     def _blank_part(self) -> tuple[frozenset[int], set[tuple[int, int, int]]]:
         """The blank-node ids (subject or object position) and the id

@@ -2,17 +2,28 @@
 
 N-Triples is the line-oriented RDF serialization used for the streaming
 data-transformation pipeline (Algorithm 1 reads the input graph "triple by
-triple" from a file), so this parser is written as a generator that never
+triple" from a file), so :func:`iter_ntriples` is a generator that never
 holds more than one line in memory.
+
+Every line is first tried against one regular expression for
+*escape-free* statements (IRIs, ASCII blank-node labels, plain /
+``@lang`` / ``^^<dt>`` literals without ``\\``), which covers nearly all
+of a typical file; any other line goes to :func:`parse_line`, the
+grammar's reference and its only error reporter.  A matched line denotes
+exactly the triple :func:`parse_line` returns for it.
 """
 
 from __future__ import annotations
 
 import io
+import re
+from array import array
 from collections.abc import Iterable, Iterator
+from contextlib import nullcontext
 from pathlib import Path
 
 from ..errors import ParseError, TermError
+from ..storage.intern import Memo, TermInterner
 from .graph import Graph
 from .terms import IRI, BlankNode, Literal, Object, Subject, Triple
 
@@ -214,37 +225,106 @@ def parse_line(line: str, lineno: int = 1) -> Triple | None:
     return Triple(s, p, o)
 
 
+# The escape-free subset of the grammar: IRIs without ``\u`` escapes,
+# ASCII blank-node labels (never ending in '.', the terminator), and
+# literals without escapes.
+_IRIREF = r'<[^\x00-\x20<>"{}|^`\\]+>'
+_BNODE = r"_:[A-Za-z0-9_-](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?"
+#: One escape-free statement; the groups are its three term tokens.
+_STATEMENT = re.compile(
+    rf"[ \t]*({_IRIREF}|{_BNODE})[ \t]*({_IRIREF})[ \t]*"
+    rf'({_IRIREF}|{_BNODE}|"[^"\\\n\r]*"(?:@[A-Za-z0-9-]+|\^\^{_IRIREF})?)'
+    r"[ \t]*\.[ \t\r\n]*"
+)
+
+
+def _term(token: str) -> Object:
+    """The term of one token matched by ``_STATEMENT``, built through the
+    public constructors."""
+    head = token[0]
+    if head == "<":
+        return IRI(token[1:-1])
+    if head == "_":
+        return BlankNode(token[2:])
+    end = token.index('"', 1)
+    lexical, suffix = token[1:end], token[end + 1:]
+    if not suffix:
+        return Literal(lexical)
+    if suffix[0] == "@":
+        return Literal(lexical, language=suffix[1:])
+    return Literal(lexical, suffix[3:-1])
+
+
+def _is_text(source: str) -> bool:
+    """A ``str`` is document text, not a path, when it holds a line break,
+    is blank, or starts (after whitespace) with ``<``, ``_:`` or ``#``."""
+    head = source.lstrip()
+    return (
+        not head
+        or head.startswith(("<", "_:", "#"))
+        or "\n" in source
+        or "\r" in source
+    )
+
+
+def _statements(
+    source: str | Path | io.TextIOBase,
+) -> Iterator[tuple[str, str, str] | Triple]:
+    """Each statement of a document: the three tokens of an escape-free
+    line, or the :class:`Triple` :func:`parse_line` reads from any other."""
+    if isinstance(source, io.TextIOBase):
+        opened = nullcontext(source)
+    elif isinstance(source, str) and _is_text(source):
+        opened = nullcontext(source.splitlines())
+    else:
+        opened = open(source, "r", encoding="utf-8")
+    match = _STATEMENT.fullmatch
+    with opened as lines:
+        for lineno, line in enumerate(lines, start=1):
+            m = match(line)
+            if m is not None:
+                yield m.groups()
+            else:
+                triple = parse_line(line, lineno)
+                if triple is not None:
+                    yield triple
+
+
 def iter_ntriples(source: str | Path | io.TextIOBase) -> Iterator[Triple]:
     """Stream triples from an N-Triples document.
 
     Args:
-        source: a path, an open text file, or the document text itself
-            (a string containing a newline or starting with a term marker).
+        source: a path, an open text file, or the document text itself (a
+            string holding a line break, blank, or starting with ``<``,
+            ``_:`` or ``#``).
     """
-    if isinstance(source, io.TextIOBase):
-        lines: Iterable[str] = source
-    elif isinstance(source, Path):
-        with source.open("r", encoding="utf-8") as handle:
-            yield from iter_ntriples(handle)
-            return
-    elif isinstance(source, str) and ("\n" in source or source.lstrip()[:1] in ("<", "_", "#", "")):
-        lines = source.splitlines()
-    else:
-        with open(source, "r", encoding="utf-8") as handle:
-            yield from iter_ntriples(handle)
-            return
-    for lineno, line in enumerate(lines, start=1):
-        triple = parse_line(line, lineno)
-        if triple is not None:
-            yield triple
+    for statement in _statements(source):
+        if type(statement) is tuple:
+            s, p, o = statement
+            statement = Triple(_term(s), _term(p), _term(o))
+        yield statement
 
 
 def parse_ntriples(source: str | Path | io.TextIOBase) -> Graph:
-    """Parse a complete N-Triples document into a :class:`Graph`."""
+    """Parse a complete N-Triples document into a :class:`Graph`.
+
+    Each distinct token's term is built and interned once; the statements
+    become one flat id array, indexed in bulk.
+    """
     from .. import obs
 
     with obs.span("rdf.parse_ntriples") as span:
-        graph = Graph(iter_ntriples(source))
+        terms = TermInterner()
+        intern = terms.intern
+        memo = Memo(lambda token: intern(_term(token)))
+        ids = array("q")
+        for statement in _statements(source):
+            ids.extend(map(
+                memo.__getitem__ if type(statement) is tuple else intern,
+                statement,
+            ))
+        del memo  # the token table is dead weight during the index build
+        graph = Graph._from_ids(terms, ids)
         span.set("triples", len(graph))
     obs.get_metrics().counter(
         "repro_parse_triples_total", help="RDF triples parsed"

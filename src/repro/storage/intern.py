@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-__all__ = ["Interner", "TermInterner"]
+__all__ = ["Interner", "Memo", "TermInterner"]
 
 
 class Interner:
@@ -152,3 +152,18 @@ class TermInterner:
     def __repr__(self) -> str:
         mode = "lazy" if self._ids is None else "materialized"
         return f"<TermInterner {len(self._terms)} terms ({mode})>"
+
+
+class Memo(dict):
+    """``make(key)`` for each key, computed on its first lookup — how the
+    bulk graph builders build each distinct term once."""
+
+    __slots__ = ("_make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key):
+        value = self[key] = self._make(key)
+        return value

@@ -12,11 +12,40 @@ from repro.core import (
     shape_schemas_equivalent,
     transform,
 )
+from repro.core.data_transform import is_literal_node
+from repro.core.inverse import _literal_term, _subject_term
+from repro.core.mapping import IRI_KEY, RESOURCE_LABEL
 from repro.datasets import university_graph, university_shapes
 from repro.errors import TransformError
-from repro.namespaces import XSD
-from repro.rdf import graphs_equal_modulo_bnodes, parse_turtle
+from repro.fuzz import generate_case, graph_layout
+from repro.namespaces import RDF_TYPE, XSD
+from repro.rdf import IRI, Graph, Literal, Triple, graphs_equal_modulo_bnodes, parse_turtle
 from repro.shacl import LiteralType, PropertyShape, parse_shacl
+
+
+def _per_triple_m(pg, mapping) -> Graph:
+    """``M`` statement by statement, one ``Graph.add`` each, in M's order:
+    per node its type triples and record entries, then every edge."""
+    graph, subjects = Graph(), {}
+    for node in pg.nodes.values():
+        if is_literal_node(node):
+            continue
+        s = subjects[node.id] = _subject_term(node)
+        for label in node.labels:
+            if label != RESOURCE_LABEL:
+                graph.add(Triple(s, IRI(RDF_TYPE), IRI(mapping.class_for_label(label))))
+        for key, value in node.properties.items():
+            if key == IRI_KEY:
+                continue
+            p = IRI(mapping.predicate_for_key(key))
+            datatype = mapping.datatype_for_key(key) or XSD.string
+            for item in value if isinstance(value, list) else [value]:
+                graph.add(Triple(s, p, Literal(scalar_to_lexical(item), datatype)))
+    for edge in pg.edges.values():
+        dst = pg.nodes[edge.dst]
+        o = _literal_term(dst) if is_literal_node(dst) else _subject_term(dst)
+        graph.add(Triple(subjects[edge.src], IRI(mapping.predicate_for_rel(edge.label())), o))
+    return graph
 
 
 class TestScalarToLexical:
@@ -81,6 +110,37 @@ class TestM:
         pg.add_node("rogue", labels=set())
         with pytest.raises(TransformError):
             pg_to_rdf(pg, uni_result.mapping)
+
+    @pytest.mark.parametrize("value", [1, []])
+    def test_unknown_record_key_raises(self, uni_result, value):
+        pg = uni_result.graph.copy()
+        pg.add_node("rogue", properties={"iri": "http://x/r", "zzz": value})
+        with pytest.raises(TransformError, match="record key 'zzz' has no predicate mapping"):
+            pg_to_rdf(pg, uni_result.mapping)
+
+    def test_unknown_rel_type_raises(self, uni_result):
+        pg = uni_result.graph.copy()
+        pg.add_node("a", properties={"iri": "http://x/a"})
+        pg.add_edge("a", "a", labels={"zzz"})
+        with pytest.raises(TransformError, match="relationship 'zzz' has no predicate mapping"):
+            pg_to_rdf(pg, uni_result.mapping)
+
+    def test_edge_from_literal_node_raises(self, uni_result):
+        pg = uni_result.graph.copy()
+        rel = next(iter(uni_result.mapping.rel_types))
+        pg.add_node("lit", properties={"value": 1, "dtype": XSD.integer})
+        pg.add_edge("lit", "lit", labels={rel}, edge_id="e")
+        with pytest.raises(TransformError, match="edge e starts at a literal node"):
+            pg_to_rdf(pg, uni_result.mapping)
+
+    @pytest.mark.parametrize("index", [i for i in range(30) if i % 5 < 3])
+    @pytest.mark.parametrize("options", [DEFAULT_OPTIONS, MONOTONE_OPTIONS])
+    def test_bulk_build_is_the_per_triple_add(self, index, options):
+        case = generate_case(1, index)
+        result = transform(Graph(case.triples), case.schema, options)
+        back = pg_to_rdf(result.graph, result.mapping)
+        assert graph_layout(back) == graph_layout(
+            _per_triple_m(result.graph, result.mapping))
 
 
 class TestN:

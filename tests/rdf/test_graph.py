@@ -1,7 +1,11 @@
 """Unit tests for the indexed triple store."""
 
+import random
+from array import array
+
 import pytest
 
+from repro.fuzz import generate_case, graph_layout
 from repro.namespaces import RDF_TYPE, RDFS, XSD
 from repro.rdf import IRI, BlankNode, Graph, Literal, Triple, graphs_equal_modulo_bnodes
 from repro.storage import load_snapshot, save_snapshot
@@ -321,3 +325,60 @@ class TestBlankNodeEquality:
         loaded.add(t("a", "p", "c"))
         assert loaded != g
         assert not graphs_equal_modulo_bnodes(g, loaded)
+
+
+def _added(triples) -> Graph:
+    g = Graph()
+    for triple in triples:
+        g.add(triple)
+    return g
+
+
+class TestBulkBuild:
+    """``Graph(triples)`` indexes in bulk; the result is structurally the
+    graph one ``add`` per triple builds, and stays so under mutation."""
+
+    @pytest.mark.parametrize("index", [i for i in range(45) if i % 5 < 3])
+    def test_bulk_build_is_the_add_path(self, index, tmp_path):
+        case = generate_case(0, index)
+        rng = random.Random(index)
+        triples = case.triples + rng.sample(case.triples, len(case.triples) // 3)
+        rng.shuffle(triples)
+        assert len(set(triples)) < len(triples)
+        bulk, added = Graph(triples), _added(triples)
+        assert all(
+            b._extra is None and type(b._data) is array
+            for perm in (bulk._spo, bulk._pos, bulk._osp)
+            for inner in perm.values() for b in inner.values()
+        )
+        assert graph_layout(bulk) == graph_layout(added)
+        save_snapshot(bulk, tmp_path / "bulk.snap")
+        save_snapshot(added, tmp_path / "added.snap")
+        assert (tmp_path / "bulk.snap").read_bytes() == (tmp_path / "added.snap").read_bytes()
+
+        fresh = [Triple(iri(f"new{i}"), triple.p, triple.o)
+                 for i, triple in enumerate(triples[:5])]
+        pool = triples + fresh
+        for _ in range(3 * len(pool)):
+            triple = rng.choice(pool)
+            if rng.random() < 0.5:
+                assert bulk.add(triple) == added.add(triple)
+            else:
+                assert bulk.remove(triple) == added.remove(triple)
+        assert graph_layout(bulk) == graph_layout(added)
+        save_snapshot(bulk, tmp_path / "bulk.snap")
+        save_snapshot(added, tmp_path / "added.snap")
+        assert (tmp_path / "bulk.snap").read_bytes() == (tmp_path / "added.snap").read_bytes()
+
+    def test_cases_carry_blank_nodes(self):
+        cases = [generate_case(0, i) for i in range(45) if i % 5 < 3]
+        assert any(isinstance(x, BlankNode) for c in cases for tr in c.triples for x in tr)
+
+    def test_empty(self):
+        assert graph_layout(Graph([])) == graph_layout(Graph())
+        assert Graph([]).version == 0
+
+    def test_set_algebra_is_bulk_built(self, graph):
+        other = Graph([t("x", "p", "y"), t("alice", "knows", "bob")])
+        assert graph_layout(graph | other) == graph_layout(_added([*graph, *other]))
+        assert graph_layout(graph.copy()) == graph_layout(_added(graph))

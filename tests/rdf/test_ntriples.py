@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.errors import ParseError
+from repro.fuzz import graph_layout, reference_parse
 from repro.namespaces import XSD
 from repro.rdf import (
     BlankNode,
@@ -16,7 +17,7 @@ from repro.rdf import (
     serialize_ntriples,
     write_ntriples,
 )
-from repro.rdf.ntriples import parse_line
+from repro.rdf.ntriples import _STATEMENT, parse_line
 
 
 class TestParseLine:
@@ -96,6 +97,23 @@ class TestDocuments:
         path = tmp_path / "data.nt"
         path.write_text(self.DOC, encoding="utf-8")
         assert len(parse_ntriples(path)) == 2
+
+    def test_str_path_starting_with_underscore_is_a_path(self, tmp_path, monkeypatch):
+        (tmp_path / "_data.nt").write_text(self.DOC, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert len(parse_ntriples("_data.nt")) == 2
+        assert len(list(iter_ntriples("_data.nt"))) == 2
+
+    @pytest.mark.parametrize(
+        "text, size",
+        [("", 0), ("  ", 0), ("# only a comment", 0),
+         ("_:b <http://x/p> <http://x/o> .", 1),
+         ("  <http://x/s> <http://x/p> <http://x/o> .", 1),
+         ("<http://x/s> <http://x/p> <http://x/o> .\r", 1)],
+    )
+    def test_str_document_text(self, text, size):
+        assert len(parse_ntriples(text)) == size
+        assert len(list(iter_ntriples(text))) == size
 
     def test_round_trip(self):
         g = parse_ntriples(self.DOC)
@@ -234,3 +252,106 @@ class TestSerializerEscaping:
         lines = [line for line in text.splitlines() if line]
         assert len(lines) == 2
         assert set(parse_ntriples(text)) == set(g)
+
+
+def _outcome(build):
+    """A graph's full layout, or the ParseError's message and position."""
+    try:
+        return graph_layout(build())
+    except ParseError as exc:
+        return (str(exc), exc.line, exc.column)
+
+
+def _reference_triples(lines):
+    return [t for n, line in enumerate(lines, start=1)
+            if (t := parse_line(line, n)) is not None]
+
+
+_S, _P = "<http://x/s>", "<http://x/p>"
+_LANG_STRING = "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString"
+
+
+class TestFastPathAgreesWithReference:
+    """Every line through ``parse_ntriples`` / ``iter_ntriples`` and through
+    ``parse_line`` + ``Graph.add``: the same graph structure (term ids,
+    key orders, postings, counters) or the same ParseError."""
+
+    DOCS = [
+        # \u / \U escapes, in range and out of it
+        f'<http://x/s\\u0041> {_P} "a\\u00e9\\U0001F600" .',
+        f'{_S} {_P} "x"^^<http://x/dt\\u0041> .',
+        f'{_S} {_P} "\\U00110000" .',
+        f'{_S} {_P} "\\uD800" .',
+        f'<http://x/s\\uDFFF> {_P} <http://x/o> .',
+        f'<http://x/s\\uZZZZ> {_P} <http://x/o> .',
+        f'{_S} {_P} "\\u12" .',
+        # named escapes, and an unknown one
+        f'{_S} {_P} "a\\"b\\nc\\\\d\\te\\rf\\bg\\fh\\\'i" .',
+        f'{_S} {_P} "\\q" .',
+        # tight terminators and dotted blank-node labels
+        f"{_S} {_P} _:b.",
+        f"_:a.b {_P} _:c.d .",
+        f"{_S} {_P} _:b..",
+        f"_:a. {_P} <http://x/o> .",
+        f"_:a.b.{_P} <http://x/o> .",
+        f"_:.a {_P} <http://x/o> .",
+        f"{_S}{_P}<http://x/o>.",
+        # non-ASCII alphanumerics in labels and language tags
+        f"_:été {_P} _:b² .",
+        f'{_S} {_P} "x"@日本 .',
+        f'{_S} {_P} "x"@en-GB .',
+        # tabs, CRLF, comments, a trailing comment after '.'
+        f"\t{_S}\t{_P}\t<http://x/o>\t.\t",
+        f"{_S} {_P} <http://x/o> .\r\n_:b {_P} \"v\" .\r\n",
+        f"# header\n{_S} {_P} <http://x/o> .\n   # indented\n",
+        f"{_S} {_P} <http://x/o> . # trailing comment",
+        # a langString datatype without a tag; tags that do not parse
+        f'{_S} {_P} "x"^^<{_LANG_STRING}> .',
+        f'{_S} {_P} "x"@ .',
+        f'{_S} {_P} "x" @en .',
+        # one term spelled two ways, a duplicate statement, shared terms
+        f'{_S} {_P} "5" .\n{_S} {_P} "5"^^<http://www.w3.org/2001/XMLSchema#string> .',
+        f"{_S} {_P} <http://x/o> .\n{_S} {_P} <http://x/o> .",
+        f"<http://x/o> {_P} {_S} .\n{_S} {_P} <http://x/o> .\n_:o {_P} _:o .",
+        # IRIs the fast path leaves to the reference
+        f'<http://x/a"b{{c}}> {_P} <http://x/o> .',
+        f"<> {_P} <http://x/o> .",
+        f"<http://x/a<b> {_P} <http://x/o> .",
+        f"\x0c{_S} {_P} <http://x/o> .",
+        f"\ufeff{_S} {_P} <http://x/o> .\n",
+        f"{_S} {_P} <http://x/o> .\x85{_S} {_P} <http://x/q> .",
+    ]
+
+    @pytest.mark.parametrize("text", DOCS)
+    def test_parse_ntriples_matches_reference(self, text):
+        assert _outcome(lambda: parse_ntriples(text)) == _outcome(
+            lambda: reference_parse(text.splitlines()))
+        assert _outcome(lambda: parse_ntriples(io.StringIO(text))) == _outcome(
+            lambda: reference_parse(io.StringIO(text)))
+
+    @pytest.mark.parametrize("text", DOCS)
+    def test_iter_ntriples_matches_reference(self, text):
+        def listed(build):
+            try:
+                return build()
+            except ParseError as exc:
+                return (str(exc), exc.line, exc.column)
+
+        assert listed(lambda: list(iter_ntriples(text))) == listed(
+            lambda: _reference_triples(text.splitlines()))
+
+    @pytest.mark.parametrize(
+        "line, matched",
+        [
+            (f'{_S} {_P} "x"@en .', True),
+            (f"_:a.b {_P} _:c.d .", True),
+            (f"{_S} {_P} _:b.", True),
+            (f'{_S} {_P} "x"^^<http://x/dt> .\r\n', True),
+            (f'{_S} {_P} "a\\nb" .', False),
+            (f'{_S} {_P} "x"@日本 .', False),
+            (f"_:été {_P} <http://x/o> .", False),
+            (f"{_S} {_P} <http://x/o> . # c", False),
+        ],
+    )
+    def test_which_lines_take_the_fast_path(self, line, matched):
+        assert (_STATEMENT.fullmatch(line) is not None) is matched
