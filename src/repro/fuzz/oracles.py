@@ -195,31 +195,48 @@ _PROLOG = f"PREFIX : <{EX}> "
 _MAX_QUERIES = 8
 
 
-def _bound_constant_queries(case: FuzzCase) -> list[str]:
+def _bound_constant_queries(case: FuzzCase) -> tuple[list[str], list[str]]:
     """Point lookups on a typed IRI subject sampled from the case's own
     triples: a bound subject, the same subject typed, and the subject
     bound through ``FILTER(?e = <s>)`` — the shapes both planners turn
-    into index seeks."""
+    into index seeks.
+
+    The second list repeats the lookups for a second subject (with the
+    same predicate and class when the case has one, else an IRI the
+    case does not contain).  Run after the first on the same engine, it
+    executes the plan cached for the first subject with another constant.
+    """
     types: dict[IRI, IRI] = {}
     for t in case.triples:
         if t.p.value == RDF_TYPE and isinstance(t.s, IRI) and isinstance(t.o, IRI):
             types.setdefault(t.s, t.o)
     facts = [t for t in case.triples if t.p.value != RDF_TYPE and t.s in types]
     if not facts:
-        return []
-    fact = random.Random(case.seed).choice(facts)
-    s, p, cls = fact.s.n3(), fact.p.n3(), types[fact.s].n3()
-    return [
-        f"SELECT ?o WHERE {{ {s} {p} ?o . }}",
-        f"SELECT ?o WHERE {{ {s} a {cls} ; {p} ?o . }}",
-        f"SELECT ?e ?o WHERE {{ ?e {p} ?o . FILTER(?e = {s}) }}",
-    ]
+        return [], []
+    rng = random.Random(case.seed)
+    fact = rng.choice(facts)
+    twins = sorted(
+        {t.s for t in facts
+         if t.p == fact.p and t.s != fact.s and types[t.s] == types[fact.s]},
+        key=str,
+    )
+    second = rng.choice(twins) if twins else IRI(EX + "absent")
+    p, cls = fact.p.n3(), types[fact.s].n3()
+    return tuple(
+        [
+            f"SELECT ?o WHERE {{ {s} {p} ?o . }}",
+            f"SELECT ?o WHERE {{ {s} a {cls} ; {p} ?o . }}",
+            f"SELECT ?e ?o WHERE {{ ?e {p} ?o . FILTER(?e = {s}) }}",
+        ]
+        for s in (fact.s.n3(), second.n3())
+    )
 
 
 def _workload(case: FuzzCase) -> list[str]:
-    """At most ``_MAX_QUERIES`` queries: the bound-constant lookups keep
-    their slots, the per-shape scans fill the rest."""
-    bound = _bound_constant_queries(case)
+    """At most ``_MAX_QUERIES`` queries, then the constant swaps: the
+    bound-constant lookups keep their slots, the per-shape scans fill
+    the rest."""
+    bound, swapped = _bound_constant_queries(case)
     queries: list[str] = []
     schema = case.schema
     for shape in schema:
@@ -236,7 +253,7 @@ def _workload(case: FuzzCase) -> list[str]:
                 + f"SELECT (COUNT(*) AS ?n) WHERE {{ ?e a :{cls} ; "
                 f":{prop} ?v . }}"
             )
-    return queries[:_MAX_QUERIES - len(bound)] + bound
+    return queries[:_MAX_QUERIES - len(bound)] + bound + swapped
 
 
 def sparql_cypher_differential(case: FuzzCase) -> str | None:

@@ -54,8 +54,6 @@ from .workload import (
     get_workload,
     install_workload,
     log_workload_event,
-    normalize_cypher,
-    normalize_sparql,
     plan_cache_stats,
     read_query_log,
     record_statement,
@@ -109,8 +107,6 @@ __all__ = [
     "install_recorder",
     "install_workload",
     "log_workload_event",
-    "normalize_cypher",
-    "normalize_sparql",
     "plan_cache_stats",
     "quantiles_from_histogram",
     "read_query_log",

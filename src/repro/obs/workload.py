@@ -3,17 +3,11 @@
 The subsystem has three layers, mirroring how PostgreSQL's
 ``pg_stat_statements`` is used in production:
 
-1. **Fingerprinting** — :func:`normalize_sparql` / :func:`normalize_cypher`
-   rewrite a parsed query into a canonical text: literals and IRIs in
-   constant positions become ordered ``$n`` placeholders and variables
-   are renumbered ``v0, v1, ...`` in first-use order, so literal-renamed
-   queries collapse onto one *statement*.  Structural atoms stay intact:
-   SPARQL predicates and ``rdf:type`` objects, Cypher labels /
-   relationship types / property keys.  The SPARQL canonical pattern
-   text is the parameterized form of the plan cache's
-   ``str(TriplePattern)`` key, so one fingerprint maps onto one family
-   of cached plans.  The fingerprint is a truncated SHA-256 of the
-   canonical text.
+1. **Fingerprinting** — :func:`fingerprint_query` hashes (truncated
+   SHA-256) the canonical text of :mod:`repro.query.normalize`, the
+   shape normaliser the planners key their plan caches with: constants
+   become ordered ``$n`` placeholders and variables are renumbered, so
+   literal-renamed queries collapse onto one *statement*.
 
 2. **Aggregation** — a bounded LRU :class:`WorkloadTracker` registry of
    :class:`StatementStats` keyed by ``(lang, fingerprint)``: calls,
@@ -33,7 +27,7 @@ The subsystem has three layers, mirroring how PostgreSQL's
    hashes, and emits a per-fingerprint report; :func:`diff_reports`
    compares two such reports and flags latency / q-error regressions.
 
-Because canonical texts must be *re-executable*, the normalizers render
+Because canonical texts must be *re-executable*, the normaliser renders
 exactly the fragment the repo's own parsers accept — round-trip
 stability (substitute → parse → normalize → same fingerprint) is pinned
 by the fuzz oracle in ``tests/obs/test_workload_fuzz.py``.
@@ -70,8 +64,6 @@ __all__ = [
     "get_workload",
     "install_workload",
     "log_workload_event",
-    "normalize_cypher",
-    "normalize_sparql",
     "plan_cache_stats",
     "read_query_log",
     "record_statement",
@@ -86,317 +78,10 @@ __all__ = [
 #: How many hex chars of the SHA-256 make a fingerprint.
 _FINGERPRINT_LEN = 16
 
-# Lazy module handles — the query/rdf packages import ``repro.obs`` at
-# module load, so importing them back from here at import time would
-# create a cycle.  Resolved on first use instead.
-_LAZY: dict[str, object] = {}
-
-
-def _sparql_ast():
-    module = _LAZY.get("sparql_ast")
-    if module is None:
-        from ..query.sparql import ast as module  # type: ignore[no-redef]
-
-        _LAZY["sparql_ast"] = module
-    return module
-
-
-def _cypher_ast():
-    module = _LAZY.get("cypher_ast")
-    if module is None:
-        from ..query.cypher import ast as module  # type: ignore[no-redef]
-
-        _LAZY["cypher_ast"] = module
-    return module
-
-
-def _terms():
-    module = _LAZY.get("terms")
-    if module is None:
-        from ..rdf import terms as module  # type: ignore[no-redef]
-
-        _LAZY["terms"] = module
-    return module
-
-
-def _rdf_type_iri() -> str:
-    value = _LAZY.get("rdf_type")
-    if value is None:
-        from ..namespaces import RDF_TYPE as value  # type: ignore[no-redef]
-
-        _LAZY["rdf_type"] = value
-    return value
-
-
-# --------------------------------------------------------------------- #
-# SPARQL normalization
-# --------------------------------------------------------------------- #
-
-class _SparqlNormalizer:
-    """One normalization pass: variable renumbering + parameter lifting."""
-
-    def __init__(self) -> None:
-        self._vars: dict[str, str] = {}
-        self.params: list[str] = []
-
-    def var(self, name: str) -> str:
-        canonical = self._vars.get(name)
-        if canonical is None:
-            canonical = f"v{len(self._vars)}"
-            self._vars[name] = canonical
-        return f"?{canonical}"
-
-    def param(self, term) -> str:
-        self.params.append(term.n3())
-        return f"${len(self.params)}"
-
-    def _term(self, term, structural: bool) -> str:
-        ast = _sparql_ast()
-        if isinstance(term, ast.Var):
-            return self.var(term.name)
-        if structural:
-            return term.n3()
-        return self.param(term)
-
-    def triple(self, pattern) -> str:
-        ast = _sparql_ast()
-        terms = _terms()
-        is_type = (
-            isinstance(pattern.p, terms.IRI)
-            and pattern.p.value == _rdf_type_iri()
-        )
-        s = self._term(pattern.s, structural=False)
-        p = self._term(pattern.p, structural=True)
-        # The object of rdf:type names a *class* — that is query shape,
-        # not a parameter (U3 over :Student and U3 over :Course are
-        # different statements).
-        o = self._term(pattern.o, structural=is_type)
-        return f"{s} {p} {o} ."
-
-    def group(self, patterns) -> str:
-        return " ".join(self.triple(p) for p in patterns)
-
-    def expr(self, node) -> str:
-        ast = _sparql_ast()
-        terms = _terms()
-        if isinstance(node, ast.Var):
-            return self.var(node.name)
-        if isinstance(node, (terms.IRI, terms.Literal)):
-            return self.param(node)
-        if isinstance(node, ast.Comparison):
-            return f"({self.expr(node.lhs)} {node.op} {self.expr(node.rhs)})"
-        if isinstance(node, ast.BooleanOp):
-            glue = " && " if node.op == "and" else " || "
-            return "(" + glue.join(self.expr(op) for op in node.operands) + ")"
-        if isinstance(node, ast.NotOp):
-            return f"(! {self.expr(node.operand)})"
-        if isinstance(node, ast.IsLiteralFn):
-            return f"isLiteral({self.expr(node.operand)})"
-        if isinstance(node, ast.IsIriFn):
-            return f"isIRI({self.expr(node.operand)})"
-        if isinstance(node, ast.StrFn):
-            return f"STR({self.expr(node.operand)})"
-        if isinstance(node, ast.RegexFn):
-            pattern = self.param(terms.Literal(node.pattern))
-            return f"REGEX({self.expr(node.operand)}, {pattern})"
-        raise TypeError(f"unknown SPARQL expression node {type(node).__name__}")
-
-
-def normalize_sparql(query) -> tuple[str, tuple[str, ...]]:
-    """Canonical text + lifted parameters (N3 renderings) of a query."""
-    n = _SparqlNormalizer()
-    body: list[str] = []
-    if query.patterns:
-        body.append(n.group(query.patterns))
-    if query.unions:
-        body.append(
-            " UNION ".join("{ " + n.group(g) + " }" for g in query.unions)
-        )
-    for group in query.optionals:
-        body.append("OPTIONAL { " + n.group(group) + " }")
-    for expression in query.filters:
-        body.append(f"FILTER({n.expr(expression)})")
-    where = "{ " + " ".join(body) + " }" if body else "{ }"
-    if query.ask:
-        text = f"ASK {where}"
-    elif query.count is not None:
-        text = f"SELECT (COUNT(*) AS {n.var(query.count)}) WHERE {where}"
-    else:
-        if query.variables:
-            projection = " ".join(n.var(v.name) for v in query.variables)
-        else:
-            projection = "*"
-        distinct = "DISTINCT " if query.distinct else ""
-        text = f"SELECT {distinct}{projection} WHERE {where}"
-    if query.order_by:
-        keys = " ".join(
-            f"DESC({n.var(k.var.name)})" if k.descending else n.var(k.var.name)
-            for k in query.order_by
-        )
-        text += f" ORDER BY {keys}"
-    if query.limit is not None:
-        text += f" LIMIT {query.limit}"
-    return text, tuple(n.params)
-
-
-# --------------------------------------------------------------------- #
-# Cypher normalization
-# --------------------------------------------------------------------- #
-
-def _cypher_value_text(value: object) -> str:
-    """Render a parsed Cypher literal value back into parseable syntax."""
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, str):
-        # The fragment's tokenizer only unescapes \' and \" — mirror
-        # exactly that (see the module docstring for the corner cases).
-        if "'" in value and '"' not in value:
-            return '"' + value.replace('"', '\\"') + '"'
-        return "'" + value.replace("'", "\\'") + "'"
-    return repr(value)
-
-
-class _CypherNormalizer:
-    """One normalization pass over a parsed Cypher query."""
-
-    def __init__(self) -> None:
-        self._vars: dict[str, str] = {}
-        self.params: list[str] = []
-
-    def var(self, name: str) -> str:
-        canonical = self._vars.get(name)
-        if canonical is None:
-            canonical = f"v{len(self._vars)}"
-            self._vars[name] = canonical
-        return canonical
-
-    def param(self, value: object) -> str:
-        self.params.append(_cypher_value_text(value))
-        return f"${len(self.params)}"
-
-    def node(self, pattern) -> str:
-        inner = self.var(pattern.var) if pattern.var else ""
-        inner += "".join(f":{label}" for label in pattern.labels)
-        if pattern.properties:
-            pairs = ", ".join(
-                f"{key}: {self.param(value)}"
-                for key, value in pattern.properties
-            )
-            inner += ("{" if not inner else " {") + pairs + "}"
-        return f"({inner})"
-
-    def rel(self, pattern) -> str:
-        inner = self.var(pattern.var) if pattern.var else ""
-        if pattern.types:
-            inner += ":" + "|".join(pattern.types)
-        if pattern.direction == "in":
-            return f"<-[{inner}]-"
-        if pattern.direction == "any":
-            return f"-[{inner}]-"
-        return f"-[{inner}]->"
-
-    def path(self, pattern) -> str:
-        parts = [self.node(pattern.start)]
-        for rel, node in pattern.hops:
-            parts.append(self.rel(rel))
-            parts.append(self.node(node))
-        return "".join(parts)
-
-    def expr(self, node) -> str:
-        ast = _cypher_ast()
-        if isinstance(node, ast.CypherLiteral):
-            return self.param(node.value)
-        if isinstance(node, ast.VarRef):
-            return self.var(node.name)
-        if isinstance(node, ast.PropertyAccess):
-            return f"{self.var(node.var)}.{node.key}"
-        if isinstance(node, ast.Coalesce):
-            args = ", ".join(self.expr(a) for a in node.args)
-            return f"COALESCE({args})"
-        if isinstance(node, ast.CountStar):
-            return "count(*)"
-        if isinstance(node, ast.CypherComparison):
-            return f"({self.expr(node.lhs)} {node.op} {self.expr(node.rhs)})"
-        if isinstance(node, ast.CypherBoolean):
-            glue = " AND " if node.op == "and" else " OR "
-            return "(" + glue.join(self.expr(op) for op in node.operands) + ")"
-        if isinstance(node, ast.CypherNot):
-            return f"(NOT {self.expr(node.operand)})"
-        if isinstance(node, ast.IsNull):
-            op = "IS NOT NULL" if node.negated else "IS NULL"
-            return f"({self.expr(node.operand)} {op})"
-        if isinstance(node, ast.HasLabel):
-            return f"({self.var(node.var)}:{node.label})"
-        raise TypeError(f"unknown Cypher expression node {type(node).__name__}")
-
-    def clause(self, clause) -> str:
-        ast = _cypher_ast()
-        if isinstance(clause, ast.MatchClause):
-            text = "OPTIONAL MATCH " if clause.optional else "MATCH "
-            text += ", ".join(self.path(p) for p in clause.paths)
-            if clause.where is not None:
-                text += f" WHERE {self.expr(clause.where)}"
-            return text
-        if isinstance(clause, ast.UnwindClause):
-            return f"UNWIND {self.expr(clause.expr)} AS {self.var(clause.var)}"
-        if isinstance(clause, ast.WithClause):
-            text = "WITH *"
-            if clause.where is not None:
-                text += f" WHERE {self.expr(clause.where)}"
-            return text
-        if isinstance(clause, ast.ReturnClause):
-            items = []
-            for item in clause.items:
-                rendered = self.expr(item.expr)
-                if item.alias:
-                    rendered += f" AS {self.var(item.alias)}"
-                items.append(rendered)
-            text = "RETURN "
-            if clause.distinct:
-                text += "DISTINCT "
-            text += ", ".join(items)
-            if clause.order_by:
-                keys = ", ".join(
-                    self.expr(k.expr) + (" DESC" if k.descending else "")
-                    for k in clause.order_by
-                )
-                text += f" ORDER BY {keys}"
-            if clause.limit is not None:
-                text += f" LIMIT {clause.limit}"
-            return text
-        raise TypeError(f"unknown Cypher clause {type(clause).__name__}")
-
-
-def normalize_cypher(query) -> tuple[str, tuple[str, ...]]:
-    """Canonical text + lifted parameters of a parsed Cypher query."""
-    n = _CypherNormalizer()
-    parts = [
-        " ".join(n.clause(clause) for clause in part.clauses)
-        for part in query.parts
-    ]
-    return " UNION ALL ".join(parts), tuple(n.params)
-
 
 # --------------------------------------------------------------------- #
 # Fingerprints and parameter substitution
 # --------------------------------------------------------------------- #
-
-def _fingerprint(lang: str, canonical: str) -> str:
-    digest = hashlib.sha256(f"{lang}\n{canonical}".encode("utf-8"))
-    return digest.hexdigest()[:_FINGERPRINT_LEN]
-
-
-#: Bounded raw-text → (fingerprint, canonical, params) cache so the
-#: per-execution hook pays one dict lookup for repeated query texts.
-_FP_CACHE: OrderedDict[tuple[str, str], tuple[str, str, tuple[str, ...]]]
-_FP_CACHE = OrderedDict()
-_FP_CACHE_CAPACITY = 1024
-_FP_LOCK = threading.Lock()
-
 
 def fingerprint_query(
     lang: str, text: str, query=None
@@ -405,37 +90,21 @@ def fingerprint_query(
 
     ``query`` is the parsed AST when the caller already has it (both
     engines do); without it the text is parsed with the matching
-    parser.  Results are cached on the raw text.
+    parser.  The canonical text comes from the planners' own shape
+    normaliser (:mod:`repro.query.normalize`, imported lazily: the query
+    packages import ``repro.obs`` at module load).
     """
-    cache_key = (lang, text)
-    with _FP_LOCK:
-        cached = _FP_CACHE.get(cache_key)
-        if cached is not None:
-            _FP_CACHE.move_to_end(cache_key)
-            return cached
-    if query is None:
-        if lang == "sparql":
-            from ..query.sparql.parser import parse_sparql
-
-            query = parse_sparql(text)
-        elif lang == "cypher":
-            from ..query.cypher.parser import parse_cypher
-
-            query = parse_cypher(text)
-        else:
-            raise ValueError(f"unknown query language {lang!r}")
     if lang == "sparql":
-        canonical, params = normalize_sparql(query)
+        from ..query.normalize import normalize_sparql as normalize
+        from ..query.sparql.parser import parse_sparql as parse
     elif lang == "cypher":
-        canonical, params = normalize_cypher(query)
+        from ..query.cypher.parser import parse_cypher as parse
+        from ..query.normalize import normalize_cypher as normalize
     else:
         raise ValueError(f"unknown query language {lang!r}")
-    result = (_fingerprint(lang, canonical), canonical, params)
-    with _FP_LOCK:
-        _FP_CACHE[cache_key] = result
-        if len(_FP_CACHE) > _FP_CACHE_CAPACITY:
-            _FP_CACHE.popitem(last=False)
-    return result
+    canonical, params = normalize(parse(text) if query is None else query)
+    digest = hashlib.sha256(f"{lang}\n{canonical}".encode("utf-8"))
+    return digest.hexdigest()[:_FINGERPRINT_LEN], canonical, params
 
 
 _PLACEHOLDER_RE = re.compile(r"\$(\d+)")

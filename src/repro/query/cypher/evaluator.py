@@ -71,6 +71,17 @@ def _sort_key(value: object) -> tuple:
     return (1, "other", repr(value))
 
 
+def _alias_index(clause: ReturnClause, key) -> int | None:
+    """The returned column an ORDER BY key names, if it names one."""
+    return next(
+        (
+            i for i, item in enumerate(clause.items)
+            if isinstance(key.expr, VarRef) and item.column_name() == key.expr.name
+        ),
+        None,
+    )
+
+
 def _value_key(value: object) -> object:
     """A hashable identity for DISTINCT / grouping."""
     if isinstance(value, PGNode):
@@ -122,20 +133,16 @@ class CypherEngine:
         plan = None
         cache_hit = q_error = None
         if self.planner is not None:
-            n_rows = len(rows)
-            plan = lambda: self._assemble_explain(query, n_rows).to_dict()
+            executions, n_rows = self.planner.last_executions, len(rows)
+            plan = lambda: self._assemble_explain(
+                query, n_rows, executions
+            ).to_dict()
             # One query may plan several MATCH clauses: a statement is a
             # cache hit only when every clause hit, and its q-error is
             # the worst across the clauses' plans.
-            if self.planner.last_cache_hits or self.planner.last_cache_misses:
-                cache_hit = self.planner.last_cache_misses == 0
-            errors = [
-                e for e in (
-                    self.planner.feedback.max_q_error(key)
-                    for key in self.planner.last_keys
-                )
-                if e is not None
-            ]
+            if executions:
+                cache_hit = all(execution.hit for execution in executions)
+            errors = [e.worst for e in executions if e.worst is not None]
             q_error = max(errors) if errors else None
         obs.record_query("cypher", text, duration, len(rows), plan=plan)
         obs.record_statement(
@@ -169,15 +176,17 @@ class CypherEngine:
             raise QueryError(f"unknown explain format {fmt!r}")
         query = parse_cypher(text)
         rows = self.evaluate(query, analyze=analyze)
-        root = self._assemble_explain(query, len(rows))
+        root = self._assemble_explain(
+            query, len(rows), self.planner.last_executions
+        )
         if fmt == "json":
             return root.to_dict()
         return render_text(root)
 
-    def _assemble_explain(self, query: CypherQuery, result_rows: int):
+    def _assemble_explain(self, query: CypherQuery, result_rows: int, executions):
         from ..plan.explain import ExplainNode
 
-        snapshots = list(self.planner.last_explains)
+        snapshots = [execution.explain() for execution in executions]
         cursor = 0
         part_nodes = []
         for part in query.parts:
@@ -341,41 +350,15 @@ class CypherEngine:
                 item.expr, (CypherLiteral, VarRef, PropertyAccess)
             ):
                 return None
-        order: list[tuple[int, bool]] = []
-        for key in ret.order_by or ():
-            index = next(
-                (
-                    i for i, item in enumerate(ret.items)
-                    if isinstance(key.expr, VarRef)
-                    and item.column_name() == key.expr.name
-                ),
-                None,
-            )
-            if index is None:
-                return None
-            order.append((index, key.descending))
+        if any(_alias_index(ret, key) is None for key in ret.order_by):
+            return None
         with obs.span("cypher.match", rows_in=1) as span:
             rows = planner.execute_match_projected(
                 match, ret.items, self, analyze
             )
             span.set("rows_out", len(rows))
         with obs.span("cypher.return", rows_in=len(rows)) as span:
-            for index, descending in reversed(order):
-                rows.sort(
-                    key=lambda row, i=index: _sort_key(row[i]),
-                    reverse=descending,
-                )
-            if ret.distinct:
-                seen: set[tuple] = set()
-                unique: list[tuple] = []
-                for row in rows:
-                    dedup = tuple(_value_key(value) for value in row)
-                    if dedup not in seen:
-                        seen.add(dedup)
-                        unique.append(row)
-                rows = unique
-            if ret.limit is not None:
-                rows = rows[: ret.limit]
+            rows = self._modifiers(rows, ret, None)
             span.set("rows_out", len(rows))
         return rows
 
@@ -533,36 +516,33 @@ class CypherEngine:
                 tuple(evaluate(binding) for evaluate in evals)
                 for binding in bindings
             ]
-        if clause.order_by:
-            for key in reversed(clause.order_by):
-                # An ORDER BY referencing a returned alias sorts by that
-                # column; otherwise the expression is evaluated per row
-                # (only possible while rows and bindings are aligned).
-                column_index = next(
-                    (
-                        index
-                        for index, item in enumerate(clause.items)
-                        if isinstance(key.expr, VarRef)
-                        and item.column_name() == key.expr.name
-                    ),
-                    None,
+        return self._modifiers(rows, clause, None if has_count else bindings)
+
+    def _modifiers(self, rows: list[tuple], clause: ReturnClause, bindings):
+        """ORDER BY, DISTINCT, then LIMIT over projected ``rows``.
+
+        An ORDER BY referencing a returned alias sorts by that column;
+        otherwise the expression is evaluated per row, which needs the
+        ``bindings`` the rows were projected from (still aligned).
+        """
+        for key in reversed(clause.order_by):
+            column_index = _alias_index(clause, key)
+            if column_index is not None:
+                rows.sort(
+                    key=lambda row, i=column_index: _sort_key(row[i]),
+                    reverse=key.descending,
                 )
-                if column_index is not None:
-                    rows.sort(
-                        key=lambda row, i=column_index: _sort_key(row[i]),
-                        reverse=key.descending,
-                    )
-                elif not has_count and len(rows) == len(bindings):
-                    decorated = [
-                        (_sort_key(self._eval(key.expr, binding)), row)
-                        for row, binding in zip(rows, bindings)
-                    ]
-                    decorated.sort(key=lambda d: d[0], reverse=key.descending)
-                    rows = [row for _, row in decorated]
-                else:
-                    raise QueryError(
-                        "ORDER BY with aggregation must reference a returned alias"
-                    )
+            elif bindings is not None and len(rows) == len(bindings):
+                decorated = [
+                    (_sort_key(self._eval(key.expr, binding)), row)
+                    for row, binding in zip(rows, bindings)
+                ]
+                decorated.sort(key=lambda d: d[0], reverse=key.descending)
+                rows = [row for _, row in decorated]
+            else:
+                raise QueryError(
+                    "ORDER BY with aggregation must reference a returned alias"
+                )
         if clause.distinct:
             seen: set[tuple] = set()
             unique: list[tuple] = []

@@ -11,8 +11,9 @@ The package provides, for both engines:
 * the batch operators every plan is built from and executed by —
   columnar batches of interned ids, decoded at the plan boundary
   (:mod:`~repro.query.plan.vectorized`);
-* an LRU plan cache keyed by normalized query shape and catalog
-  version (:mod:`~repro.query.plan.cache`);
+* an LRU cache of generic plans keyed by query shape (constants
+  lifted into ``$n`` parameters) and catalog version
+  (:mod:`~repro.query.plan.cache`);
 * ``EXPLAIN`` trees with estimated and actual cardinalities
   (:mod:`~repro.query.plan.explain`).
 
@@ -27,7 +28,7 @@ from .cache import PlanCache
 from .cypher_plan import CypherPlanner
 from .explain import ExplainNode, render_text
 from .operator import PhysicalOperator
-from .sparql_plan import SparqlPlanner, explain_select, flush_operator_obs
+from .sparql_plan import SparqlPlanner, explain_select
 from .stats import (
     FeedbackStore,
     GraphCatalog,
@@ -61,7 +62,6 @@ __all__ = [
     "build_batched_bgp",
     "build_batched_match",
     "explain_select",
-    "flush_operator_obs",
     "q_error",
     "render_text",
 ]

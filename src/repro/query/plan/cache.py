@@ -1,11 +1,13 @@
-"""An LRU cache of compiled physical plans.
+"""An LRU cache of generic physical plans, and what both planners share.
 
-Keys are *normalized query shapes*: the canonical serialization of the
-parsed pattern AST (so whitespace, prefix names, and ``;`` predicate
-groups all collapse to one key) combined with the statistics catalog's
-version counter — any mutation of the underlying graph/store bumps the
-version and naturally invalidates every cached plan without scanning
-the cache.
+Keys are *query shapes* (:mod:`repro.query.normalize`): the canonical
+text of the pattern with its constants lifted into ``$n`` parameters
+(so whitespace, prefix names, ``;`` predicate groups *and* the bound
+constants all collapse to one key) combined with the statistics
+catalog's version counter — any mutation of the underlying graph/store
+bumps the version and naturally invalidates every cached plan without
+scanning the cache.  A plan is executed with each call's parameter
+vector, so a point lookup is planned once per shape, not per constant.
 
 Version-keyed entries can never hit again once the catalog moves on,
 but LRU alone only evicts them under capacity pressure: a workload of
@@ -19,7 +21,12 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-__all__ = ["PlanCache"]
+from ... import obs
+from .operator import Execution
+from .stats import FeedbackStore, q_error
+from .vectorized import DEFAULT_BATCH_SIZE
+
+__all__ = ["CachingPlanner", "PlanCache"]
 
 
 class PlanCache:
@@ -95,3 +102,89 @@ class PlanCache:
             f"<PlanCache {len(self._entries)}/{self.maxsize} "
             f"hits={self.hits} misses={self.misses}>"
         )
+
+
+class CachingPlanner:
+    """The plan cache and the per-execution record both planners share.
+
+    Args:
+        catalog: the statistics catalog plans are costed with.
+        cache_size: LRU plan-cache capacity.
+    """
+
+    lang = ""
+
+    def __init__(self, catalog, cache_size: int = 128):
+        self.catalog = catalog
+        self.cache = PlanCache(cache_size)
+        #: Rows per batch of the plans built from here on.
+        self.batch_size = DEFAULT_BATCH_SIZE
+        #: Observed-cardinality feedback, keyed by shape (no version).
+        self.feedback = FeedbackStore(self.lang)
+        #: (lookup counter family, miss child, hit child), rebound when
+        #: the metrics registry is reset.
+        self._lookups: tuple = (None,)
+        obs.register_plan_cache(self.lang, self.cache)
+
+    def _plan(self, key: tuple, build, **attrs):
+        """``(plan, hit)`` for a shape key, building the plan on a miss."""
+        version = self.catalog.version
+        cache_key = (version, *key)
+        plan = self.cache.get(cache_key)
+        hit = plan is not None
+        if plan is None:
+            plan = build()
+            self.cache.put(cache_key, plan, version=version)
+        if obs.enabled():
+            with obs.span(f"{self.lang}.plan", cache_hit=hit, **attrs):
+                pass
+        family = obs.get_metrics().counter(
+            "repro_plan_cache_total", help="plan cache lookups"
+        )
+        if self._lookups[0] is not family:
+            self._lookups = (family, *(
+                family.labels(engine=self.lang, result=result)
+                for result in ("miss", "hit")
+            ))
+        self._lookups[1 + hit].inc()
+        return plan, hit
+
+    def _record(self, key: tuple, hit: bool, plan, params, analyze: bool) -> Execution:
+        """Take an execution's record and feed the live telemetry.
+
+        The per-operator row counters (bound once per plan) and the
+        q-error histogram are fed here; the EXPLAIN tree, the feedback
+        entry and the per-operator spans are derived from the record,
+        the last two only when a tracer or a reader wants them.
+        """
+        ops = plan.ops
+        execution = Execution(key, hit, plan.root, ops, params, analyze)
+        family = obs.get_metrics().counter(
+            "repro_plan_operator_rows_total",
+            help="rows produced by physical plan operators",
+        )
+        if plan.row_counters is None or plan.row_counters[0] is not family:
+            plan.row_counters = (family, [
+                family.labels(lang=self.lang, op=op.op) for op in ops
+            ])
+        worst = 0.0  # q-errors are >= 1: 0 means no physical operator
+        for op, child, actual in zip(ops, plan.row_counters[1], execution.rows):
+            child.inc(actual)
+            if op.est_rows is not None:
+                worst = max(worst, q_error(op.est_rows, actual))
+        if worst:
+            execution.worst = worst
+            self.feedback.record(key, execution.explain, worst)
+        if obs.enabled():
+            # Operators interleave their work, so only cardinalities are
+            # exact: one zero-length span per operator carries them.
+            for node in execution.explain().walk():
+                with obs.span(
+                    f"{self.lang}.plan.operator",
+                    op=node.op,
+                    detail=node.detail,
+                    est_rows=node.est_rows,
+                    actual_rows=node.actual_rows,
+                ):
+                    pass
+        return execution

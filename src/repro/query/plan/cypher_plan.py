@@ -33,7 +33,6 @@ and keeps those paths on the correlated pipeline.
 
 from __future__ import annotations
 
-from ... import obs
 from ...pg.store import PropertyGraphStore
 from ..cypher.ast import (
     CypherBoolean,
@@ -46,10 +45,11 @@ from ..cypher.ast import (
     PropertyAccess,
     RelPattern,
 )
-from .cache import PlanCache
-from .explain import ExplainNode
-from .stats import FeedbackStore, SeedChoice, StoreCatalog
-from .vectorized import DEFAULT_BATCH_SIZE, BatchMatchPlan, build_batched_match
+from ..normalize import lift_paths
+from .cache import CachingPlanner
+from .operator import Execution
+from .stats import SeedChoice, StoreCatalog
+from .vectorized import BatchMatchPlan, build_batched_match
 
 __all__ = ["CypherPlanner", "absorb_where"]
 
@@ -149,7 +149,7 @@ def absorb_where(clause: MatchClause) -> MatchClause:
     return MatchClause(paths, residual[0] if residual else None)
 
 
-class CypherPlanner:
+class CypherPlanner(CachingPlanner):
     """Plans MATCH clauses for one :class:`PropertyGraphStore`.
 
     Args:
@@ -157,40 +157,29 @@ class CypherPlanner:
         cache_size: LRU plan-cache capacity.
     """
 
+    lang = "cypher"
+
     def __init__(self, store: PropertyGraphStore, cache_size: int = 128):
         self.store = store
-        self.catalog = StoreCatalog(store)
-        self.cache = PlanCache(cache_size)
-        #: Rows per batch of the plans built from here on.
-        self.batch_size = DEFAULT_BATCH_SIZE
-        #: Observed-cardinality feedback, keyed by plan-cache key.
-        self.feedback = FeedbackStore("cypher")
-        #: Explain snapshots of the clauses executed by the last query.
-        self.last_explains: list[ExplainNode] = []
-        #: Plan-cache key of the last executed MATCH (feedback-store key).
+        super().__init__(StoreCatalog(store), cache_size)
+        #: Records of the MATCH clauses executed by the last query (the
+        #: engine derives EXPLAIN and per-statement stats from these).
+        self.last_executions: list[Execution] = []
+        #: Shape key of the last executed MATCH (feedback-store key).
         self.last_key: tuple | None = None
-        #: Plan-cache keys and hit/miss tallies of the current query's
-        #: MATCH clauses (reset with the explains; the workload tracker
-        #: joins q-error and cache behaviour per statement from these).
-        self.last_keys: list[tuple] = []
-        self.last_cache_hits = 0
-        self.last_cache_misses = 0
-        obs.register_plan_cache("cypher", self.cache)
 
     def reset_explains(self) -> None:
-        self.last_explains = []
-        self.last_keys = []
-        self.last_cache_hits = 0
-        self.last_cache_misses = 0
+        self.last_executions = []
 
     def _lookup_plan(
         self, rows: list[Binding], clause: MatchClause
-    ) -> tuple[tuple, BatchMatchPlan]:
-        """Plan-cache lookup (build on miss) with shared bookkeeping.
+    ) -> tuple[tuple, bool, BatchMatchPlan, list]:
+        """``(shape key, hit, plan, parameters)`` of a MATCH clause.
 
-        ``clause`` arrives rewritten by :func:`absorb_where`, so the key's
-        paths carry the constants pushed out of WHERE: two texts that
-        differ only in a WHERE constant get different plans.
+        ``clause`` arrives rewritten by :func:`absorb_where`, so the
+        constants pushed out of WHERE are pattern properties, lifted
+        into the parameters like inline ones: two texts that differ
+        only in a constant share one plan.
         """
         bound = frozenset(rows[0].keys()) if rows else frozenset()
         clause_vars = set(clause.pattern_variables())
@@ -199,34 +188,17 @@ class CypherPlanner:
             for name in (clause_vars & bound)
             if any(row.get(name) is None for row in rows)
         )
-        version = self.catalog.version
-        key = (version, bound, nullable, repr(clause.paths))
-        plan = self.cache.get(key)
-        hit = plan is not None
-        if plan is None:
-            plan = self._build(clause, set(bound), nullable)
-            self.cache.put(key, plan, version=version)
+        shape, params, paths = lift_paths(clause.paths)
+        key = (bound, nullable, *shape)
+        plan, hit = self._plan(
+            key,
+            lambda: build_batched_match(
+                self, MatchClause(paths), set(bound), nullable
+            ),
+            paths=len(paths),
+        )
         self.last_key = key
-        self.last_keys.append(key)
-        if hit:
-            self.last_cache_hits += 1
-        else:
-            self.last_cache_misses += 1
-        if obs.enabled():
-            with obs.span("cypher.plan", cache_hit=hit, paths=len(clause.paths)):
-                pass
-        obs.get_metrics().counter(
-            "repro_plan_cache_total", help="plan cache lookups"
-        ).inc(1, engine="cypher", result="hit" if hit else "miss")
-        return key, plan
-
-    def _record_plan(self, key, plan) -> None:
-        snapshot = plan.explain()
-        self.last_explains.append(snapshot)
-        self.feedback.record(key, snapshot)
-        from .sparql_plan import flush_operator_obs
-
-        flush_operator_obs("cypher", snapshot)
+        return key, hit, plan, params
 
     def execute_match(
         self,
@@ -236,9 +208,9 @@ class CypherPlanner:
         analyze: bool = False,
     ) -> list[Binding]:
         """Plan and run the (non-optional) paths of a MATCH clause."""
-        key, plan = self._lookup_plan(rows, clause)
-        result = plan.execute(rows, engine, analyze)
-        self._record_plan(key, plan)
+        key, hit, plan, params = self._lookup_plan(rows, clause)
+        result = plan.execute(rows, engine, analyze, params)
+        self.last_executions.append(self._record(key, hit, plan, params, analyze))
         return result
 
     def execute_match_projected(
@@ -249,19 +221,14 @@ class CypherPlanner:
         Property and variable columns are materialized straight from the
         interned-id columns, so no per-row binding dicts are built.
         """
-        key, plan = self._lookup_plan([{}], clause)
-        result = plan.execute_projected([{}], engine, items, analyze)
-        self._record_plan(key, plan)
+        key, hit, plan, params = self._lookup_plan([{}], clause)
+        result = plan.execute_projected([{}], engine, items, analyze, params)
+        self.last_executions.append(self._record(key, hit, plan, params, analyze))
         return result
 
     # ------------------------------------------------------------------ #
     # Plan construction
     # ------------------------------------------------------------------ #
-
-    def _build(
-        self, clause: MatchClause, bound: set[str], nullable: frozenset[str]
-    ) -> BatchMatchPlan:
-        return build_batched_match(self, clause, bound, nullable)
 
     def _seed_position(
         self, path: PathPattern, bound: set[str]

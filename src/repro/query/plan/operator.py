@@ -18,6 +18,13 @@ which owns the run-time bookkeeping behind ``EXPLAIN`` and
 Executions go through :meth:`PhysicalOperator.run`, never ``execute``
 directly: ``run`` returns the raw iterator when analyze is off, so the
 hot path pays nothing for the timing machinery.
+
+Plans are *generic*: a constant the shape normaliser lifted is a
+:class:`~repro.query.normalize.Param` slot, and :meth:`prepare` hands
+every operator the execution's parameter vector.  What an execution
+leaves behind is an :class:`Execution` — the per-operator counters as
+flat tuples plus the parameters — from which ``EXPLAIN`` trees are
+built only when a reader asks.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from collections.abc import Iterator
 
 from .explain import ExplainNode
 
-__all__ = ["PhysicalOperator"]
+__all__ = ["Execution", "PhysicalOperator"]
 
 
 class PhysicalOperator:
@@ -46,21 +53,31 @@ class PhysicalOperator:
         self.actual_loops: int | None = None
         self.wall_ns: int = 0
         self._analyze = False
+        self.params = ()
 
-    def prepare(self, analyze: bool = False) -> None:
+    def prepare(self, analyze: bool = False, params=()) -> None:
         """Reset run-time counters (recursively) before an execution.
 
         Plans are cached and re-executed, so the counters of the
         previous run are cleared here rather than inside ``execute`` —
         a subtree that is never pulled still reports 0 rows, not the
-        stale count of an earlier run.
+        stale count of an earlier run.  ``params`` is the execution's
+        parameter vector, which the operators read their lifted
+        constants from.
         """
         self._analyze = analyze
+        self.params = params
         self.actual_rows = 0
         self.actual_loops = 0
         self.wall_ns = 0
         for child in self.children:
-            child.prepare(analyze)
+            child.prepare(analyze, params)
+
+    def walk(self):
+        """Yield every operator of the subtree, pre-order."""
+        yield self
+        for child in self.children:
+            yield from child.walk()
 
     def execute(self, *args) -> Iterator:
         raise NotImplementedError
@@ -83,19 +100,53 @@ class PhysicalOperator:
             self.wall_ns += time.perf_counter_ns() - start
             yield item
 
-    def detail(self) -> str:
+    def detail(self, params=()) -> str:
+        """The operator's EXPLAIN detail, with ``params`` filled in."""
         return ""
 
+
+class Execution:
+    """One run of a cached plan: per-operator actuals and the parameters.
+
+    ``key`` is the plan's shape key and ``hit`` whether the plan came
+    from the cache.  ``rows`` (and, under analyze, ``loops`` and
+    ``wall_ns``) hold one entry per operator of ``root``'s subtree in
+    pre-order.  Taking this record is all an execution pays;
+    :meth:`explain` derives the ``EXPLAIN`` tree from it, the plan and
+    the parameters on demand.
+    """
+
+    __slots__ = (
+        "key", "hit", "root", "params", "rows", "loops", "wall_ns", "worst",
+    )
+
+    def __init__(self, key, hit: bool, root: PhysicalOperator, ops, params,
+                 analyze: bool):
+        self.key = key
+        self.hit = hit
+        self.root = root
+        self.params = params
+        self.rows = tuple([op.actual_rows for op in ops])
+        self.loops = self.wall_ns = None
+        if analyze:
+            self.loops = tuple([op.actual_loops for op in ops])
+            self.wall_ns = tuple([op.wall_ns for op in ops])
+        #: Worst q-error over the physical operators (set by the planner).
+        self.worst: float | None = None
+
     def explain(self) -> ExplainNode:
-        """Snapshot this subtree (estimates + last execution's actuals)."""
-        node = ExplainNode(
-            op=self.op,
-            detail=self.detail(),
-            est_rows=self.est_rows,
-            actual_rows=self.actual_rows,
-            children=tuple(child.explain() for child in self.children),
-        )
-        if self._analyze:
-            node.actual_loops = self.actual_loops
-            node.wall_ms = self.wall_ns / 1e6
-        return node
+        """The plan's EXPLAIN tree with this execution's actuals."""
+        index = iter(range(len(self.rows)))
+
+        def build(op: PhysicalOperator) -> ExplainNode:
+            i = next(index)
+            node = ExplainNode(
+                op.op, op.detail(self.params), op.est_rows, self.rows[i]
+            )
+            if self.loops is not None:
+                node.actual_loops = self.loops[i]
+                node.wall_ms = self.wall_ns[i] / 1e6
+            node.children = tuple(build(child) for child in op.children)
+            return node
+
+        return build(self.root)

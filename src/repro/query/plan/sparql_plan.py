@@ -20,20 +20,17 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from ... import obs
 from ...rdf.graph import Graph
 from ...rdf.terms import Term
+from ..normalize import lift_bgp
 from ..sparql.ast import SelectQuery, TriplePattern
-from .cache import PlanCache
+from .cache import CachingPlanner
 from .explain import ExplainNode
-from .stats import FeedbackStore, GraphCatalog
-from .vectorized import DEFAULT_BATCH_SIZE, BatchedBGP, build_batched_bgp
+from .operator import Execution
+from .stats import GraphCatalog
+from .vectorized import build_batched_bgp
 
-__all__ = [
-    "SparqlPlanner",
-    "explain_select",
-    "flush_operator_obs",
-]
+__all__ = ["SparqlPlanner", "explain_select"]
 
 Binding = dict[str, Term]
 
@@ -46,7 +43,7 @@ COST_HASH_BUILD = 2.0
 COST_EMIT = 1.0
 
 
-class SparqlPlanner:
+class SparqlPlanner(CachingPlanner):
     """Plans and executes basic graph patterns for one graph.
 
     Args:
@@ -54,42 +51,18 @@ class SparqlPlanner:
         cache_size: LRU plan-cache capacity.
     """
 
+    lang = "sparql"
+
     def __init__(self, graph: Graph, cache_size: int = 128):
         self.graph = graph
-        self.catalog = GraphCatalog(graph)
-        self.cache = PlanCache(cache_size)
-        #: Rows per batch of the plans built from here on.
-        self.batch_size = DEFAULT_BATCH_SIZE
-        #: Observed-cardinality feedback, keyed by plan-cache key.
-        self.feedback = FeedbackStore("sparql")
-        #: Explain snapshot of the last executed BGP plan (set by the
-        #: evaluator once the plan's iterator is fully consumed).
-        self.last_explain: ExplainNode | None = None
-        self.last_plan: BatchedBGP | None = None
-        #: Plan-cache key of the last planned BGP (feedback-store key).
+        super().__init__(GraphCatalog(graph), cache_size)
+        #: Record of the last executed BGP plan (set by the evaluator
+        #: once the plan's iterator is fully consumed).
+        self.last_execution: Execution | None = None
+        #: Shape key of the last planned BGP (feedback-store key).
         self.last_key: tuple | None = None
-        #: Whether the last planned BGP came from the plan cache.
-        self.last_cache_hit: bool | None = None
-        obs.register_plan_cache("sparql", self.cache)
-
-    def plan_bgp(self, patterns: list[TriplePattern]) -> BatchedBGP:
-        """The (cached) physical plan for a basic graph pattern."""
-        version = self.catalog.version
-        key = (version, "\x1f".join(str(p) for p in patterns))
-        plan = self.cache.get(key)
-        hit = plan is not None
-        if plan is None:
-            plan = self._build(patterns)
-            self.cache.put(key, plan, version=version)
-        self.last_key = key
-        self.last_cache_hit = hit
-        if obs.enabled():
-            with obs.span("sparql.plan", cache_hit=hit, patterns=len(patterns)):
-                pass
-        obs.get_metrics().counter(
-            "repro_plan_cache_total", help="plan cache lookups"
-        ).inc(1, engine="sparql", result="hit" if hit else "miss")
-        return plan
+        #: (hit, plan, parameters, analyze) of the BGP awaiting its record.
+        self._running = None
 
     def execute_bgp(
         self,
@@ -97,10 +70,14 @@ class SparqlPlanner:
         stats=None,
         analyze: bool = False,
     ) -> Iterator[Binding]:
-        """Plan and run a BGP, yielding solution bindings."""
-        plan = self.plan_bgp(patterns)
-        self.last_plan = plan
-        plan.prepare(analyze)
+        """Plan (once per shape) and run a BGP, yielding solution bindings."""
+        key, params, lifted = lift_bgp(patterns)
+        plan, hit = self._plan(
+            key, lambda: build_batched_bgp(self, lifted), patterns=len(patterns)
+        )
+        self.last_key = key
+        self._running = (hit, plan, params, analyze)
+        plan.prepare(analyze, params)
         if stats is not None:
             # The plan-time join order plays the role of the reference
             # evaluator's per-binding greedy selections: surface the
@@ -112,8 +89,11 @@ class SparqlPlanner:
                 stats.selectivity[concrete] += 1
         return plan.run(stats)
 
-    def _build(self, patterns: list[TriplePattern]) -> BatchedBGP:
-        return build_batched_bgp(self, patterns)
+    def finish(self) -> None:
+        """Record the BGP run started by :meth:`execute_bgp` (consumed)."""
+        if self._running is not None:
+            self.last_execution = self._record(self.last_key, *self._running)
+            self._running = None
 
 
 # --------------------------------------------------------------------- #
@@ -168,31 +148,3 @@ def explain_select(
         node = ExplainNode("Limit", str(query.limit), children=(node,))
     node.actual_rows = result_rows
     return node
-
-
-def flush_operator_obs(lang: str, root: ExplainNode) -> None:
-    """Emit per-operator spans and row counters after an execution.
-
-    Physical operators interleave their work (each pulls batches from
-    its child), so their timings are not separable; what *is* exact are
-    the per-operator cardinalities, flushed here as zero-length spans
-    under the current evaluate span plus a labelled metrics counter.
-    """
-    metrics = obs.get_metrics()
-    counter = metrics.counter(
-        "repro_plan_operator_rows_total",
-        help="rows produced by physical plan operators",
-    )
-    for node in root.walk():
-        if node.actual_rows is None:
-            continue
-        counter.inc(node.actual_rows, lang=lang, op=node.op)
-        if obs.enabled():
-            with obs.span(
-                f"{lang}.plan.operator",
-                op=node.op,
-                detail=node.detail,
-                est_rows=node.est_rows,
-                actual_rows=node.actual_rows,
-            ):
-                pass

@@ -15,7 +15,10 @@ O(1).  Estimates follow the classic System-R uniformity assumptions:
 
 A *bound* variable is one the current partial plan has already produced;
 its estimate divides by the relevant distinct count (the expected number
-of matches for one concrete value).
+of matches for one concrete value).  A lifted constant (a
+:class:`~repro.query.normalize.Param`) is estimated the same way — as
+one bound value, or as the average property-index bucket of its key —
+so a generic plan never depends on which constant it was built for.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from ...pg.store import PropertyGraphStore
 from ...rdf.graph import Graph
 from ...rdf.terms import IRI, BlankNode, Triple
 from ..cypher.ast import NodePattern, RelPattern
+from ..normalize import Param, resolve
 from ..sparql.ast import TriplePattern, Var
 
 __all__ = [
@@ -49,9 +53,6 @@ class GraphCatalog:
     def version(self) -> int:
         """The graph's mutation counter (plan-cache invalidation)."""
         return self.graph.version
-
-    def triple_count(self) -> int:
-        return len(self.graph)
 
     def estimate_pattern(self, pattern: TriplePattern, bound: set[str]) -> float:
         """Expected matches of ``pattern`` for one assignment of ``bound``.
@@ -110,9 +111,11 @@ class GraphCatalog:
 
     @staticmethod
     def _resolve(term, bound: set[str]):
-        """``(constant, is_bound_var)`` for one pattern position."""
+        """``(constant, is_bound)`` for one pattern position."""
         if isinstance(term, Var):
             return None, term.name in bound
+        if isinstance(term, Param):
+            return None, True
         return term, False
 
 
@@ -134,11 +137,11 @@ class SeedChoice:
         self.key = key
         self.value = value
 
-    def describe(self) -> str:
+    def describe(self, params=()) -> str:
         if self.mode == "bound":
             return "bound"
         if self.mode == "prop":
-            return f"index {self.key}={self.value!r}"
+            return f"index {self.key}={resolve(self.value, params)!r}"
         if self.mode == "label":
             return f"label :{self.label}"
         return "all nodes"
@@ -149,11 +152,35 @@ class StoreCatalog:
 
     def __init__(self, store: PropertyGraphStore):
         self.store = store
+        #: key -> (store version, mean property-index bucket size).
+        self._bucket_means: dict[str, tuple[int, float]] = {}
 
     @property
     def version(self) -> int:
         """The store's mutation counter (plan-cache invalidation)."""
         return self.store.version
+
+    def property_hits(self, key: str, value) -> float | None:
+        """Index hits for ``key = value``; None when ``key`` is not indexed.
+
+        A parameter slot counts as the key's average bucket: the nodes
+        one value of the key selects, whichever value arrives.
+        """
+        if not isinstance(value, Param):
+            return self.store.property_hits(key, value)
+        if key not in self.store.indexed_keys:
+            return None
+        version = self.store.version
+        memo = self._bucket_means.get(key)
+        if memo is None or memo[0] != version:
+            sizes = [
+                len(bucket)
+                for (k, _), bucket in self.store._property_index.items()
+                if k == key
+            ]
+            memo = (version, sum(sizes) / len(sizes) if sizes else 0.0)
+            self._bucket_means[key] = memo
+        return memo[1]
 
     def node_count(self) -> int:
         return self.store.node_count()
@@ -167,7 +194,7 @@ class StoreCatalog:
             return SeedChoice("bound", 1.0)
         best: SeedChoice | None = None
         for key, value in pattern.properties:
-            hits = self.store.property_hits(key, value)
+            hits = self.property_hits(key, value)
             if hits is not None and (best is None or hits < best.est):
                 best = SeedChoice("prop", float(hits), key=key, value=value)
         for label in pattern.labels:
@@ -185,7 +212,7 @@ class StoreCatalog:
         for label in pattern.labels:
             best = min(best, self.store.count_label(label) / nodes)
         for key, value in pattern.properties:
-            hits = self.store.property_hits(key, value)
+            hits = self.property_hits(key, value)
             if hits is not None:
                 best = min(best, hits / nodes)
         return best
@@ -224,13 +251,23 @@ def q_error(estimated: float, actual: float) -> float:
     return max(est / act, act / est)
 
 
-class FeedbackStore:
-    """Observed cardinalities of executed plans, keyed by plan-cache key.
+def _physical(root) -> list:
+    """The explain nodes that carry both an estimate and an actual."""
+    return [
+        node for node in root.walk()
+        if node.est_rows is not None and node.actual_rows is not None
+    ]
 
-    After every execution the planner records the explain snapshot here;
-    the store keeps, per plan, the latest per-operator estimated vs.
-    actual rows and the plan's worst q-error, bounded LRU-style to
-    ``capacity`` plans.  Each recording feeds the
+
+class FeedbackStore:
+    """Observed cardinalities of executed plans, keyed by query shape.
+
+    After every execution the planner records it here; the store keeps,
+    per shape, the latest execution and its worst q-error plus an
+    execution count, bounded LRU-style to ``capacity`` shapes.  Keys
+    carry no catalog version, so executions of one statement shape
+    accumulate across mutations instead of filling the store with
+    entries no key can reach again.  Each recording feeds the
     ``repro_plan_q_error{engine=...}`` histogram so estimate drift is
     scrapeable from the ops endpoint (and is the signal a re-planner
     would consume; DESIGN.md records why there is none today).
@@ -239,83 +276,82 @@ class FeedbackStore:
     def __init__(self, engine: str, capacity: int = 512):
         self.engine = engine
         self.capacity = capacity
-        self._entries: OrderedDict[tuple, dict] = OrderedDict()
+        #: key -> (executions, worst q-error, explain tree or its builder)
+        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
+        #: (histogram family, this engine's child), rebound on reset.
+        self._histogram: tuple = (None, None)
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def record(self, key: tuple | None, root) -> dict | None:
-        """Fold one executed plan's explain tree into the store.
+    def record(self, key: tuple | None, root, worst: float | None = None) -> None:
+        """Fold one execution into the store.
 
-        Only physical operators (nodes carrying both an estimate and an
-        actual count) participate; the logical tail nodes wrapped around
-        the plan by the engines have no estimates and are skipped.
-        Returns the updated entry, or None if the tree had no physical
-        operators (e.g. an empty pattern).
+        ``root`` is the execution's explain tree, or a zero-argument
+        callable building it.  The planners pass the latter together
+        with the ``worst`` q-error they already computed, so the tree is
+        built only when a reader asks for the entry.  Only physical
+        operators (nodes carrying both an estimate and an actual count)
+        participate; a tree without any records nothing.
         """
         if key is None or root is None:
-            return None
-        operators = []
-        worst = 1.0
-        for node in root.walk():
-            if node.est_rows is None or node.actual_rows is None:
-                continue
-            error = q_error(node.est_rows, node.actual_rows)
-            worst = max(worst, error)
-            operators.append(
+            return
+        if worst is None:
+            errors = [q_error(n.est_rows, n.actual_rows) for n in _physical(root)]
+            if not errors:
+                return
+            worst = max(errors)
+        executions = self._entries.pop(key, (0,))[0] + 1
+        self._entries[key] = (executions, worst, root)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+        family = obs.get_metrics().histogram(
+            "repro_plan_q_error",
+            boundaries=Q_ERROR_BOUNDARIES,
+            help="per-plan worst cardinality q-error",
+        )
+        if self._histogram[0] is not family:
+            self._histogram = (family, family.labels(engine=self.engine))
+        self._histogram[1].observe(worst)
+
+    def _entry(self, executions: int, worst: float, root) -> dict:
+        if callable(root):
+            root = root()
+        return {
+            "engine": self.engine,
+            "executions": executions,
+            "max_q_error": round(worst, 3),
+            "operators": [
                 {
                     "op": node.op,
                     "detail": node.detail,
                     "est_rows": round(float(node.est_rows), 3),
                     "actual_rows": node.actual_rows,
-                    "q_error": round(error, 3),
+                    "q_error": round(q_error(node.est_rows, node.actual_rows), 3),
                 }
-            )
-        if not operators:
-            return None
-        previous = self._entries.pop(key, None)
-        entry = {
-            "engine": self.engine,
-            "executions": (previous["executions"] + 1) if previous else 1,
-            "max_q_error": round(worst, 3),
-            "operators": operators,
+                for node in _physical(root)
+            ],
         }
-        self._entries[key] = entry
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-        obs.get_metrics().histogram(
-            "repro_plan_q_error",
-            boundaries=Q_ERROR_BOUNDARIES,
-            help="per-plan worst cardinality q-error",
-        ).observe(worst, engine=self.engine)
-        return entry
 
     def get(self, key: tuple) -> dict | None:
-        return self._entries.get(key)
+        entry = self._entries.get(key)
+        return self._entry(*entry) if entry is not None else None
 
     def max_q_error(self, key: tuple | None) -> float | None:
-        """The worst q-error recorded for one plan key, or None.
-
-        The per-execution join point for the workload tracker: engines
-        look up the key(s) they just executed and attribute the plan's
-        q-error to the statement fingerprint.
-        """
-        if key is None:
-            return None
-        entry = self._entries.get(key)
-        return entry["max_q_error"] if entry is not None else None
+        """The worst q-error of the latest execution of one shape, or None."""
+        entry = self._entries.get(key) if key is not None else None
+        return round(entry[1], 3) if entry is not None else None
 
     def snapshot(self) -> list[dict]:
         """Every retained entry, least-recently-recorded first."""
-        return [dict(entry) for entry in self._entries.values()]
+        return [self._entry(*entry) for entry in self._entries.values()]
 
     def summary(self) -> dict:
         """Aggregate accuracy numbers for artifacts and `/healthz`."""
         entries = list(self._entries.values())
-        worst = max((e["max_q_error"] for e in entries), default=1.0)
         return {
             "engine": self.engine,
             "plans": len(entries),
-            "executions": sum(e["executions"] for e in entries),
-            "max_q_error": worst,
+            "executions": sum(e[0] for e in entries),
+            "max_q_error": round(max((e[1] for e in entries), default=1.0), 3),
         }

@@ -21,8 +21,8 @@ from itertools import repeat as _repeat
 
 from ...rdf.terms import IRI, Literal
 from ...storage.postings import IntPostings
+from ..normalize import Param, resolve
 from ..sparql.ast import TriplePattern, Var
-from .explain import ExplainNode
 from .operator import PhysicalOperator
 
 __all__ = [
@@ -65,6 +65,59 @@ def _repeat_each(seq, times: int):
     return chain.from_iterable(map(_repeat, seq, _repeat(times)))
 
 
+def _concat(batches) -> tuple[dict[str, array], int]:
+    """The columns (and row count) of a run of batches, concatenated."""
+    cols: dict[str, array] = {}
+    n = 0
+    for batch in batches:
+        for name, col in batch.cols.items():
+            cols.setdefault(name, array("q")).extend(col)
+        n += batch.n
+    return cols, n
+
+
+def _hash_table(cols: dict[str, array], key: tuple[str, ...], n: int) -> dict:
+    """Build-side row indices by key value (a tuple for a multi-key)."""
+    table: dict = {}
+    if not key or not n:  # an empty build side has no columns to key on
+        return table
+    if len(key) == 1:
+        for j, v in enumerate(cols[key[0]]):
+            table.setdefault(v, []).append(j)
+    else:
+        kcols = [cols[name] for name in key]
+        for j in range(n):
+            table.setdefault(tuple(col[j] for col in kcols), []).append(j)
+    return table
+
+
+def _probe(table: dict, pcols) -> tuple[array, array]:
+    """Selection vectors ``(probe rows, build rows)`` of the key matches.
+
+    Table keys are real ids (>= 0), so a negative probe id — an unbound
+    or impossible constraint — matches nothing.
+    """
+    sel_p = array("q")
+    sel_b = array("q")
+    for i, k in enumerate(pcols[0] if len(pcols) == 1 else zip(*pcols)):
+        hits = table.get(k)
+        if hits:
+            sel_p.extend(_repeat(i, len(hits)))
+            sel_b.extend(hits)
+    return sel_p, sel_b
+
+
+def _cartesian(build_cols: dict, build_n: int, probe_cols: dict, n: int) -> dict:
+    """Every probe row once per build row, against the tiled build
+    columns — no selection vectors."""
+    out = {name: col * n for name, col in build_cols.items()}
+    out.update(
+        (name, array("q", _repeat_each(col, build_n)))
+        for name, col in probe_cols.items()
+    )
+    return out
+
+
 # ===================================================================== #
 # SPARQL: columnar batches of interned term ids
 # ===================================================================== #
@@ -79,18 +132,38 @@ class TermBatch:
         self.n = n
 
 
+def _term_id(lookup, pos: int, term) -> int:
+    """The interned id of a constant at ``pos`` (``_DEAD`` if it can't match)."""
+    if pos == 1 and not isinstance(term, IRI):
+        return _DEAD  # a non-IRI predicate can never match
+    if pos == 0 and isinstance(term, Literal):
+        return _DEAD  # a literal subject can never match
+    tid = lookup(term)
+    return _DEAD if tid is None else tid
+
+
+def _fill(pattern: TriplePattern, params) -> TriplePattern:
+    """``pattern`` with its parameter slots replaced by ``params``."""
+    terms = (pattern.s, pattern.p, pattern.o)
+    if not any(isinstance(term, Param) for term in terms):
+        return pattern
+    return TriplePattern(*(resolve(term, params) for term in terms))
+
+
 class _CompiledPattern:
     """A triple pattern resolved against the interner, probe-ready.
 
     Each position is compiled to a constant id (``_DEAD`` when the
     term is absent from the graph or statically invalid), a reference
-    to a bound input column, or a free output variable.  Matching
-    writes whole index buckets into the output columns.
+    to a bound input column, or a free output variable.  A parameter
+    slot is resolved to its constant id by :meth:`bind`, once per
+    execution.  Matching writes whole index buckets into the output
+    columns.
     """
 
     __slots__ = (
-        "graph", "pattern", "specs", "out_names", "writes", "eq_groups",
-        "_pred_memo", "_subj_memo",
+        "graph", "pattern", "specs", "slots", "out_names", "writes",
+        "eq_groups", "_pred_memo", "_subj_memo",
     )
 
     def __init__(self, graph, pattern: TriplePattern, bound_cols):
@@ -98,6 +171,7 @@ class _CompiledPattern:
         self.pattern = pattern
         lookup = graph._terms.lookup
         specs = []
+        slots = []
         out: list[str] = []
         positions: dict[str, list[int]] = {}
         for pos, term in enumerate((pattern.s, pattern.p, pattern.o)):
@@ -109,16 +183,14 @@ class _CompiledPattern:
                     positions.setdefault(term.name, []).append(pos)
                     if term.name not in out:
                         out.append(term.name)
+            elif isinstance(term, Param):
+                specs.append(("const", _DEAD))
+                slots.append((pos, term))
             else:
-                tid = lookup(term)
-                if tid is None:
-                    tid = _DEAD
-                if pos == 1 and not isinstance(term, IRI):
-                    tid = _DEAD  # a non-IRI predicate can never match
-                if pos == 0 and isinstance(term, Literal):
-                    tid = _DEAD  # a literal subject can never match
-                specs.append(("const", tid))
+                specs.append(("const", _term_id(lookup, pos, term)))
         self.specs = tuple(specs)
+        #: (position, slot) of every parameter of the pattern.
+        self.slots = tuple(slots)
         self.out_names = tuple(out)
         #: (name, position) for the first occurrence of each free var.
         self.writes = tuple((name, plist[0]) for name, plist in positions.items())
@@ -128,6 +200,15 @@ class _CompiledPattern:
         )
         self._pred_memo: dict[int, bool] = {}
         self._subj_memo: dict[int, bool] = {}
+
+    def bind(self, params) -> None:
+        """Resolve the parameter slots against this execution's values."""
+        if self.slots:
+            specs = list(self.specs)
+            lookup = self.graph._terms.lookup
+            for pos, slot in self.slots:
+                specs[pos] = ("const", _term_id(lookup, pos, params[slot.index]))
+            self.specs = tuple(specs)
 
     def pred_ok(self, tid: int) -> bool:
         ok = self._pred_memo.get(tid)
@@ -256,28 +337,33 @@ def _buckets(spo, pos_index, osp, si, pi, oi):
             yield si2, pi2, objs, len(objs)
 
 
-class SparqlBatchOperator(PhysicalOperator):
-    """A physical operator yielding :class:`TermBatch` items."""
+class _PatternOperator(PhysicalOperator):
+    """An operator yielding :class:`TermBatch` items for one pattern."""
 
-    def execute(self, stats=None):
-        raise NotImplementedError
+    def __init__(self, est_rows, children, graph, pattern: TriplePattern,
+                 bound_cols):
+        super().__init__(est_rows, children)
+        self.graph = graph
+        self.pattern = pattern
+        self.compiled = _CompiledPattern(graph, pattern, frozenset(bound_cols))
+
+    def prepare(self, analyze: bool = False, params=()) -> None:
+        super().prepare(analyze, params)
+        self.compiled.bind(params)
+
+    def detail(self, params=()) -> str:
+        return str(_fill(self.pattern, params))
 
 
-class BatchScan(SparqlBatchOperator):
+class BatchScan(_PatternOperator):
     """Leaf: scan one triple pattern's index buckets into batches."""
 
     op = "BatchScan"
 
     def __init__(self, graph, pattern: TriplePattern, est_rows: float,
                  batch_size: int = DEFAULT_BATCH_SIZE):
-        super().__init__(est_rows)
-        self.graph = graph
-        self.pattern = pattern
+        super().__init__(est_rows, (), graph, pattern, ())
         self.batch_size = batch_size
-        self.compiled = _CompiledPattern(graph, pattern, frozenset())
-
-    def detail(self) -> str:
-        return str(self.pattern)
 
     def execute(self, stats=None):
         self.actual_loops += 1
@@ -297,20 +383,14 @@ class BatchScan(SparqlBatchOperator):
             )
 
 
-class BatchBindJoin(SparqlBatchOperator):
+class BatchBindJoin(_PatternOperator):
     """Index nested-loop join, one index probe per input row."""
 
     op = "BatchBindJoin"
 
     def __init__(self, child, graph, pattern: TriplePattern,
                  bound_cols, est_rows: float):
-        super().__init__(est_rows, (child,))
-        self.graph = graph
-        self.pattern = pattern
-        self.compiled = _CompiledPattern(graph, pattern, frozenset(bound_cols))
-
-    def detail(self) -> str:
-        return str(self.pattern)
+        super().__init__(est_rows, (child,), graph, pattern, bound_cols)
 
     def execute(self, stats=None):
         compiled = self.compiled
@@ -360,7 +440,7 @@ class BatchBindJoin(SparqlBatchOperator):
             yield TermBatch(out_cols, m)
 
 
-class BatchHashJoin(SparqlBatchOperator):
+class BatchHashJoin(PhysicalOperator):
     """Hash join on the shared variables' interned ids."""
 
     op = "BatchHashJoin"
@@ -369,7 +449,7 @@ class BatchHashJoin(SparqlBatchOperator):
         super().__init__(est_rows, (probe, build))
         self.key = key
 
-    def detail(self) -> str:
+    def detail(self, params=()) -> str:
         if not self.key:
             return "cartesian"
         return "on " + ", ".join(f"?{name}" for name in self.key)
@@ -377,54 +457,18 @@ class BatchHashJoin(SparqlBatchOperator):
     def execute(self, stats=None):
         self.actual_loops += 1
         key = self.key
-        build_cols: dict[str, array] = {}
-        build_n = 0
-        for batch in self.children[1].run(stats):
-            for name, col in batch.cols.items():
-                build_cols.setdefault(name, array("q")).extend(col)
-            build_n += batch.n
-        single = key[0] if len(key) == 1 else None
-        table: dict = {}
-        if single is not None:
-            kcol = build_cols.get(single, array("q"))
-            for j in range(build_n):
-                table.setdefault(kcol[j], []).append(j)
-        elif key and build_n:  # an empty build side has no columns
-            kcols = [build_cols[name] for name in key]
-            for j in range(build_n):
-                table.setdefault(tuple(col[j] for col in kcols), []).append(j)
+        build_cols, build_n = _concat(self.children[1].run(stats))
+        table = _hash_table(build_cols, key, build_n)
         for batch in self.children[0].run(stats):
             n = batch.n
             if n == 0 or build_n == 0:
                 continue
             cols = batch.cols
             if not key:
-                # Cartesian: every probe row once per build row against
-                # the tiled build columns — no selection vectors.
-                out_cols = {name: col * n for name, col in build_cols.items()}
-                out_cols.update(
-                    (name, array("q", _repeat_each(col, build_n)))
-                    for name, col in cols.items()
-                )
                 self.actual_rows += n * build_n
-                yield TermBatch(out_cols, n * build_n)
+                yield TermBatch(_cartesian(build_cols, build_n, cols, n), n * build_n)
                 continue
-            sel_p = array("q")
-            sel_b = array("q")
-            if single is not None:
-                pcol = cols[single]
-                for i in range(n):
-                    hits = table.get(pcol[i])
-                    if hits:
-                        sel_p.extend(_repeat(i, len(hits)))
-                        sel_b.extend(hits)
-            else:
-                pcols = [cols[name] for name in key]
-                for i in range(n):
-                    hits = table.get(tuple(col[i] for col in pcols))
-                    if hits:
-                        sel_p.extend(_repeat(i, len(hits)))
-                        sel_b.extend(hits)
+            sel_p, sel_b = _probe(table, [cols[name] for name in key])
             m = len(sel_p)
             if m == 0:
                 continue
@@ -468,21 +512,23 @@ class BatchedBGP(PhysicalOperator):
     def __init__(
         self,
         graph,
-        root: SparqlBatchOperator,
+        root: PhysicalOperator,
         selectivity_profile: tuple[int, ...] = (),
     ):
         super().__init__(root.est_rows, (root,))
         self.graph = graph
         self.selectivity_profile = selectivity_profile
         self._memo: dict = {}
+        #: The operator tree EXPLAIN shows, and its operators pre-order.
+        self.root = root
+        self.ops = tuple(root.walk())
+        #: Per-operator row counters, bound once (see CachingPlanner).
+        self.row_counters = None
 
     def execute(self, stats=None):
         yield from _decode_term_batches(
             self.graph, self.children[0].run(stats), self._memo
         )
-
-    def explain(self) -> ExplainNode:
-        return self.children[0].explain()
 
 
 def _sparql_use_hash(shared, per_binding, standalone, out_est) -> bool:
@@ -521,7 +567,7 @@ def build_batched_bgp(planner, patterns) -> BatchedBGP:
     remaining = list(range(len(patterns)))
     bound: set[str] = set()
     profile: list[int] = []
-    plan: SparqlBatchOperator | None = None
+    plan: PhysicalOperator | None = None
     out_est = 1.0
     while remaining:
         connected = [i for i in remaining if patterns[i].variables() & bound]
@@ -584,14 +630,7 @@ class PathBatch:
         return len(self.rows)
 
 
-class CypherBatchOperator(PhysicalOperator):
-    """A physical operator yielding :class:`PathBatch` items."""
-
-    def execute(self, engine):
-        raise NotImplementedError
-
-
-class BatchInput(CypherBatchOperator):
+class BatchInput(PhysicalOperator):
     """Source: incoming clause rows, chunked into batches."""
 
     op = "Input"
@@ -611,7 +650,7 @@ class BatchInput(CypherBatchOperator):
             yield PathBatch(chunk, {}, {}, None, None)
 
 
-class BatchConst(CypherBatchOperator):
+class BatchConst(PhysicalOperator):
     """Source: a single empty binding (hash-join build sides)."""
 
     op = "Const"
@@ -659,7 +698,7 @@ def _resolve_constraint(var, want_kind, batch, names):
     return out if any_set else None
 
 
-class BatchSeed(CypherBatchOperator):
+class BatchSeed(PhysicalOperator):
     """Bind one node pattern via its chosen access path, batch-wise.
 
     Emits the raw candidate ids of the access path (whole postings
@@ -676,9 +715,9 @@ class BatchSeed(CypherBatchOperator):
         self.pattern = pattern
         self.choice = choice
 
-    def detail(self) -> str:
+    def detail(self, params=()) -> str:
         name = self.pattern.var or "_"
-        return f"({name}) via {self.choice.describe()}"
+        return f"({name}) via {self.choice.describe(params)}"
 
     def _candidates(self):
         store = self.store
@@ -688,7 +727,8 @@ class BatchSeed(CypherBatchOperator):
             bucket = store._label_index.get(li) if li is not None else None
             return bucket.sorted_array() if bucket is not None else array("q")
         if choice.mode == "prop":
-            bucket = store._property_index.get((choice.key, choice.value))
+            value = resolve(choice.value, self.params)
+            bucket = store._property_index.get((choice.key, value))
             return bucket.sorted_array() if bucket is not None else array("q")
         return store.node_id_array()
 
@@ -748,7 +788,7 @@ class BatchSeed(CypherBatchOperator):
             yield PathBatch(out_rows, out_cols, out_kinds, out, out)
 
 
-class BatchFilter(CypherBatchOperator):
+class BatchFilter(PhysicalOperator):
     """Apply residual label/property constraints to the anchor column."""
 
     op = "BatchFilter"
@@ -760,12 +800,14 @@ class BatchFilter(CypherBatchOperator):
         self.labels = tuple(labels)
         self.properties = tuple(properties)
 
-    def detail(self) -> str:
+    def detail(self, params=()) -> str:
         name = self.var or "_"
         labels = "".join(f":{label}" for label in self.labels)
         props = ""
         if self.properties:
-            inner = ", ".join(f"{k}: {v!r}" for k, v in self.properties)
+            inner = ", ".join(
+                f"{k}: {resolve(v, params)!r}" for k, v in self.properties
+            )
             props = f" {{{inner}}}"
         return f"({name}){labels}{props}"
 
@@ -782,7 +824,7 @@ class BatchFilter(CypherBatchOperator):
             buckets.append(bucket)
         value_of = store._names.value
         nodes = store.graph.nodes
-        properties = self.properties
+        properties = [(k, resolve(v, self.params)) for k, v in self.properties]
         for batch in self.children[0].run(engine):
             n = batch.n
             self.actual_loops += n
@@ -821,7 +863,7 @@ class BatchFilter(CypherBatchOperator):
             )
 
 
-class BatchExpand(CypherBatchOperator):
+class BatchExpand(PhysicalOperator):
     """Follow one hop from the anchor column through the adjacency index.
 
     Unconstrained hops extend whole edge-postings runs and gather the
@@ -841,7 +883,7 @@ class BatchExpand(CypherBatchOperator):
         self.reverse = reverse
         self.traverse_rel = _flip(rel) if reverse else rel
 
-    def detail(self) -> str:
+    def detail(self, params=()) -> str:
         types = "|".join(self.rel.types)
         rel = f"[:{types}]" if types else "[]"
         arrow = {"out": f"-{rel}->", "in": f"<-{rel}-", "any": f"-{rel}-"}[
@@ -967,7 +1009,7 @@ class BatchExpand(CypherBatchOperator):
             )
 
 
-class BatchPivot(CypherBatchOperator):
+class BatchPivot(PhysicalOperator):
     """Rewind the anchor to the seed node (forward chain -> backward)."""
 
     op = "Pivot"
@@ -984,6 +1026,20 @@ class BatchPivot(CypherBatchOperator):
             )
 
 
+def _elements(store, col, is_node: bool, memo: dict) -> dict:
+    """Graph element per distinct id of ``col``, resolved through ``memo``."""
+    value_of = store._names.value
+    source = store.graph.nodes if is_node else store.graph.edges
+    lookup = {}
+    for vid in set(col):
+        key = (vid, is_node)
+        obj = memo.get(key)
+        if obj is None:
+            obj = memo[key] = source[value_of(vid)]
+        lookup[vid] = obj
+    return lookup
+
+
 def _decode_path_batch(store, batch: PathBatch, memo: dict) -> list[dict]:
     """Decode a path batch to binding dicts (the plan boundary).
 
@@ -994,22 +1050,11 @@ def _decode_path_batch(store, batch: PathBatch, memo: dict) -> list[dict]:
     rows = batch.rows
     if not batch.cols:
         return list(rows)
-    value_of = store._names.value
-    nodes = store.graph.nodes
-    edges = store.graph.edges
     names = list(batch.cols)
     object_columns = []
     for name in names:
         col = batch.cols[name]
-        is_node = batch.kinds[name] == "node"
-        source = nodes if is_node else edges
-        lookup = {}
-        for vid in set(col):
-            key = (vid, is_node)
-            obj = memo.get(key)
-            if obj is None:
-                obj = memo[key] = source[value_of(vid)]
-            lookup[vid] = obj
+        lookup = _elements(store, col, batch.kinds[name] == "node", memo)
         object_columns.append(map(lookup.__getitem__, col))
     if not any(rows):
         return [dict(zip(names, values)) for values in zip(*object_columns)]
@@ -1021,14 +1066,12 @@ def _decode_path_batch(store, batch: PathBatch, memo: dict) -> list[dict]:
     return out
 
 
-class BatchPathHashJoin(CypherBatchOperator):
+class BatchPathHashJoin(PhysicalOperator):
     """Decorrelate a path: build its batches once, probe per row.
 
-    A purely columnar build side (a freshly compiled path over empty
-    input rows) joins on interned ids; otherwise both sides are decoded
-    at this boundary and joined on the evaluator's value identities
-    (node and edge identities compare by id, like the correlated
-    pipeline's identity checks).
+    The build side is a freshly compiled path over one empty input row,
+    so it is purely columnar: both sides join on interned ids and are
+    gathered, never decoded here.
     """
 
     op = "BatchHashJoin"
@@ -1037,9 +1080,8 @@ class BatchPathHashJoin(CypherBatchOperator):
         super().__init__(est_rows, (probe, build))
         self.key = key
         self.store = store
-        self._memo: dict = {}
 
-    def detail(self) -> str:
+    def detail(self, params=()) -> str:
         if not self.key:
             return "cartesian"
         return "on " + ", ".join(self.key)
@@ -1047,58 +1089,20 @@ class BatchPathHashJoin(CypherBatchOperator):
     def execute(self, engine):
         self.actual_loops += 1
         build = list(self.children[1].run(engine))
-        schema = build[0].cols.keys() if build else ()
-        if all(
-            batch.cols.keys() == schema
-            and all(k in batch.cols for k in self.key)
-            and all(not row for row in batch.rows)
-            for batch in build
-        ):
-            # The build side is purely columnar (a freshly compiled path
-            # over empty input rows): join on interned ids and gather —
-            # neither side is decoded here.
-            yield from self._execute_columnar(engine, build)
-            return
-        yield from self._execute_decoded(engine, build)
-
-    def _execute_columnar(self, engine, build):
         key = self.key
         names = self.store._names
-        b_cols: dict[str, array] = {}
-        b_kinds: dict[str, str] = {}
-        total = 0
-        for batch in build:
-            for name, col in batch.cols.items():
-                b_cols.setdefault(name, array("q")).extend(col)
-                b_kinds[name] = batch.kinds[name]
-            total += batch.n
-        table: dict = {}
-        if key and total:  # an empty build side has no columns to key on
-            key_cols = [b_cols[k] for k in key]
-            if len(key) == 1:
-                for j, v in enumerate(key_cols[0]):
-                    table.setdefault(v, []).append(j)
-            else:
-                for j in range(total):
-                    table.setdefault(
-                        tuple(col[j] for col in key_cols), []
-                    ).append(j)
+        b_cols, total = _concat(build)
+        b_kinds = {name: kind for batch in build for name, kind in batch.kinds.items()}
+        table = _hash_table(b_cols, key, total)
         for batch in self.children[0].run(engine):
             n = batch.n
             if n == 0 or total == 0:
                 continue
             if not key:
-                # Cartesian: every probe row once per build row against
-                # the tiled build columns — no selection vectors.
-                out_cols = {name: col * n for name, col in b_cols.items()}
-                out_cols.update(
-                    (name, array("q", _repeat_each(col, total)))
-                    for name, col in batch.cols.items()
-                )
                 self.actual_rows += n * total
                 yield PathBatch(
                     list(_repeat_each(batch.rows, total)),
-                    out_cols,
+                    _cartesian(b_cols, total, batch.cols, n),
                     {**b_kinds, **batch.kinds},
                     None,
                     None,
@@ -1109,28 +1113,8 @@ class BatchPathHashJoin(CypherBatchOperator):
                 for k in key
             ]
             if any(col is None for col in probe_keys):
-                # The variable is set in no probe row: like the
-                # decoded path's None key, nothing can match.
-                continue
-            sel_p = array("q")
-            sel_b = array("q")
-            if len(probe_keys) == 1:
-                probe = probe_keys[0]
-                for i in range(n):
-                    v = probe[i]
-                    if v < 0:
-                        continue
-                    for j in table.get(v, ()):
-                        sel_p.append(i)
-                        sel_b.append(j)
-            else:
-                for i in range(n):
-                    ks = tuple(col[i] for col in probe_keys)
-                    if min(ks) < 0:
-                        continue
-                    for j in table.get(ks, ()):
-                        sel_p.append(i)
-                        sel_b.append(j)
+                continue  # the variable is set in no probe row
+            sel_p, sel_b = _probe(table, probe_keys)
             m = len(sel_p)
             if m == 0:
                 continue
@@ -1147,30 +1131,6 @@ class BatchPathHashJoin(CypherBatchOperator):
             yield PathBatch(
                 [rows[i] for i in sel_p], out_cols, out_kinds, None, None
             )
-
-    def _execute_decoded(self, engine, build):
-        from ..cypher.evaluator import _value_key
-
-        key = self.key
-        memo = self._memo
-        table: dict[tuple, list[dict]] = {}
-        for batch in build:
-            for binding in _decode_path_batch(self.store, batch, memo):
-                table.setdefault(
-                    tuple(_value_key(binding.get(k)) for k in key), []
-                ).append(binding)
-        for batch in self.children[0].run(engine):
-            out_rows: list[dict] = []
-            for binding in _decode_path_batch(self.store, batch, memo):
-                matches = table.get(
-                    tuple(_value_key(binding.get(k)) for k in key)
-                )
-                if matches:
-                    for match in matches:
-                        out_rows.append({**binding, **match})
-            if out_rows:
-                self.actual_rows += len(out_rows)
-                yield PathBatch(out_rows, {}, {}, None, None)
 
 
 def _residual_node_constraints(pattern, choice):
@@ -1207,7 +1167,7 @@ def _compile_path_batched(planner, path, bound, child, in_est: float):
     seed_index, choice = planner._seed_position(path, bound)
     nodes = path.node_patterns()
     est = in_est * choice.est
-    current: CypherBatchOperator = BatchSeed(
+    current: PhysicalOperator = BatchSeed(
         child, store, nodes[seed_index], choice, est
     )
     current, est = _append_node_filter(
@@ -1247,35 +1207,40 @@ def _cypher_use_hash(shared, nullable, per_row, standalone, in_est) -> bool:
 class BatchMatchPlan:
     """A compiled (and cacheable) batched plan for one MATCH clause."""
 
-    def __init__(self, input_op: BatchInput, root: CypherBatchOperator, store):
+    def __init__(self, input_op: BatchInput, root: PhysicalOperator, store):
         self.input = input_op
         self.root = root
         self.store = store
         self._memo: dict = {}
+        #: The operators pre-order, and their bound row counters.
+        self.ops = tuple(root.walk())
+        self.row_counters = None
 
-    def execute(self, rows, engine, analyze: bool = False) -> list[dict]:
+    def execute(
+        self, rows, engine, analyze: bool = False, params=()
+    ) -> list[dict]:
         self.input.rows = rows
-        self.root.prepare(analyze)
+        self.root.prepare(analyze, params)
         out: list[dict] = []
         for batch in self.root.run(engine):
             out.extend(_decode_path_batch(self.store, batch, self._memo))
         return out
 
     def execute_projected(
-        self, rows, engine, items, analyze: bool = False
+        self, rows, engine, items, analyze: bool = False, params=()
     ) -> list[tuple]:
         """Project simple RETURN items straight off the path batches.
 
         ``items`` are return items whose expressions are literals,
         variable references, or property accesses (the caller checks);
         each column resolves its unique interned ids once, so no
-        binding dicts are materialized.  Batches that carry a needed
-        variable only in their row dicts (decoded hash-join fallbacks)
-        are decoded and evaluated per row with identical semantics.
+        binding dicts are materialized.  ``rows`` is the single empty
+        input row of a whole-query MATCH, so every variable the plan
+        binds is a column: an unbound variable is an error, a property
+        of one is null.
         """
         from ...errors import QueryError
-        from ...pg.model import PGEdge, PGNode
-        from ..cypher.ast import CypherLiteral, PropertyAccess, VarRef
+        from ..cypher.ast import CypherLiteral, VarRef
 
         specs = []
         for item in items:
@@ -1287,60 +1252,28 @@ class BatchMatchPlan:
             else:
                 specs.append(("prop", expr.var, expr.key))
         self.input.rows = rows
-        self.root.prepare(analyze)
-        store = self.store
-        value_of = store._names.value
-        nodes = store.graph.nodes
-        edges = store.graph.edges
-        memo = self._memo
+        self.root.prepare(analyze, params)
         out: list[tuple] = []
         for batch in self.root.run(engine):
             if batch.n == 0:
                 continue
-            cols = batch.cols
-            if all(kind == "lit" or var in cols for kind, var, _ in specs):
-                value_columns = []
-                for kind, var, prop_key in specs:
-                    if kind == "lit":
-                        value_columns.append(_repeat(var, batch.n))
-                        continue
-                    col = cols[var]
-                    is_node = batch.kinds[var] == "node"
-                    source = nodes if is_node else edges
-                    lookup = {}
-                    for vid in set(col):
-                        mkey = (vid, is_node)
-                        obj = memo.get(mkey)
-                        if obj is None:
-                            obj = memo[mkey] = source[value_of(vid)]
-                        lookup[vid] = (
-                            obj.properties.get(prop_key)
-                            if kind == "prop" else obj
-                        )
-                    value_columns.append(map(lookup.__getitem__, col))
-                out.extend(zip(*value_columns))
-                continue
-            for binding in _decode_path_batch(store, batch, memo):
-                values = []
-                for kind, var, prop_key in specs:
-                    if kind == "lit":
-                        values.append(var)
-                    elif kind == "var":
-                        if var not in binding:
-                            raise QueryError(f"unbound variable {var!r}")
-                        values.append(binding[var])
-                    else:
-                        element = binding.get(var)
-                        values.append(
-                            element.properties.get(prop_key)
-                            if isinstance(element, (PGNode, PGEdge))
-                            else None
-                        )
-                out.append(tuple(values))
+            value_columns = []
+            for kind, var, prop_key in specs:
+                col = batch.cols.get(var)
+                if kind == "lit" or col is None:
+                    if kind == "var":
+                        raise QueryError(f"unbound variable {var!r}")
+                    value_columns.append(_repeat(var if kind == "lit" else None, batch.n))
+                    continue
+                lookup = _elements(self.store, col, batch.kinds[var] == "node", self._memo)
+                if kind == "prop":
+                    lookup = {
+                        vid: obj.properties.get(prop_key)
+                        for vid, obj in lookup.items()
+                    }
+                value_columns.append(map(lookup.__getitem__, col))
+            out.extend(zip(*value_columns))
         return out
-
-    def explain(self) -> ExplainNode:
-        return self.root.explain()
 
 
 def build_batched_match(planner, clause, bound, nullable) -> BatchMatchPlan:
@@ -1348,7 +1281,7 @@ def build_batched_match(planner, clause, bound, nullable) -> BatchMatchPlan:
     from .cypher_plan import _path_variables
 
     input_op = BatchInput(planner.batch_size)
-    current: CypherBatchOperator = input_op
+    current: PhysicalOperator = input_op
     bound = set(bound)
     remaining = list(range(len(clause.paths)))
     in_est = 1.0

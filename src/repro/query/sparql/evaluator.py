@@ -277,9 +277,7 @@ def evaluate(
     # per-match bookkeeping stays off the disabled-path hot loop.
     stats = _EvalStats() if obs.enabled() else None
     if planner is not None:
-        planner.last_plan = None
-        planner.last_explain = None
-        planner.last_cache_hit = None
+        planner.last_execution = None
     start = time.perf_counter()
     with obs.span("sparql.evaluate", patterns=len(query.patterns)) as span:
         rows = _evaluate(graph, query, stats, planner, analyze)
@@ -288,12 +286,8 @@ def evaluate(
             span.set("bgp_matches", stats.matches)
             span.set("join_selections", stats.selections)
             span.set("selectivity_profile", list(stats.selectivity))
-        if planner is not None and planner.last_plan is not None:
-            from ..plan import flush_operator_obs
-
-            planner.last_explain = planner.last_plan.explain()
-            flush_operator_obs("sparql", planner.last_explain)
-            planner.feedback.record(planner.last_key, planner.last_explain)
+        if planner is not None:
+            planner.finish()
     metrics = obs.get_metrics()
     metrics.counter(
         "repro_query_runs_total", help="query engine invocations"
@@ -449,10 +443,12 @@ class SparqlEngine:
         if self.planner is not None:
             from ..plan import explain_select
 
-            last_explain, n_rows = self.planner.last_explain, len(rows)
-            plan = lambda: explain_select(query, last_explain, n_rows).to_dict()
-            cache_hit = self.planner.last_cache_hit
-            q_error = self.planner.feedback.max_q_error(self.planner.last_key)
+            execution, n_rows = self.planner.last_execution, len(rows)
+            plan = lambda: explain_select(
+                query, execution and execution.explain(), n_rows
+            ).to_dict()
+            if execution is not None:
+                cache_hit, q_error = execution.hit, execution.worst
         obs.record_query("sparql", text, duration, len(rows), plan=plan)
         obs.record_statement(
             "sparql", text, query, duration, len(rows),
@@ -479,7 +475,8 @@ class SparqlEngine:
             raise QueryError(f"unknown explain format {fmt!r}")
         query = parse_sparql(text)
         rows = evaluate(self.graph, query, planner=self.planner, analyze=analyze)
-        root = explain_select(query, self.planner.last_explain, len(rows))
+        execution = self.planner.last_execution
+        root = explain_select(query, execution and execution.explain(), len(rows))
         if fmt == "json":
             return root.to_dict()
         return render_text(root)

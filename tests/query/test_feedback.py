@@ -2,9 +2,10 @@
 
 Every planned execution feeds its EXPLAIN snapshot (estimates + actuals)
 back into the planner's :class:`~repro.query.plan.FeedbackStore`, keyed
-by the plan-cache key.  These tests pin the q-error math, the sanity of
+by the query shape.  These tests pin the q-error math, the sanity of
 the recorded numbers on the university workload (both engines), the
-execution accounting across repeated runs, and the store's LRU bound.
+execution accounting across repeated runs and catalog versions, and the
+store's LRU bound.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.pg import PropertyGraphStore
 from repro.query import CypherEngine, SparqlEngine
 from repro.query.plan import FeedbackStore, Q_ERROR_BOUNDARIES, q_error
 from repro.query.plan.explain import ExplainNode
+from repro.rdf.terms import IRI, Triple
 
 PREFIX = "PREFIX uni: <http://example.org/university#>\n"
 
@@ -125,6 +127,40 @@ def test_skewed_reruns_accumulate_in_one_feedback_slot():
         assert engine.planner.last_key == key
         assert engine.planner.feedback.get(key)["executions"] == 2
         assert len(engine.planner.feedback) == 1
+
+
+def test_feedback_survives_catalog_versions():
+    """A statement re-run between mutations keeps one feedback slot.
+
+    Plan-cache keys carry the catalog version and the cache sweeps dead
+    versions; feedback is keyed by the version-free shape, so 600 runs
+    with a mutation between each accumulate in one entry instead of
+    filling the store with 512 entries no key reaches again.
+    """
+    ex = "http://example.org/"
+    graph = university_graph()
+    sparql = SparqlEngine(graph)
+    store = PropertyGraphStore(
+        S3PG().transform(university_graph(), university_shapes()).graph
+    )
+    cypher = CypherEngine(store)
+    runs = (
+        (sparql, PREFIX + "SELECT ?s WHERE { ?s uni:advisedBy ?p . }",
+         lambda i: graph.add(Triple(IRI(f"{ex}x{i}"), IRI(f"{ex}p"), IRI(ex)))),
+        (cypher, "MATCH (p:uni_Professor) RETURN p.iri AS iri",
+         lambda i: store.add_node(f"extra{i}", ["Extra"], {"iri": f"{ex}e{i}"})),
+    )
+    for engine, query, mutate in runs:
+        for i in range(600):
+            engine.query(query)
+            mutate(i)
+        assert len(engine.planner.cache) == 1
+        assert len(engine.planner.feedback) == 1
+        summary = engine.planner.feedback.summary()
+        assert (summary["plans"], summary["executions"]) == (1, 600)
+        assert engine.planner.feedback.get(engine.planner.last_key)[
+            "executions"
+        ] == 600
 
 
 def test_feedback_observes_q_error_histogram():

@@ -350,16 +350,6 @@ def test_sparql_join_operators_match_reference(case):
         assert normalize_sparql_rows(list(plan.run())) == expected, tag
 
 
-class _DecodedPathHashJoin(BatchPathHashJoin):
-    """Always takes the decode-both-sides path of the join."""
-
-    def execute(self, engine):
-        self.actual_loops += 1
-        yield from self._execute_decoded(
-            engine, list(self.children[1].run(engine))
-        )
-
-
 _PATHS = [
     "(a:A)-[r:R]->(b)",
     "(a)-[:R]-(b:B)",
@@ -399,7 +389,7 @@ def _pg_join_cases(draw):
 @given(_pg_join_cases())
 @settings(max_examples=150, deadline=None)
 def test_cypher_path_joins_match_reference(case):
-    """BatchPathHashJoin — columnar and decoded — and the correlated
+    """BatchPathHashJoin and the correlated
     ``_compile_path_batched`` pipeline over the same path pair return the
     reference evaluator's bag."""
     pg, first_text, second_text, batch_size = case
@@ -434,9 +424,6 @@ def test_cypher_path_joins_match_reference(case):
 
     joins = {
         "columnar": lambda probe: BatchPathHashJoin(
-            probe, build(), shared, 1.0, store
-        ),
-        "decoded": lambda probe: _DecodedPathHashJoin(
             probe, build(), shared, 1.0, store
         ),
         "correlated": lambda probe: _compile_path_batched(
