@@ -22,8 +22,8 @@ from collections.abc import Iterator
 
 from ...rdf.graph import Graph
 from ...rdf.terms import Term
-from ..normalize import lift_bgp
-from ..sparql.ast import SelectQuery, TriplePattern
+from ...lexer import resolve
+from ..sparql.ast import SelectQuery
 from .cache import CachingPlanner
 from .explain import ExplainNode
 from .operator import Execution
@@ -65,16 +65,19 @@ class SparqlPlanner(CachingPlanner):
         self._running = None
 
     def execute_bgp(
-        self,
-        patterns: list[TriplePattern],
-        stats=None,
-        analyze: bool = False,
+        self, bgp: tuple, params=(), stats=None, analyze: bool = False
     ) -> Iterator[Binding]:
-        """Plan (once per shape) and run a BGP, yielding solution bindings."""
-        key, params, lifted = lift_bgp(patterns)
+        """Plan (once per shape) and run a BGP, yielding solution bindings.
+
+        ``bgp`` is :func:`~repro.query.normalize.lift_bgp`'s ``(shape,
+        parameters, lifted patterns)``; a parameter that is itself a
+        prepared statement's slot takes its value from ``params``.
+        """
+        key, lifted_params, lifted = bgp
         plan, hit = self._plan(
-            key, lambda: build_batched_bgp(self, lifted), patterns=len(patterns)
+            key, lambda: build_batched_bgp(self, lifted), patterns=len(lifted)
         )
+        params = [resolve(value, params) for value in lifted_params]
         self.last_key = key
         self._running = (hit, plan, params, analyze)
         plan.prepare(analyze, params)

@@ -13,8 +13,10 @@ Grammar (informal)::
 from __future__ import annotations
 
 import re
+from functools import partial
 
-from ...errors import QueryError
+from ...errors import ParseError, QueryError
+from ...lexer import SPARQL, Token, TokenParser, unescape
 from ...namespaces import RDF_TYPE, XSD
 from ...rdf.namespace import PrefixMap
 from ...rdf.terms import IRI, Literal
@@ -33,69 +35,60 @@ from .ast import (
     Var,
 )
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<iri><[^<>\s]*>)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<var>[?$][A-Za-z_][A-Za-z0-9_]*)
-  | (?P<double>[-+]?(?:\d+\.\d*|\.\d+|\d+)[eE][-+]?\d+)
-  | (?P<decimal>[-+]?\d*\.\d+)
-  | (?P<integer>[-+]?\d+)
-  | (?P<dtype>\^\^)
-  | (?P<langtag>@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)
-  | (?P<op><=|>=|!=|=|<|>|&&|\|\||!)
-  | (?P<word>[A-Za-z_][\w]*(?::[\w.%-]*)?|:[\w.%-]*)
-  | (?P<punct>[{}().;,*])
-    """,
-    re.VERBOSE,
-)
+_RDF_TYPE = IRI(RDF_TYPE)
+_IRIS = ("iri", "iri_bnode")
+_LITERAL = re.compile(r'"(.*)"\s*(?:@(.+)|\^\^\s*(.+))')
 
-_KEYWORDS = {
-    "select", "distinct", "where", "filter", "limit", "prefix", "a",
-    "count", "as", "regex", "isliteral", "isiri", "str",
+
+def _iri(text: str) -> IRI:
+    return IRI(text[1:-1])
+
+
+def _literal(prefixes: PrefixMap, text: str) -> Literal:
+    """A string with its ``@lang`` or ``^^datatype``."""
+    body, language, datatype = _LITERAL.fullmatch(text).groups()
+    if language is not None:
+        return Literal(unescape(body, QueryError), language=language)
+    if datatype.startswith("<"):
+        return Literal(unescape(body, QueryError), datatype[1:-1])
+    try:
+        return Literal(unescape(body, QueryError), prefixes.expand(datatype))
+    except ParseError as exc:
+        raise QueryError(str(exc)) from None
+
+
+#: How a constant token of each class decodes (a ``literal`` needs the
+#: prefixes, see :meth:`SparqlParser._value`).  xsd:decimal reads as
+#: xsd:double.
+_DECODE = {
+    "iri": _iri, "iri_bnode": _iri,
+    "string": lambda text: Literal(unescape(text[1:-1], QueryError)),
+    "integer": lambda text: Literal(text, XSD.integer),
+    "decimal": lambda text: Literal(text, XSD.double),
+    "double": lambda text: Literal(text, XSD.double),
 }
 
 
-class _Token:
-    __slots__ = ("kind", "text")
+class SparqlParser(TokenParser):
+    """Recursive-descent parser for the supported SELECT fragment.
 
-    def __init__(self, kind: str, text: str):
-        self.kind = kind
-        self.text = text
+    With ``template`` set it parses a prepared statement's template (see
+    :class:`~repro.lexer.TokenParser`): predicates, the object of
+    ``rdf:type``, PREFIX IRIs, REGEX patterns and LIMIT keep their
+    values, every other constant becomes a ``Param``.
+    """
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"_Token({self.kind}, {self.text!r})"
+    lexer = SPARQL
+    _LOGIC = {"or": ("op", "||"), "and": ("op", "&&"), "not": ("op", "!")}
+    _boolean, _negation = BooleanOp, NotOp
 
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise QueryError(f"unexpected character {text[pos]!r} in SPARQL query")
-        kind = match.lastgroup or "word"
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, match.group()))
-        pos = match.end()
-    tokens.append(_Token("eof", ""))
-    return tokens
-
-
-class SparqlParser:
-    """Recursive-descent parser for the supported SELECT fragment."""
-
-    def __init__(self, prefixes: PrefixMap | None = None):
+    def __init__(self, prefixes: PrefixMap | None = None, template: bool = False):
+        super().__init__(template)
         self.prefixes = prefixes or PrefixMap.with_defaults()
-        self._tokens: list[_Token] = []
-        self._index = 0
 
     def parse(self, text: str) -> SelectQuery:
         """Parse ``text``; raises :class:`QueryError` on invalid input."""
-        self._tokens = _tokenize(text)
-        self._index = 0
+        self._start(text)
         query = SelectQuery()
         self._parse_prologue()
         if self._at_word("ask"):
@@ -136,16 +129,11 @@ class SparqlParser:
                 continue
             if self._at_word("optional"):
                 self._next()
-                self._expect_punct("{")
-                group = SelectQuery()
-                while not self._at_punct("}"):
-                    self._parse_triples_block(group)
-                self._expect_punct("}")
-                query.optionals.append(group.patterns)
+                query.optionals.append(self._parse_group_patterns())
                 if self._at_punct("."):
                     self._next()
                 continue
-            self._parse_triples_block(query)
+            self._parse_triples_block(query.patterns)
         self._expect_punct("}")
         if self._at_word("order"):
             self._next()
@@ -175,50 +163,29 @@ class SparqlParser:
             token = self._next()
             if token.kind != "integer":
                 raise QueryError("LIMIT requires an integer")
-            query.limit = int(token.text)
+            query.limit = self._constant(token, int, structural=True)
         if not self._at("eof"):
             raise QueryError(f"trailing content: {self._peek().text!r}")
         return query
 
     # ------------------------------------------------------------------ #
 
-    def _peek(self) -> _Token:
-        return self._tokens[self._index]
-
-    def _next(self) -> _Token:
-        token = self._tokens[self._index]
-        self._index += 1
-        return token
-
-    def _at(self, kind: str) -> bool:
-        return self._peek().kind == kind
-
-    def _at_word(self, word: str) -> bool:
-        token = self._peek()
-        return token.kind == "word" and token.text.lower() == word
-
-    def _at_punct(self, text: str) -> bool:
-        token = self._peek()
-        return token.kind == "punct" and token.text == text
-
-    def _expect_word(self, word: str) -> None:
-        if not self._at_word(word):
-            raise QueryError(f"expected {word.upper()}, found {self._peek().text!r}")
-        self._next()
-
-    def _expect_punct(self, text: str) -> None:
-        if not self._at_punct(text):
-            raise QueryError(f"expected {text!r}, found {self._peek().text!r}")
-        self._next()
-
     def _parse_group_patterns(self) -> list[TriplePattern]:
         """Parse ``{ triples... }`` into a pattern list."""
         self._expect_punct("{")
-        group = SelectQuery()
+        patterns: list[TriplePattern] = []
         while not self._at_punct("}"):
-            self._parse_triples_block(group)
+            self._parse_triples_block(patterns)
         self._expect_punct("}")
-        return group.patterns
+        return patterns
+
+    def _value(self, token: Token, structural: bool = False):
+        """The term a constant token stands for (a Param in a template)."""
+        if token.kind == "literal":
+            decode = partial(_literal, self.prefixes)
+        else:
+            decode = _DECODE[token.kind]
+        return self._constant(token, decode, structural)
 
     # ------------------------------------------------------------------ #
 
@@ -229,9 +196,12 @@ class SparqlParser:
             if name_token.kind != "word" or not name_token.text.endswith(":"):
                 raise QueryError("PREFIX requires 'name:'")
             iri_token = self._next()
-            if iri_token.kind != "iri":
+            if iri_token.kind not in _IRIS:
                 raise QueryError("PREFIX requires an <iri>")
-            self.prefixes.bind(name_token.text[:-1], iri_token.text[1:-1])
+            namespace = self._constant(
+                iri_token, lambda text: text[1:-1], structural=True
+            )
+            self.prefixes.bind(name_token.text[:-1], namespace)
 
     def _parse_projection(self, query: SelectQuery) -> None:
         if self._at_punct("*"):
@@ -256,96 +226,40 @@ class SparqlParser:
         if not query.variables:
             raise QueryError("SELECT requires variables, *, or COUNT(*)")
 
-    def _parse_triples_block(self, query: SelectQuery) -> None:
-        subject = self._parse_term(position="subject")
-        while True:
-            predicate = self._parse_term(position="predicate")
-            while True:
-                obj = self._parse_term(position="object")
-                query.patterns.append(TriplePattern(subject, predicate, obj))
-                if self._at_punct(","):
-                    self._next()
-                    continue
-                break
-            if self._at_punct(";"):
-                self._next()
-                if self._at_punct(".") or self._at_punct("}"):
-                    break
-                continue
-            break
+    def _parse_triples_block(self, patterns: list[TriplePattern]) -> None:
+        subject = self._parse_term("subject")
+        self._predicate_objects(
+            lambda: self._parse_term("predicate"),
+            # The object of rdf:type names a class: query shape.
+            lambda p: self._parse_term("object", structural=p == _RDF_TYPE),
+            lambda p, o: patterns.append(TriplePattern(subject, p, o)), ".}",
+        )
         if self._at_punct("."):
             self._next()
 
-    def _parse_term(self, position: str):
+    def _parse_term(self, position: str, structural: bool = False):
         token = self._next()
         if token.kind == "var":
             return Var(token.text[1:])
-        if token.kind == "iri":
-            return IRI(token.text[1:-1])
+        if token.kind in _IRIS:
+            return self._value(token, structural or position == "predicate")
         if token.kind == "word":
             lowered = token.text.lower()
             if lowered == "a" and position == "predicate":
-                return IRI(RDF_TYPE)
+                return _RDF_TYPE
             if ":" in token.text:
                 try:
                     return IRI(self.prefixes.expand(token.text))
                 except Exception as exc:
                     raise QueryError(str(exc)) from exc
             raise QueryError(f"unexpected word {token.text!r} as {position}")
-        if token.kind == "string" and position == "object":
-            return self._finish_literal(token)
-        if token.kind == "integer" and position == "object":
-            return Literal(token.text, XSD.integer)
-        if token.kind in ("decimal", "double") and position == "object":
-            return Literal(token.text, XSD.double)
+        if token.slot is not None and position == "object":
+            return self._value(token, structural)
         raise QueryError(f"invalid {position} term {token.text!r}")
-
-    def _finish_literal(self, token: _Token) -> Literal:
-        lexical = token.text[1:-1].replace('\\"', '"').replace("\\\\", "\\")
-        nxt = self._peek()
-        if nxt.kind == "langtag":
-            self._next()
-            return Literal(lexical, language=nxt.text[1:])
-        if nxt.kind == "dtype":
-            self._next()
-            dt_token = self._next()
-            if dt_token.kind == "iri":
-                return Literal(lexical, dt_token.text[1:-1])
-            if dt_token.kind == "word" and ":" in dt_token.text:
-                return Literal(lexical, self.prefixes.expand(dt_token.text))
-            raise QueryError("expected datatype after ^^")
-        return Literal(lexical)
 
     # ------------------------------------------------------------------ #
     # FILTER expressions (precedence: || < && < ! < comparison)
     # ------------------------------------------------------------------ #
-
-    def _parse_expression(self) -> Expression:
-        return self._parse_or()
-
-    def _parse_or(self) -> Expression:
-        operands = [self._parse_and()]
-        while self._peek().kind == "op" and self._peek().text == "||":
-            self._next()
-            operands.append(self._parse_and())
-        if len(operands) == 1:
-            return operands[0]
-        return BooleanOp("or", tuple(operands))
-
-    def _parse_and(self) -> Expression:
-        operands = [self._parse_not()]
-        while self._peek().kind == "op" and self._peek().text == "&&":
-            self._next()
-            operands.append(self._parse_not())
-        if len(operands) == 1:
-            return operands[0]
-        return BooleanOp("and", tuple(operands))
-
-    def _parse_not(self) -> Expression:
-        if self._peek().kind == "op" and self._peek().text == "!":
-            self._next()
-            return NotOp(self._parse_not())
-        return self._parse_comparison()
 
     def _parse_comparison(self) -> Expression:
         lhs = self._parse_primary()
@@ -360,14 +274,8 @@ class SparqlParser:
         token = self._next()
         if token.kind == "var":
             return Var(token.text[1:])
-        if token.kind == "iri":
-            return IRI(token.text[1:-1])
-        if token.kind == "string":
-            return self._finish_literal(token)
-        if token.kind == "integer":
-            return Literal(token.text, XSD.integer)
-        if token.kind in ("decimal", "double"):
-            return Literal(token.text, XSD.double)
+        if token.slot is not None:
+            return self._value(token)
         if token.kind == "word":
             lowered = token.text.lower()
             if lowered in ("isliteral", "isiri", "str", "regex"):
@@ -379,7 +287,10 @@ class SparqlParser:
                     if pat_token.kind != "string":
                         raise QueryError("REGEX requires a string pattern")
                     self._expect_punct(")")
-                    return RegexFn(operand, pat_token.text[1:-1])
+                    pattern = self._constant(
+                        pat_token, _DECODE["string"], structural=True
+                    )
+                    return RegexFn(operand, pattern.lexical)
                 self._expect_punct(")")
                 if lowered == "isliteral":
                     return IsLiteralFn(operand)

@@ -37,15 +37,7 @@ from .sparql.ast import (
     Var,
 )
 from ..namespaces import RDF_TYPE
-
-
-def _cypher_value(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, float)):
-        return str(value)
-    text = str(value).replace("\\", "\\\\").replace("'", "\\'")
-    return f"'{text}'"
+from .normalize import cypher_value_text
 
 
 class SparqlToCypherTranslator:
@@ -197,7 +189,7 @@ class _Translation:
                 var = self.constant_vars[term] = self._fresh_var("s")
                 iri_text = term.value if isinstance(term, IRI) else f"_:{term.label}"
                 self.subject_labels.setdefault(var, [])
-                self.where.append(f"{var}.iri = {_cypher_value(iri_text)}")
+                self.where.append(f"{var}.iri = {cypher_value_text(iri_text)}")
             return var
         raise TranslationError(f"unsupported subject term {term!r}")
 
@@ -248,7 +240,7 @@ class _Translation:
             constant = encode_literal_value(pattern.o)
             helper = self._fresh_var("kv")
             self.unwinds.append(f"UNWIND {subject_var}.{key} AS {helper}")
-            self.where.append(f"{helper} = {_cypher_value(constant)}")
+            self.where.append(f"{helper} = {cypher_value_text(constant)}")
             return
         raise TranslationError("key/value property cannot target an IRI object")
 
@@ -267,17 +259,17 @@ class _Translation:
             )
             target_var = self._fresh_var("t")
             self.paths.append(
-                f"({subject_var})-[:{rel_type}]->({target_var} {{iri: {_cypher_value(iri_text)}}})"
+                f"({subject_var})-[:{rel_type}]->({target_var} {{iri: {cypher_value_text(iri_text)}}})"
             )
             return
         # Constant literal object: match the literal node by value.
         constant = encode_literal_value(pattern.o)
         target_var = self._fresh_var("t")
         self.paths.append(
-            f"({subject_var})-[:{rel_type}]->({target_var} {{value: {_cypher_value(constant)}}})"
+            f"({subject_var})-[:{rel_type}]->({target_var} {{value: {cypher_value_text(constant)}}})"
         )
         if pattern.o.language is not None:
-            self.where.append(f"{target_var}.lang = {_cypher_value(pattern.o.language)}")
+            self.where.append(f"{target_var}.lang = {cypher_value_text(pattern.o.language)}")
 
     # ------------------------------------------------------------------ #
 
@@ -305,9 +297,9 @@ class _Translation:
                 return f"COALESCE({var}.value, {var}.iri)"
             return f"{var}.iri"
         if isinstance(expression, Literal):
-            return _cypher_value(encode_literal_value(expression))
+            return cypher_value_text(encode_literal_value(expression))
         if isinstance(expression, IRI):
-            return _cypher_value(expression.value)
+            return cypher_value_text(expression.value)
         raise TranslationError(f"unsupported FILTER operand {expression!r}")
 
     # ------------------------------------------------------------------ #

@@ -195,3 +195,51 @@ class TestConstantEncoding:
         sparql = PROLOG + "SELECT ?e WHERE { ?e a :Album ; :year 2001 . }"
         cypher = translate_sparql_to_cypher(sparql, result.mapping)
         assert len(engine.query(cypher)) == 1
+
+
+class TestStringEscapes:
+    """A string constant means the same value in N-Triples, SPARQL and
+    the translated Cypher: all three decode ECHAR and ``\\u`` escapes
+    with the one unescape of :mod:`repro.lexer`."""
+
+    # "C:\temp" (one backslash) and "line1<newline>line2"
+    DATA = (
+        '<http://x/a> <http://x/path> "C:\\\\temp" .\n'
+        '<http://x/b> <http://x/path> "line1\\nline2" .\n'
+        '<http://x/c> <http://x/path> "C:\\\\\\\\temp" .\n'
+    )
+
+    @pytest.fixture(scope="class", params=[True, False], ids=["parsimonious",
+                                                              "non-parsimonious"])
+    def engines(self, request):
+        from repro.core.config import TransformOptions
+        from repro.rdf.ntriples import parse_ntriples
+        from repro.shapes.extractor import extract_shapes
+
+        graph = parse_ntriples(self.DATA)
+        options = TransformOptions(parsimonious=request.param)
+        result = transform(graph, extract_shapes(graph), options)
+        store = PropertyGraphStore(result.graph)
+        return result.mapping, SparqlEngine(graph), CypherEngine(store)
+
+    def _subjects(self, engines, constant: str) -> tuple[list, list]:
+        mapping, sparql_engine, cypher_engine = engines
+        sparql = f"SELECT ?s WHERE {{ ?s <http://x/path> {constant} . }}"
+        cypher = translate_sparql_to_cypher(sparql, mapping)
+        return (
+            sorted(str(row["s"]) for row in sparql_engine.query(sparql)),
+            sorted(str(row["s"]) for row in cypher_engine.query(cypher)),
+        )
+
+    def test_backslash_survives_translation(self, engines):
+        sparql, cypher = self._subjects(engines, '"C:\\\\temp"')
+        assert sparql == cypher == ["http://x/a"]
+
+    def test_sparql_decodes_echar(self, engines):
+        # Hand-written answer: both arms agreed on 0 rows before the fix.
+        sparql, cypher = self._subjects(engines, '"line1\\nline2"')
+        assert sparql == cypher == ["http://x/b"]
+
+    def test_sparql_decodes_unicode_escapes(self, engines):
+        sparql, cypher = self._subjects(engines, '"C:\\u005C\\u005Ctemp"')
+        assert sparql == cypher == ["http://x/c"]
