@@ -325,27 +325,11 @@ class CDCPipeline:
             if (added_effective or removed_effective) and (
                 config.validate and self.validator is not None
             ):
-                revalidate_start = time.perf_counter()
                 rechecked = self.validator.apply_delta(
                     added=added_effective, removed=removed_effective
                 )
                 self.stats.focus_rechecked += rechecked
                 self._m_revalidated.inc(rechecked)
-                # Revalidation probes are workload too: when a query log
-                # is capturing, they appear as non-query events so a
-                # replayed capture can account for ingest-time checks.
-                if obs.get_workload() is not None:
-                    obs.log_workload_event({
-                        "lang": "cdc",
-                        "kind": "revalidate",
-                        "watermark": self.watermark,
-                        "focus_rechecked": rechecked,
-                        "triples_added": len(added_effective),
-                        "triples_removed": len(removed_effective),
-                        "duration_ms": round(
-                            (time.perf_counter() - revalidate_start) * 1000.0, 3
-                        ),
-                    })
             if applied:
                 staleness = time.monotonic() - min(
                     arrival for _, arrival in batch

@@ -25,10 +25,7 @@ Subcommands cover the full S3PG workflow on files:
   log, maintain the PG incrementally with delta-scoped SHACL
   revalidation, checkpoint, and (without ``--once``) tail the log
 * ``obs``             — observability utilities: ``serve`` (standalone
-  ops endpoint), ``report`` (per-fingerprint statement statistics from
-  a query log), ``replay`` (re-execute a captured log and verify
-  bag-identity), ``diff`` (flag latency/q-error regressions between
-  two workload reports)
+  ops endpoint with ``/debug/statements`` per-statement statistics)
 
 ``transform``, ``validate``, ``query``, ``fuzz``, ``profile``, and
 ``serve`` accept ``--trace FILE`` (Chrome trace events for ``.json``, JSON-lines
@@ -197,15 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--warmup", type=int, default=0, metavar="N",
         help="untimed warm-up executions before the measured runs "
              "(default 0)",
-    )
-    query.add_argument(
-        "--query-log", metavar="FILE",
-        help="append executed statements to this JSONL query log "
-             "(replayable with `repro obs replay`)",
-    )
-    query.add_argument(
-        "--query-log-sample", type=int, default=1, metavar="N",
-        help="log every Nth statement only (default 1 = all)",
     )
     _add_obs_arguments(query)
 
@@ -390,11 +378,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "many seconds so scrapers can collect final state "
              "(released early by /quitquitquit; default 0)",
     )
-    serve.add_argument(
-        "--query-log", metavar="FILE",
-        help="capture statements executed while serving to this JSONL "
-             "query log (replayable with `repro obs replay`)",
-    )
     _add_obs_arguments(serve)
 
     obs_cmd = sub.add_parser(
@@ -447,96 +430,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--duration", type=float, default=0.0, metavar="S",
         help="serve for this many seconds, then exit (default 0 = serve "
              "until /quitquitquit or Ctrl-C)",
-    )
-
-    obs_report = obs_sub.add_parser(
-        "report",
-        help="print per-fingerprint statement statistics from a "
-             "captured query log (.jsonl) or a saved report (.json)",
-    )
-    obs_report.add_argument(
-        "source", help="query log (.jsonl) or workload report (.json)"
-    )
-    obs_report.add_argument(
-        "--top", type=int, default=20, metavar="N",
-        help="statements to print, heaviest first (default 20)",
-    )
-    obs_report.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output rendering (default: text)",
-    )
-    obs_report.add_argument(
-        "--out", metavar="FILE",
-        help="also write the full report as JSON to FILE",
-    )
-
-    obs_replay = obs_sub.add_parser(
-        "replay",
-        help="re-execute a captured query log against a dataset and "
-             "verify bag-identity of the results",
-    )
-    obs_replay.add_argument("log", help="JSONL query log to replay")
-    obs_replay.add_argument(
-        "--data", required=True, metavar="FILE",
-        help="RDF instance data to replay against (transformed to a PG "
-             "when the log contains Cypher statements)",
-    )
-    obs_replay.add_argument(
-        "--repeat", type=int, default=1, metavar="N",
-        help="executions per captured statement (default 1)",
-    )
-    obs_replay.add_argument(
-        "--top", type=int, default=20, metavar="N",
-        help="statements to print, heaviest first (default 20)",
-    )
-    obs_replay.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output rendering (default: text)",
-    )
-    obs_replay.add_argument(
-        "--out", metavar="FILE",
-        help="write the replay report as JSON to FILE",
-    )
-    obs_replay.add_argument(
-        "--allow-mismatch", action="store_true",
-        help="exit 0 even when replayed results differ from the capture",
-    )
-
-    obs_diff = obs_sub.add_parser(
-        "diff",
-        help="compare two workload reports and flag per-fingerprint "
-             "latency/q-error regressions",
-    )
-    obs_diff.add_argument(
-        "baseline", help="baseline report (.json) or query log (.jsonl)"
-    )
-    obs_diff.add_argument(
-        "current", help="current report (.json) or query log (.jsonl)"
-    )
-    obs_diff.add_argument(
-        "--threshold", type=float, default=1.5, metavar="X",
-        help="latency regression ratio (default 1.5)",
-    )
-    obs_diff.add_argument(
-        "--q-threshold", type=float, default=2.0, metavar="X",
-        help="q-error regression ratio (default 2.0)",
-    )
-    obs_diff.add_argument(
-        "--min-ms", type=float, default=0.1, metavar="MS",
-        help="absolute latency floor before a ratio counts as a "
-             "regression (default 0.1)",
-    )
-    obs_diff.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output rendering (default: text)",
-    )
-    obs_diff.add_argument(
-        "--out", metavar="FILE",
-        help="write the diff as JSON to FILE",
-    )
-    obs_diff.add_argument(
-        "--fail-on-regression", action="store_true",
-        help="exit 1 when any statement regresses",
     )
 
     return parser
@@ -650,50 +543,38 @@ def _cmd_query(args: argparse.Namespace) -> int:
         sparql = Path(sparql[1:]).read_text(encoding="utf-8")
     repeat = max(1, args.repeat)
     warmup = max(0, args.warmup)
-    tracker = None
-    if args.query_log:
-        tracker = obs.install_workload(
-            log_path=args.query_log,
-            sample_every=max(1, args.query_log_sample),
-        )
-    try:
-        if not args.via_pg:
-            engine = SparqlEngine(graph)
-            if args.explain or args.analyze:
-                return _print_explain(
-                    engine, sparql, args.explain_format, args.analyze
-                )
-            for _ in range(warmup):
-                engine.query(sparql)
-            elapsed, rows = time_callable(engine.query, sparql, repeat=repeat)
-            printable = [
-                {key: str(value) for key, value in row.items()} for row in rows
-            ]
-        else:
-            shapes = extract_shapes(graph)
-            result = S3PG().transform(graph, shapes)
-            cypher = translate_sparql_to_cypher(sparql, result.mapping)
-            print("translated Cypher:")
-            for line in cypher.splitlines():
-                print("   ", line)
-            engine = CypherEngine(PropertyGraphStore(result.graph))
-            if args.explain or args.analyze:
-                return _print_explain(
-                    engine, cypher, args.explain_format, args.analyze
-                )
-            for _ in range(warmup):
-                engine.query(cypher)
-            elapsed, rows = time_callable(engine.query, cypher, repeat=repeat)
-            printable = [
-                {key: scalar_to_lexical(value) if value is not None else ""
-                 for key, value in row.items()}
-                for row in rows
-            ]
-    finally:
-        if tracker is not None:
-            logged = tracker.summary()["logged"]
-            obs.uninstall_workload()
-            print(f"logged {logged} statement(s) to {args.query_log}")
+    if not args.via_pg:
+        engine = SparqlEngine(graph)
+        if args.explain or args.analyze:
+            return _print_explain(
+                engine, sparql, args.explain_format, args.analyze
+            )
+        for _ in range(warmup):
+            engine.query(sparql)
+        elapsed, rows = time_callable(engine.query, sparql, repeat=repeat)
+        printable = [
+            {key: str(value) for key, value in row.items()} for row in rows
+        ]
+    else:
+        shapes = extract_shapes(graph)
+        result = S3PG().transform(graph, shapes)
+        cypher = translate_sparql_to_cypher(sparql, result.mapping)
+        print("translated Cypher:")
+        for line in cypher.splitlines():
+            print("   ", line)
+        engine = CypherEngine(PropertyGraphStore(result.graph))
+        if args.explain or args.analyze:
+            return _print_explain(
+                engine, cypher, args.explain_format, args.analyze
+            )
+        for _ in range(warmup):
+            engine.query(cypher)
+        elapsed, rows = time_callable(engine.query, cypher, repeat=repeat)
+        printable = [
+            {key: scalar_to_lexical(value) if value is not None else ""
+             for key, value in row.items()}
+            for row in rows
+        ]
     print(f"{len(rows)} row(s)")
     if repeat > 1 or warmup:
         print(
@@ -889,162 +770,6 @@ def _latency_quantiles_ms(samples: list[float], qs: tuple) -> list[float]:
     return [q * 1000.0 for q in obs.quantiles_from_histogram(histogram, qs)]
 
 
-_STATEMENT_COLUMNS = (
-    "lang", "fingerprint", "calls", "mean_ms", "p95_ms", "total_ms",
-    "rows_total", "plan_cache_hits", "q_error_max",
-)
-
-
-def _print_statement_table(statements: list[dict], top: int) -> None:
-    rows = []
-    for statement in statements[: max(0, top)]:
-        row = {
-            key: "" if statement.get(key) is None else str(statement[key])
-            for key in _STATEMENT_COLUMNS
-        }
-        if statement.get("bag_identical") is not None:
-            row["bag_identical"] = str(statement["bag_identical"])
-        query = statement.get("query", "")
-        row["query"] = query if len(query) <= 60 else query[:57] + "..."
-        rows.append(row)
-    if rows:
-        print(render_table(rows))
-
-
-def _read_query_log(path: str) -> list[dict]:
-    try:
-        return obs.read_query_log(path)
-    except ValueError as exc:
-        raise ReproError(str(exc)) from exc
-
-
-def _load_report(path: str) -> dict:
-    """A workload report from a saved ``.json`` or a raw ``.jsonl`` log."""
-    if path.endswith(".jsonl"):
-        records = _read_query_log(path)
-        return obs.report_from_log(records, source=path)
-    with open(path, encoding="utf-8") as handle:
-        try:
-            report = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ReproError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(report, dict) or "statements" not in report:
-        raise ReproError(
-            f"{path}: not a workload report (expected a JSON object "
-            "with a 'statements' array)"
-        )
-    return report
-
-
-def _write_json(path: str, payload: dict) -> None:
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def _cmd_obs_report(args: argparse.Namespace) -> int:
-    report = _load_report(args.source)
-    if args.out:
-        _write_json(args.out, report)
-        print(f"wrote report to {args.out}")
-    if args.format == "json":
-        statements = report.get("statements", [])[: max(0, args.top)]
-        print(json.dumps(
-            dict(report, statements=statements), indent=2, sort_keys=True
-        ))
-        return 0
-    print(
-        f"{report.get('records', 0)} record(s), "
-        f"{len(report.get('statements', []))} distinct statement(s)"
-    )
-    _print_statement_table(report.get("statements", []), args.top)
-    return 0
-
-
-def _cmd_obs_replay(args: argparse.Namespace) -> int:
-    records = _read_query_log(args.log)
-    graph = load_rdf(args.data)
-    store = None
-    if any(record.get("lang") == "cypher" for record in records):
-        shapes = extract_shapes(graph)
-        result = S3PG().transform(graph, shapes)
-        store = PropertyGraphStore(result.graph)
-        registry = obs.get_metrics()
-        registry.gauge("repro_store_nodes").set(store.node_count())
-        registry.gauge("repro_store_edges").set(store.edge_count())
-    obs.get_metrics().gauge("repro_graph_triples").set(len(graph))
-    report = obs.replay_workload(
-        records, graph=graph, store=store,
-        repeat=max(1, args.repeat), source=args.log,
-    )
-    if args.out:
-        _write_json(args.out, report)
-        print(f"wrote replay report to {args.out}")
-    if args.format == "json":
-        statements = report.get("statements", [])[: max(0, args.top)]
-        print(json.dumps(
-            dict(report, statements=statements), indent=2, sort_keys=True
-        ))
-    else:
-        print(
-            f"replayed {report['replayed']} statement(s) x{report['repeat']} "
-            f"({report['skipped']} skipped, "
-            f"{report['mismatches']} result mismatch(es))"
-        )
-        _print_statement_table(report.get("statements", []), args.top)
-    if report["mismatches"] and not args.allow_mismatch:
-        print(
-            "error: replayed results are not bag-identical to the capture",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_obs_diff(args: argparse.Namespace) -> int:
-    baseline = _load_report(args.baseline)
-    current = _load_report(args.current)
-    diff = obs.diff_reports(
-        baseline, current,
-        latency_ratio=args.threshold,
-        q_error_ratio=args.q_threshold,
-        min_ms=args.min_ms,
-    )
-    if args.out:
-        _write_json(args.out, diff)
-        print(f"wrote diff to {args.out}")
-    if args.format == "json":
-        print(json.dumps(diff, indent=2, sort_keys=True))
-    else:
-        print(
-            f"compared {diff['compared']} statement(s): "
-            f"{diff['regressed']} regressed, {diff['added']} added, "
-            f"{diff['removed']} removed"
-        )
-        rows = []
-        for entry in diff["statements"]:
-            query = entry.get("query", "")
-            rows.append({
-                "status": entry["status"],
-                "lang": entry["lang"],
-                "fingerprint": entry["fingerprint"],
-                "flags": ",".join(entry.get("flags", ())),
-                "base_ms": str(entry.get("baseline_mean_ms", "")),
-                "cur_ms": str(entry.get("current_mean_ms", "")),
-                "ratio": str(entry.get("latency_ratio", "")),
-                "query": query if len(query) <= 48 else query[:45] + "...",
-            })
-        if rows:
-            print(render_table(rows))
-    if diff["regressed"] and args.fail_on_regression:
-        print(
-            f"error: {diff['regressed']} statement(s) regressed",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _cmd_obs_serve(args: argparse.Namespace) -> int:
     obs.install_recorder(
         span_capacity=args.span_buffer,
@@ -1082,21 +807,6 @@ def _cmd_obs_serve(args: argparse.Namespace) -> int:
         obs.uninstall_workload()
         obs.uninstall_recorder()
     return 0
-
-
-_OBS_ACTIONS = {
-    "serve": _cmd_obs_serve,
-    "report": _cmd_obs_report,
-    "replay": _cmd_obs_replay,
-    "diff": _cmd_obs_diff,
-}
-
-
-def _cmd_obs(args: argparse.Namespace) -> int:
-    action = _OBS_ACTIONS.get(args.obs_command)
-    if action is None:  # pragma: no cover (argparse enforces)
-        raise ReproError(f"unknown obs action {args.obs_command!r}")
-    return action(args)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1158,15 +868,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         watermark=watermark,
     )
 
-    workload_installed = False
-    if args.ops_port is not None or args.query_log:
-        obs.install_workload(log_path=args.query_log)
-        workload_installed = True
-        if args.query_log:
-            print(f"capturing query log to {args.query_log}")
-
     ops_server = None
     if args.ops_port is not None:
+        obs.install_workload()
         obs.install_recorder(slow_threshold_ms=args.slow_ms)
         ops_server = obs.OpsServer(
             host=args.ops_host,
@@ -1195,7 +899,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if ops_server is not None:
             ops_server.stop()
             obs.uninstall_recorder()
-        if workload_installed:
             obs.uninstall_workload()
 
 
@@ -1255,7 +958,7 @@ _COMMANDS = {
     "fuzz": _cmd_fuzz,
     "profile": _cmd_profile,
     "serve": _cmd_serve,
-    "obs": _cmd_obs,
+    "obs": _cmd_obs_serve,
 }
 
 

@@ -48,20 +48,12 @@ from .server import OpsServer
 from .workload import (
     StatementStats,
     WorkloadTracker,
-    cypher_result_hash,
-    diff_reports,
     fingerprint_query,
     get_workload,
     install_workload,
-    log_workload_event,
     plan_cache_stats,
-    read_query_log,
     record_statement,
     register_plan_cache,
-    replay_workload,
-    report_from_log,
-    sparql_result_hash,
-    substitute_params,
     uninstall_workload,
 )
 from .tracer import (
@@ -94,8 +86,6 @@ __all__ = [
     "aggregate_self_times",
     "configure",
     "current_span",
-    "cypher_result_hash",
-    "diff_reports",
     "disable",
     "enabled",
     "fingerprint_query",
@@ -106,23 +96,17 @@ __all__ = [
     "histogram_from_samples",
     "install_recorder",
     "install_workload",
-    "log_workload_event",
     "plan_cache_stats",
     "quantiles_from_histogram",
-    "read_query_log",
     "record_op",
     "record_query",
     "record_statement",
     "register_plan_cache",
     "render_profile",
-    "replay_workload",
-    "report_from_log",
     "set_tracer",
     "span",
     "spans_to_chrome_trace",
     "spans_to_jsonl",
-    "sparql_result_hash",
-    "substitute_params",
     "timed_span",
     "uninstall_recorder",
     "uninstall_workload",

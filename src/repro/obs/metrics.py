@@ -130,8 +130,9 @@ def quantiles_from_histogram(
 ) -> list[float]:
     """Estimate quantiles from a fixed-boundary histogram.
 
-    The shared percentile path for ``repro obs report``, the ops
-    server's ``/debug/statements``, and the benchmark artifacts.  Each
+    The shared percentile path for the ops server's
+    ``/debug/statements``, the serve summary and the benchmark
+    artifacts.  Each
     quantile is found by walking the buckets to the target rank and
     interpolating linearly inside the containing bucket (the first
     bucket interpolates from 0, the +Inf overflow bucket is capped at

@@ -58,7 +58,7 @@ _ROUTES = [
 _POLL_INTERVAL_S = 0.05
 
 #: Gauges surfaced by ``/healthz`` as the store-size summary (set by the
-#: CDC pipeline per batch and by the replay/serve CLI paths on load).
+#: CDC pipeline per batch).
 _STORE_GAUGES = (
     ("nodes", "repro_store_nodes"),
     ("edges", "repro_store_edges"),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterator
+from functools import partial
 
 from ... import obs
 from ...errors import QueryError
@@ -120,14 +121,14 @@ class CypherEngine:
         #: Statements prepared once per token shape (planned engines).
         self.statements = None
         if planner:
-            from ..normalize import normalize_cypher
             from ..plan import CypherPlanner
             from ..statements import StatementCache
             from .parser import CypherParser
 
             self.planner = CypherPlanner(store)
             self.statements = StatementCache(
-                CypherParser, prepare_cypher, normalize_cypher
+                CypherParser, prepare_cypher,
+                partial(obs.fingerprint_query, "cypher", None),
             )
 
     # ------------------------------------------------------------------ #
@@ -169,7 +170,6 @@ class CypherEngine:
         obs.record_statement(
             "cypher", text, statement, duration, len(rows),
             cache_hit=cache_hit, q_error=q_error,
-            result_hash=lambda: obs.cypher_result_hash(rows),
         )
         return rows
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 import time
 from collections.abc import Iterator
+from functools import partial
 
 from ... import obs
 from ...errors import QueryError
@@ -474,14 +475,14 @@ class SparqlEngine:
         #: Statements prepared once per token shape (planned engines).
         self.statements = None
         if planner:
-            from ..normalize import normalize_sparql
             from ..plan import SparqlPlanner
             from ..statements import StatementCache
             from .parser import SparqlParser
 
             self.planner = SparqlPlanner(graph)
             self.statements = StatementCache(
-                SparqlParser, PreparedSelect, normalize_sparql
+                SparqlParser, PreparedSelect,
+                partial(obs.fingerprint_query, "sparql", None),
             )
 
     def _prepare(self, text: str):
@@ -515,7 +516,6 @@ class SparqlEngine:
         obs.record_statement(
             "sparql", text, statement, duration, len(rows),
             cache_hit=cache_hit, q_error=q_error,
-            result_hash=lambda: obs.sparql_result_hash(rows),
         )
         return rows
 

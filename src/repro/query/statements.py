@@ -26,20 +26,21 @@ __all__ = ["Bound", "Statement", "StatementCache"]
 class Statement:
     """One prepared statement of a token shape."""
 
-    def __init__(self, template, prepared, slots: tuple, normalize):
+    def __init__(self, template, prepared, slots: tuple, fingerprint):
         #: The parse template: the AST with ``Param`` slots.
         self.template = template
         #: What the engine executes: the template, prepared once.
         self.prepared = prepared
         #: ``(slot, decode)`` of each Param, in Param index order.
         self.slots = slots
-        self._normalize = normalize
+        self._fingerprint = fingerprint
 
     @cached_property
-    def shape(self) -> tuple[str, list]:
-        """Canonical text and lifted constants (:mod:`..normalize`),
-        computed when the workload tracker first reads them."""
-        return self._normalize(self.template)
+    def fingerprint(self) -> tuple[str, str]:
+        """Fingerprint and canonical text (:func:`repro.obs.
+        fingerprint_query`), computed when the workload tracker first
+        reads them."""
+        return self._fingerprint(self.template)
 
 
 class Bound(NamedTuple):
@@ -55,14 +56,14 @@ class StatementCache:
     Args:
         parser: the language's parser class (parses templates).
         prepare: turns a template into what the engine executes.
-        normalize: the language's normaliser (canonical text + lifted
-            constants of a template).
+        fingerprint: the workload fingerprint and canonical text of a
+            template.
     """
 
-    def __init__(self, parser, prepare, normalize):
+    def __init__(self, parser, prepare, fingerprint):
         self._parser = parser
         self._prepare = prepare
-        self._normalize = normalize
+        self._fingerprint = fingerprint
         #: token shape -> its structural slots (union over its entries).
         self._structure = PlanCache()
         #: token shape + structural values -> Statement.
@@ -88,7 +89,7 @@ class StatementCache:
         structural = tuple(sorted({*structural, *parser.structural}))
         self._structure.put(key, structural)
         statement = Statement(
-            template, self._prepare(template), tuple(parser.slots), self._normalize
+            template, self._prepare(template), tuple(parser.slots), self._fingerprint
         )
         self.cache.put((key, *[constants[i] for i in structural]), statement)
         return Bound(statement, parser.values)

@@ -1,15 +1,12 @@
-"""The workload-intelligence subsystem: fingerprints, stats, replay, diff.
+"""The workload statistics: fingerprints and the statement registry.
 
-Covers the :mod:`repro.obs.workload` layers directly: statement
-normalization and fingerprint stability, the bounded per-fingerprint
-registry, query-log capture and offline aggregation, replay with
-bag-identity verification, and report diffing.  The engine-integration
-and CLI surfaces live in ``test_workload_cli.py``.
+Covers :mod:`repro.obs.workload` directly: statement normalization and
+fingerprint stability, the bounded per-fingerprint registry, and the
+engines feeding it.  The ops-route surfaces live in
+``test_workload_cli.py``.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -32,21 +29,16 @@ def _sparql(pattern: str) -> str:
 # --------------------------------------------------------------------- #
 
 def test_sparql_literal_rename_shares_fingerprint():
-    fp_a, canon_a, params_a = obs.fingerprint_query(
-        "sparql", _sparql('"Alice"')
-    )
-    fp_b, canon_b, params_b = obs.fingerprint_query(
-        "sparql", _sparql('"Bob"')
-    )
+    fp_a, canon_a = obs.fingerprint_query("sparql", _sparql('"Alice"'))
+    fp_b, canon_b = obs.fingerprint_query("sparql", _sparql('"Bob"'))
     assert fp_a == fp_b
     assert canon_a == canon_b
-    assert params_a != params_b
-    assert '"Alice"' in params_a[0]
+    assert "Alice" not in canon_a and "$1" in canon_a
 
 
 def test_sparql_structural_difference_changes_fingerprint():
-    fp_a, _, _ = obs.fingerprint_query("sparql", _sparql('"Alice"'))
-    fp_b, _, _ = obs.fingerprint_query(
+    fp_a, _ = obs.fingerprint_query("sparql", _sparql('"Alice"'))
+    fp_b, _ = obs.fingerprint_query(
         "sparql",
         f"SELECT ?s WHERE {{ ?s <{UNI}age> \"Alice\" }}",
     )
@@ -54,54 +46,34 @@ def test_sparql_structural_difference_changes_fingerprint():
 
 
 def test_sparql_variable_names_are_normalized():
-    fp_a, _, _ = obs.fingerprint_query(
+    fp_a, _ = obs.fingerprint_query(
         "sparql", f"SELECT ?who WHERE {{ ?who <{UNI}name> ?n }}"
     )
-    fp_b, _, _ = obs.fingerprint_query(
+    fp_b, _ = obs.fingerprint_query(
         "sparql", f"SELECT ?x WHERE {{ ?x <{UNI}name> ?y }}"
     )
     assert fp_a == fp_b
 
 
 def test_cypher_literal_rename_shares_fingerprint():
-    fp_a, canon, params_a = obs.fingerprint_query(
+    fp_a, canon = obs.fingerprint_query(
         "cypher", "MATCH (p:Person {name: 'Alice'}) RETURN p.age AS a"
     )
-    fp_b, _, params_b = obs.fingerprint_query(
+    fp_b, _ = obs.fingerprint_query(
         "cypher", "MATCH (q:Person {name: 'Bob'}) RETURN q.age AS b"
     )
     assert fp_a == fp_b
-    assert params_a != params_b
     assert "$1" in canon
 
 
 def test_cypher_label_is_structural():
-    fp_a, _, _ = obs.fingerprint_query(
+    fp_a, _ = obs.fingerprint_query(
         "cypher", "MATCH (p:Person) RETURN p.name AS n"
     )
-    fp_b, _, _ = obs.fingerprint_query(
+    fp_b, _ = obs.fingerprint_query(
         "cypher", "MATCH (p:Robot) RETURN p.name AS n"
     )
     assert fp_a != fp_b
-
-
-@pytest.mark.parametrize("lang,text", [
-    ("sparql", _sparql('"Alice"')),
-    ("cypher", "MATCH (p:Person {name: 'Alice'})-[:knows]->(q) "
-               "RETURN q.name AS n LIMIT 5"),
-])
-def test_substitution_round_trip_is_fingerprint_stable(lang, text):
-    fp, canonical, params = obs.fingerprint_query(lang, text)
-    rebuilt = obs.substitute_params(canonical, params)
-    fp2, canonical2, params2 = obs.fingerprint_query(lang, rebuilt)
-    assert fp2 == fp
-    assert canonical2 == canonical
-    assert params2 == params
-
-
-def test_substitute_params_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        obs.substitute_params("SELECT $2", ("only-one",))
 
 
 # --------------------------------------------------------------------- #
@@ -145,47 +117,7 @@ def test_registry_evicts_least_recent_beyond_capacity():
 
 
 # --------------------------------------------------------------------- #
-# Capture log + offline aggregation
-# --------------------------------------------------------------------- #
-
-def test_capture_log_and_report(tmp_path):
-    log = tmp_path / "wl.jsonl"
-    tracker = obs.install_workload(log_path=log, sample_every=2)
-    text = _sparql('"Alice"')
-    for i in range(4):
-        obs.record_statement("sparql", text, None, 0.002, 1,
-                             cache_hit=bool(i), q_error=1.5)
-    obs.log_workload_event({"lang": "cdc", "kind": "revalidate"})
-    obs.uninstall_workload()
-
-    records = obs.read_query_log(log)
-    assert len(records) == 3  # stride 2 over 4 executions + 1 event
-    queries = [r for r in records if r["lang"] == "sparql"]
-    assert len(queries) == 2
-    assert all("fingerprint" in r and "params" in r for r in queries)
-    assert queries[0]["duration_ms"] == pytest.approx(2.0)
-
-    report = obs.report_from_log(records, source=str(log))
-    assert report["kind"] == "workload-report"
-    assert report["records"] == 3
-    assert report["events"] == 1
-    (stats,) = report["statements"]
-    assert stats["calls"] == 2  # only the sampled executions are offline
-    assert tracker.summary()["logged"] == 3
-
-
-def test_read_query_log_rejects_malformed(tmp_path):
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"lang": "sparql"}\nnot json\n', encoding="utf-8")
-    with pytest.raises(ValueError, match=r"bad\.jsonl:2"):
-        obs.read_query_log(bad)
-    bad.write_text('[1, 2, 3]\n', encoding="utf-8")
-    with pytest.raises(ValueError, match=r"bad\.jsonl:1"):
-        obs.read_query_log(bad)
-
-
-# --------------------------------------------------------------------- #
-# Replay
+# Plan-cache registry + engine integration
 # --------------------------------------------------------------------- #
 
 @pytest.fixture()
@@ -194,122 +126,6 @@ def uni():
     result = S3PG().transform(graph, university_shapes())
     return graph, PropertyGraphStore(result.graph)
 
-
-def test_replay_is_bag_identical(tmp_path, uni):
-    graph, store = uni
-    log = tmp_path / "wl.jsonl"
-    obs.install_workload(log_path=log)
-    SparqlEngine(graph).query(
-        f"SELECT ?s ?n WHERE {{ ?s <{UNI}name> ?n }}"
-    )
-    CypherEngine(store).query(
-        "MATCH (p:uni_Professor) RETURN p.iri AS iri"
-    )
-    obs.uninstall_workload()
-
-    records = obs.read_query_log(log)
-    assert {r["lang"] for r in records} == {"sparql", "cypher"}
-    report = obs.replay_workload(
-        records, graph=graph, store=store, repeat=2, source=str(log)
-    )
-    assert report["replayed"] == 2
-    assert report["repeat"] == 2
-    assert report["mismatches"] == 0
-    assert all(s["bag_identical"] is True for s in report["statements"])
-    assert all(s["calls"] == 2 for s in report["statements"])
-
-
-def test_replay_detects_result_drift(tmp_path, uni):
-    graph, store = uni
-    log = tmp_path / "wl.jsonl"
-    obs.install_workload(log_path=log)
-    SparqlEngine(graph).query(
-        f"SELECT ?s ?n WHERE {{ ?s <{UNI}name> ?n }}"
-    )
-    obs.uninstall_workload()
-
-    records = obs.read_query_log(log)
-    records[0]["result_hash"] = "0" * 16  # simulate engine regression
-    report = obs.replay_workload(records, graph=graph, source=str(log))
-    assert report["mismatches"] == 1
-    assert report["statements"][0]["bag_identical"] is False
-
-
-def test_replay_without_needed_store_raises(tmp_path, uni):
-    graph, store = uni
-    log = tmp_path / "wl.jsonl"
-    obs.install_workload(log_path=log)
-    CypherEngine(store).query("MATCH (p:uni_Professor) RETURN p.iri AS i")
-    obs.uninstall_workload()
-    records = obs.read_query_log(log)
-    with pytest.raises(ValueError, match="Cypher"):
-        obs.replay_workload(records, graph=graph, store=None)
-
-
-# --------------------------------------------------------------------- #
-# Diffing
-# --------------------------------------------------------------------- #
-
-def _report(statements) -> dict:
-    return {"kind": "workload-report", "statements": statements}
-
-
-def _stmt(fingerprint, mean_ms, q_error=None, lang="sparql") -> dict:
-    return {
-        "fingerprint": fingerprint, "lang": lang,
-        "query": f"Q-{fingerprint}", "mean_ms": mean_ms,
-        "q_error_max": q_error,
-    }
-
-
-def test_diff_flags_latency_and_q_error_regressions():
-    baseline = _report([
-        _stmt("aaa", 10.0, q_error=2.0),
-        _stmt("bbb", 5.0),
-        _stmt("ddd", 1.0),
-    ])
-    current = _report([
-        _stmt("aaa", 30.0, q_error=2.0),   # 3x slower
-        _stmt("bbb", 5.0, q_error=None),
-        _stmt("ccc", 7.0),                 # new statement
-    ])
-    diff = obs.diff_reports(baseline, current)
-    assert diff["kind"] == "workload-diff"
-    assert diff["compared"] == 4
-    assert diff["regressed"] == 1
-    assert diff["added"] == 1
-    assert diff["removed"] == 1
-    by_fp = {entry["fingerprint"]: entry for entry in diff["statements"]}
-    assert by_fp["aaa"]["status"] == "regressed"
-    assert by_fp["aaa"]["flags"] == ["latency"]
-    assert by_fp["aaa"]["latency_ratio"] == 3.0
-    assert by_fp["bbb"]["status"] == "ok"
-    assert by_fp["ccc"]["status"] == "added"
-    assert by_fp["ddd"]["status"] == "removed"
-    # Regressions sort first.
-    assert diff["statements"][0]["fingerprint"] == "aaa"
-
-    worse_q = _report([
-        _stmt("aaa", 10.0, q_error=8.0),
-        _stmt("bbb", 5.0),
-        _stmt("ddd", 1.0),
-    ])
-    diff = obs.diff_reports(baseline, worse_q)
-    assert diff["statements"][0]["flags"] == ["q_error"]
-
-
-def test_diff_min_ms_floor_suppresses_micro_noise():
-    baseline = _report([_stmt("aaa", 0.010)])
-    current = _report([_stmt("aaa", 0.050)])  # 5x, but both tiny
-    diff = obs.diff_reports(baseline, current, min_ms=0.1)
-    assert diff["regressed"] == 0
-    diff = obs.diff_reports(baseline, current, min_ms=0.01)
-    assert diff["regressed"] == 1
-
-
-# --------------------------------------------------------------------- #
-# Plan-cache registry + engine integration
-# --------------------------------------------------------------------- #
 
 def test_engines_feed_statements_and_plan_caches(uni):
     graph, store = uni
@@ -339,10 +155,3 @@ def test_engines_feed_statements_and_plan_caches(uni):
     counted = {labels: c.value for labels, c in calls.children()}
     assert counted[(("lang", "sparql"),)] == 2
 
-
-def test_result_hashes_ignore_variable_names(uni):
-    graph, _ = uni
-    engine = SparqlEngine(graph)
-    rows_a = engine.query(f"SELECT ?s ?n WHERE {{ ?s <{UNI}name> ?n }}")
-    rows_b = engine.query(f"SELECT ?x ?y WHERE {{ ?x <{UNI}name> ?y }}")
-    assert obs.sparql_result_hash(rows_a) == obs.sparql_result_hash(rows_b)

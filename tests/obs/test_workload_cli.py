@@ -1,17 +1,13 @@
-"""The workload surfaces: CLI capture/report/replay/diff and the ops routes.
+"""The workload surfaces: ``repro query --repeat`` and the ops routes.
 
-Drives the real ``repro`` CLI (``cli.main``) through the capture ->
-replay -> diff workflow the CI smoke job runs, and scrapes the
+Drives the real ``repro`` CLI (``cli.main``) and scrapes the
 ``/debug/statements`` and ``/healthz`` routes of a live
 :class:`~repro.obs.OpsServer`.
 
-Two golden files pin the externally visible shapes (timings are
-volatile, so every float is masked to ``#`` before comparison; the
-statement list is re-sorted by ``(lang, fingerprint)`` because the
-natural heaviest-first order depends on wall time):
-
-* ``golden/statements.json`` — the ``/debug/statements`` payload;
-* ``golden/workload_report.txt`` — ``repro obs report`` text output.
+``golden/statements.json`` pins the ``/debug/statements`` payload
+(timings are volatile, so every float is masked to ``#`` before
+comparison; the statement list is re-sorted by ``(lang, fingerprint)``
+because the natural heaviest-first order depends on wall time).
 
 Regenerate with ``PYTHONPATH=src python tests/obs/test_workload_cli.py``.
 """
@@ -44,15 +40,6 @@ def _mask(text: str) -> str:
     return _FLOAT_RE.sub("#", text)
 
 
-def _mask_table(text: str) -> str:
-    """Mask floats in a rendered table and normalize the padding that
-    depended on their widths (column fills and separator rules)."""
-    masked = _mask(text)
-    masked = re.sub(r" +", " ", masked)
-    masked = re.sub(r"-{2,}", "--", masked)
-    return masked
-
-
 def _run_reference_workload():
     """A fixed query sequence over the Figure 2 graph (both engines).
 
@@ -79,7 +66,7 @@ def _run_reference_workload():
 
 
 # --------------------------------------------------------------------- #
-# CLI: capture with `repro query`
+# CLI: `repro query --repeat --warmup`
 # --------------------------------------------------------------------- #
 
 @pytest.fixture()
@@ -89,146 +76,17 @@ def uni_nt(tmp_path):
     return str(path)
 
 
-def test_query_repeat_warmup_and_query_log(uni_nt, tmp_path, capsys):
-    log = tmp_path / "wl.jsonl"
+def test_query_repeat_and_warmup(uni_nt, capsys):
     rc = cli.main([
         "query", uni_nt,
         f"SELECT ?s ?n WHERE {{ ?s <{UNI}name> ?n }}",
-        "--repeat", "3", "--warmup", "1",
-        "--query-log", str(log), "--limit", "2",
+        "--repeat", "3", "--warmup", "1", "--limit", "2",
     ])
     assert rc == 0
     out = capsys.readouterr().out
     assert "mean latency" in out
     assert "over 3 run(s) (1 warm-up)" in out
-    assert "logged 4 statement(s)" in out  # warm-up runs are captured too
-    records = obs.read_query_log(log)
-    assert len(records) == 4
-    assert all(r["lang"] == "sparql" for r in records)
-    assert all("result_hash" in r for r in records)
-    assert obs.get_workload() is None  # uninstalled afterwards
-
-
-def test_query_log_sampling(uni_nt, tmp_path, capsys):
-    log = tmp_path / "wl.jsonl"
-    rc = cli.main([
-        "query", uni_nt,
-        f"SELECT ?s WHERE {{ ?s <{UNI}name> ?n }}",
-        "--repeat", "4", "--query-log", str(log),
-        "--query-log-sample", "2", "--limit", "0",
-    ])
-    assert rc == 0
-    assert len(obs.read_query_log(log)) == 2
-
-
-# --------------------------------------------------------------------- #
-# CLI: report / replay / diff
-# --------------------------------------------------------------------- #
-
-def _capture(uni_nt: str, tmp_path) -> str:
-    log = tmp_path / "wl.jsonl"
-    for query in (
-        f"SELECT ?s ?n WHERE {{ ?s <{UNI}name> ?n }}",
-        f'SELECT ?s WHERE {{ ?s <{UNI}name> "Emma" }}',
-    ):
-        assert cli.main([
-            "query", uni_nt, query,
-            "--query-log", str(log), "--limit", "0",
-        ]) == 0
-    assert cli.main([
-        "query", uni_nt,
-        f"SELECT ?p ?d WHERE {{ ?p <{UNI}worksFor> ?d }}",
-        "--via-pg", "--query-log", str(log), "--limit", "0",
-    ]) == 0
-    return str(log)
-
-
-def test_report_replay_diff_workflow(uni_nt, tmp_path, capsys):
-    log = _capture(uni_nt, tmp_path)
-    report_path = tmp_path / "report.json"
-
-    rc = cli.main(["obs", "report", log, "--out", str(report_path)])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "distinct statement(s)" in out
-    report = json.loads(report_path.read_text(encoding="utf-8"))
-    assert report["kind"] == "workload-report"
-    assert {s["lang"] for s in report["statements"]} == {"sparql", "cypher"}
-
-    replay_path = tmp_path / "replay.json"
-    rc = cli.main([
-        "obs", "replay", log, "--data", uni_nt,
-        "--repeat", "2", "--out", str(replay_path),
-    ])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "0 result mismatch(es)" in out
-    replay = json.loads(replay_path.read_text(encoding="utf-8"))
-    assert replay["mismatches"] == 0
-    assert replay["replayed"] == 3
-    assert all(s["bag_identical"] is True for s in replay["statements"])
-
-    diff_path = tmp_path / "diff.json"
-    rc = cli.main([
-        "obs", "diff", str(replay_path), str(replay_path),
-        "--out", str(diff_path), "--fail-on-regression",
-    ])
-    assert rc == 0  # self-diff never regresses
-    diff = json.loads(diff_path.read_text(encoding="utf-8"))
-    assert diff["kind"] == "workload-diff"
-    assert diff["regressed"] == 0
-    assert diff["compared"] == len(replay["statements"])
-    assert all(s["status"] == "ok" for s in diff["statements"])
-
-
-def test_replay_exits_nonzero_on_result_drift(uni_nt, tmp_path, capsys):
-    log = _capture(uni_nt, tmp_path)
-    records = obs.read_query_log(log)
-    records[0]["result_hash"] = "0" * 16
-    tampered = tmp_path / "tampered.jsonl"
-    tampered.write_text(
-        "".join(json.dumps(r, sort_keys=True) + "\n" for r in records),
-        encoding="utf-8",
-    )
-    rc = cli.main(["obs", "replay", str(tampered), "--data", uni_nt])
-    assert rc == 1
-    assert "not bag-identical" in capsys.readouterr().err
-    rc = cli.main([
-        "obs", "replay", str(tampered), "--data", uni_nt,
-        "--allow-mismatch",
-    ])
-    assert rc == 0
-
-
-def test_diff_fails_on_synthetic_regression(tmp_path, capsys):
-    def _report(mean_ms):
-        return {
-            "kind": "workload-report",
-            "statements": [{
-                "fingerprint": "aaa", "lang": "sparql", "query": "Q",
-                "mean_ms": mean_ms, "q_error_max": None,
-            }],
-        }
-
-    baseline = tmp_path / "base.json"
-    current = tmp_path / "cur.json"
-    baseline.write_text(json.dumps(_report(10.0)), encoding="utf-8")
-    current.write_text(json.dumps(_report(100.0)), encoding="utf-8")
-    assert cli.main(["obs", "diff", str(baseline), str(current)]) == 0
-    capsys.readouterr()
-    rc = cli.main([
-        "obs", "diff", str(baseline), str(current), "--fail-on-regression",
-    ])
-    assert rc == 1
-    assert "regressed" in capsys.readouterr().err
-
-
-def test_malformed_log_is_a_cli_error(tmp_path, capsys):
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text("not json\n", encoding="utf-8")
-    rc = cli.main(["obs", "report", str(bad)])
-    assert rc == 2
-    assert "malformed" in capsys.readouterr().err
+    assert obs.get_workload() is None  # the CLI installs no tracker
 
 
 # --------------------------------------------------------------------- #
@@ -301,46 +159,13 @@ def _statements_payload(server) -> str:
     return _mask(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _report_text(tmp_path, capsys) -> str:
-    log = tmp_path / "wl.jsonl"
-    obs.install_workload(log_path=log)
-    _run_reference_workload()
-    obs.uninstall_workload()
-    capsys.readouterr()
-    assert cli.main(["obs", "report", str(log)]) == 0
-    lines = _mask_table(capsys.readouterr().out).splitlines()
-    # Re-sort the table body: heaviest-first depends on wall time.
-    header, body = lines[:3], sorted(lines[3:])
-    return "\n".join(header + body) + "\n"
-
-
 def test_debug_statements_matches_golden(server):
     expected = (GOLDEN_DIR / "statements.json").read_text(encoding="utf-8")
     assert _statements_payload(server) == expected
 
 
-def test_obs_report_matches_golden(tmp_path, capsys):
-    expected = (GOLDEN_DIR / "workload_report.txt").read_text(
-        encoding="utf-8"
-    )
-    assert _report_text(tmp_path, capsys) == expected
-
-
 def _regenerate() -> None:  # pragma: no cover
-    """Rewrite the golden files (run this module as a script)."""
-
-    class _Capsys:
-        def readouterr(self):
-            import io
-
-            value = sys.stdout.getvalue()
-            sys.stdout = io.StringIO()
-            return type("Captured", (), {"out": value, "err": ""})()
-
-    import io
-    import sys
-    import tempfile
-
+    """Rewrite the golden file (run this module as a script)."""
     server = obs.OpsServer(port=0)
     server.start()
     try:
@@ -350,16 +175,7 @@ def _regenerate() -> None:  # pragma: no cover
     finally:
         server.stop()
         obs.uninstall_workload()
-    obs.get_metrics().reset()
-
-    real_stdout, sys.stdout = sys.stdout, io.StringIO()
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            text = _report_text(Path(tmp), _Capsys())
-    finally:
-        sys.stdout = real_stdout
-    (GOLDEN_DIR / "workload_report.txt").write_text(text, encoding="utf-8")
-    print(f"regenerated goldens under {GOLDEN_DIR}")
+    print(f"regenerated {GOLDEN_DIR / 'statements.json'}")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,15 +1,12 @@
 """Fingerprint-stability fuzz oracle for both query languages.
 
 Property under test: statement fingerprints depend only on query
-*structure*.  For randomized queries the oracle checks three claims:
+*structure*.  For randomized queries the oracle checks two claims:
 
 * a query and its literal-renamed twin (same shape, fresh constants)
   share a fingerprint;
 * structurally different queries (different predicates / labels /
-  pattern counts) get different fingerprints;
-* the canonical text round-trips — substituting the lifted parameters
-  back in and re-fingerprinting reproduces the original fingerprint,
-  canonical text, and parameters (so a captured log is replayable).
+  pattern counts) get different fingerprints.
 """
 
 from __future__ import annotations
@@ -94,8 +91,8 @@ def _twins(builder, structure_seed: int):
 def test_literal_renamed_twins_share_fingerprints(lang, builder):
     for round_no in range(ROUNDS):
         query_a, query_b = _twins(builder, SEED + round_no)
-        fp_a, canon_a, _ = obs.fingerprint_query(lang, query_a)
-        fp_b, canon_b, _ = obs.fingerprint_query(lang, query_b)
+        fp_a, canon_a = obs.fingerprint_query(lang, query_a)
+        fp_b, canon_b = obs.fingerprint_query(lang, query_b)
         assert fp_a == fp_b, (query_a, query_b)
         assert canon_a == canon_b, (query_a, query_b)
 
@@ -113,7 +110,7 @@ def test_distinct_structures_get_distinct_fingerprints(lang, builder):
         rng = random.Random(SEED * 7 + round_no)
         shape = random.Random(SEED * 13 + round_no)
         query = builder(rng, shape)
-        fp, canonical, _ = obs.fingerprint_query(lang, query)
+        fp, canonical = obs.fingerprint_query(lang, query)
         if canonical in by_canonical:
             assert by_canonical[canonical] == fp
         else:
@@ -123,18 +120,3 @@ def test_distinct_structures_get_distinct_fingerprints(lang, builder):
         else:
             by_fingerprint[fp] = canonical
     assert len(by_canonical) > 1  # the generator actually varies structure
-
-
-@pytest.mark.parametrize("lang,builder", [
-    ("sparql", _sparql_query),
-    ("cypher", _cypher_query),
-])
-def test_round_trip_substitution_is_stable(lang, builder):
-    for round_no in range(ROUNDS):
-        rng = random.Random(SEED * 17 + round_no)
-        shape = random.Random(SEED * 19 + round_no)
-        query = builder(rng, shape)
-        fp, canonical, params = obs.fingerprint_query(lang, query)
-        rebuilt = obs.substitute_params(canonical, params)
-        fp2, canonical2, params2 = obs.fingerprint_query(lang, rebuilt)
-        assert (fp2, canonical2, params2) == (fp, canonical, params), query

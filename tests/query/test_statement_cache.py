@@ -202,6 +202,56 @@ def test_hits_build_the_parse_of_fuzz_workload_texts():
 
 
 # --------------------------------------------------------------------- #
+# A statement normalises only when the workload tracker reads it
+# --------------------------------------------------------------------- #
+
+@pytest.fixture(scope="module")
+def point_texts(tmp_path_factory):
+    """Planned engines and ``(lang, text)`` of the benchmark's query_point
+    statements (smoke scale): SPARQL and its translation."""
+    gen = _load_gen()
+    out = tmp_path_factory.mktemp("query_point")
+    gen.GENERATORS["query_point"](
+        out, gen.SCALES["query_point"]["smoke"], gen.DEFAULT_SEED, "smoke"
+    )
+    graph = parse_ntriples(out / "data.nt")
+    shapes = parse_shacl((out / "shapes.ttl").read_text(encoding="utf-8"))
+    result = S3PG().transform(graph, shapes)
+    document = json.loads((out / "queries.json").read_text(encoding="utf-8"))
+    texts = []
+    for query in document["sparql"]:
+        texts.append(("sparql", query["text"]))
+        texts.append(
+            ("cypher", translate_sparql_to_cypher(query["text"], result.mapping))
+        )
+    return graph, PropertyGraphStore(result.graph), texts
+
+
+def test_statements_fingerprint_only_when_tracked(point_texts):
+    graph, store, texts = point_texts
+    engines = {"sparql": SparqlEngine(graph), "cypher": CypherEngine(store)}
+    obs.uninstall_workload()
+    for lang, text in texts:
+        engines[lang].query(text)
+    strip = {"sparql": lambda text: text, "cypher": strip_statement}
+    statements = [
+        engines[lang].statements.prepare(strip[lang](text)).statement
+        for lang, text in texts
+    ]
+    assert all("fingerprint" not in s.__dict__ for s in statements)
+    lang, text = texts[0]
+    obs.install_workload()
+    try:
+        engines[lang].query(text)
+        (stats,) = obs.get_workload().snapshot()
+    finally:
+        obs.uninstall_workload()
+    fingerprinted = {id(s) for s in statements if "fingerprint" in s.__dict__}
+    assert fingerprinted == {id(statements[0])}
+    assert stats["fingerprint"] == obs.fingerprint_query(lang, text)[0]
+
+
+# --------------------------------------------------------------------- #
 # Every clause that can hold a slot resolves it on a hit
 # --------------------------------------------------------------------- #
 
