@@ -34,10 +34,11 @@ from ..query.cypher.evaluator import CypherEngine
 from ..query.sparql.evaluator import SparqlEngine
 from ..query.translate import translate_sparql_to_cypher
 from ..rdf.graph import Graph, graphs_equal_modulo_bnodes
-from ..rdf.terms import BlankNode, IRI
+from ..rdf.terms import BlankNode, IRI, Literal, Triple
 from ..rdf.ntriples import parse_line, parse_ntriples, serialize_ntriples
 from ..rdf.turtle import parse_turtle, serialize_turtle
-from ..shacl.validator import validate as shacl_validate
+from ..shacl.model import ClassType, LiteralType
+from ..shacl.validator import Violation, validate as shacl_validate
 from .generators import EX, FuzzCase
 
 _BOTH_MODES: tuple[TransformOptions, ...] = (DEFAULT_OPTIONS, MONOTONE_OPTIONS)
@@ -719,19 +720,89 @@ def _cdc_history(case: FuzzCase) -> tuple[list, list, set]:
             deltas.append(
                 Delta(seq=seq, added=tuple(added), removed=tuple(removed))
             )
+    # Then a reference cycle c <-> d, entered from e through path p at c
+    # and q at d, then the other way round, one edge per delta: where a
+    # check enters a cycle decides the verdicts it reads, and so which
+    # results a scoped recheck may keep.
+    targets = case.schema.target_classes()
+    paths: dict = {}
+    for t in sorted(current, key=str):
+        if t.p.value == RDF_TYPE and isinstance(t.o, IRI) and t.o.value in targets:
+            paths.setdefault(t.s, []).extend(
+                IRI(phi.path)
+                for phi in case.schema.effective_property_shapes(targets[t.o.value])
+                if not all(vt.is_literal() for vt in phi.value_types))
+    nodes = [n for n in sorted(paths, key=str) if paths[n]]
+    entries = [n for n in nodes if len(set(paths[n])) > 1]
+    if entries and len(nodes) > 2:
+        pick = random.Random(case.seed ^ 0xC1C1E)
+        e = pick.choice(entries)
+        c, d = pick.sample([n for n in nodes if n != e], 2)
+        p, q = pick.sample(sorted(set(paths[e]), key=str), 2)
+        ring = [Triple(c, pick.choice(paths[c]), d), Triple(d, pick.choice(paths[d]), c)]
+        enter = [Triple(e, p, c), Triple(e, q, d)]
+        for added, removed in [([t], []) for t in ring + enter] + [([], enter)] + [
+                ([Triple(e, p, d)], []), ([Triple(e, q, c)], [])]:
+            added = tuple(t for t in added if t not in current)
+            removed = tuple(t for t in removed if t in current)
+            current.update(added)
+            current.difference_update(removed)
+            if added or removed:
+                seq += 1
+                deltas.append(Delta(seq=seq, added=added, removed=removed))
     return base, deltas, current
 
 
-def fresh_memo_snapshot(schema, graph: Graph) -> dict[str, list[str]]:
+def fresh_memo_snapshot(schema, graph: Graph,
+                        max_violations: int = 10_000) -> dict[str, list[str]]:
     """What ``DeltaValidator.snapshot()`` must equal, computed the slow way.
 
-    Every targeted entity is checked per shape with a fresh memo and no
-    standing verdict table: no verdict outlives the focus check that
-    computed it, so none can be stale, and no affected set is involved.
+    The entity check of Definition 2.3 on decoded terms, the reference the
+    validators' interned-id checker is held to: every targeted entity is
+    checked per shape with a fresh memo, so no verdict outlives the focus
+    check that computed it, and no verdict table or affected set is
+    involved.  A key still being checked reads as conforming, which breaks
+    reference cycles.  At most ``max_violations`` violations are kept per
+    (entity, shape), in declaration order.
     """
-    from ..shacl.validator import ValidationReport, _EntityChecker
+    shape_of_class: dict[str, str] = {}  # the first shape declared for it
+    for shape in schema:
+        if shape.target_class is not None:
+            shape_of_class.setdefault(shape.target_class, shape.name)
 
-    checker = _EntityChecker(schema, graph, max_violations=10_000)
+    def check(entity, shape_name: str, report: list | None, memo: dict) -> bool:
+        if (entity, shape_name) in memo:
+            return memo[entity, shape_name]
+        memo[entity, shape_name] = True
+        failures = []
+        for phi in schema.effective_property_shapes(shape_name):
+            values = list(graph.objects(entity, IRI(phi.path)))
+            if not phi.min_count <= len(values) <= phi.max_count:
+                upper = "*" if phi.max_count == float("inf") else int(phi.max_count)
+                failures.append((phi.path, f"cardinality {len(values)} outside "
+                                           f"[{phi.min_count}, {upper}]"))
+            expected = str([str(v) for v in phi.value_types])
+            failures.extend(
+                (phi.path, f"value {value.n3()} matches none of {expected}")
+                for value in values
+                if not any(matches(value, vt, memo) for vt in phi.value_types))
+        if report is not None:
+            report.extend(Violation(str(entity), shape_name, path, message)
+                          for path, message in failures)
+        memo[entity, shape_name] = not failures
+        return not failures
+
+    def matches(value, vt, memo: dict) -> bool:
+        if isinstance(vt, LiteralType):
+            return isinstance(value, Literal) and value.datatype == vt.datatype
+        if not isinstance(value, IRI):
+            return False
+        if isinstance(vt, ClassType):
+            nested = shape_of_class.get(vt.cls)
+            return graph.is_instance_of(value, IRI(vt.cls)) and (
+                nested is None or check(value, nested, None, memo))
+        return vt.shape in schema and check(value, vt.shape, None, memo)
+
     targets = schema.target_classes()
     snapshot: dict[str, list[str]] = {}
     for cls in targets:
@@ -741,9 +812,9 @@ def fresh_memo_snapshot(schema, graph: Graph) -> dict[str, list[str]]:
                 {targets[t.value] for t in graph.types_of(entity)
                  if t.value in targets}
             ):
-                report = ValidationReport(conforms=True)
-                checker.check(entity, shape_name, report, {})
-                lines.extend(str(v) for v in report.violations)
+                report: list = []
+                check(entity, shape_name, report, {})
+                lines.extend(str(v) for v in report[:max_violations])
             snapshot[str(entity)] = sorted(lines)
     return snapshot
 

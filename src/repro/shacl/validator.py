@@ -19,13 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from itertools import chain, islice
 from typing import NamedTuple
 
 from .. import obs
-from ..namespaces import RDFS
+from ..namespaces import RDF_TYPE, RDFS
 from ..rdf.graph import Graph
-from ..rdf.terms import IRI, Literal, Object, Subject, Triple
+from ..rdf.terms import IRI, Literal, Subject, Triple
 from .model import (
     ClassType,
     LiteralType,
@@ -35,8 +36,9 @@ from .model import (
 )
 
 _SUBCLASS_OF = IRI(RDFS.subClassOf)
-#: Stands in for the table row of an entity that has none.
-_NO_ROW: dict[str, bool] = {}
+_RDF_TYPE = IRI(RDF_TYPE)
+#: Stands in for an index row or a table row that is not there.
+_EMPTY: dict = {}
 
 
 @dataclass(frozen=True)
@@ -76,26 +78,28 @@ class _PropertyPlan(NamedTuple):
     """A property shape with everything entity-independent resolved."""
 
     shape: PropertyShape
-    path: IRI
+    #: Interned id of the path, or None while the graph lacks the term.
+    path_id: int | None
     #: ``T_p`` in declaration order: ``(datatype, None, None)`` for a
-    #: literal type, ``(None, class term, shape name targeting it or
+    #: literal type, ``(None, class ids, shape name targeting the class or
     #: None)`` for ``sh:class``, ``(None, None, shape name)`` for
     #: ``sh:node``; references to shapes the schema lacks never match
     #: and are left out.
-    alternatives: tuple[tuple[str | None, IRI | None, str | None], ...]
+    alternatives: tuple[tuple[str | None, frozenset[int] | None, str | None], ...]
     #: Message fragments that do not depend on the entity.
     bounds: str
     expected: str
 
 
 class _EntityChecker:
-    """The entity check ``e ⊨_G s`` of Definition 2.3 over one graph.
+    """The entity check ``e ⊨_G s`` of Definition 2.3 over one graph's ids.
 
     Built once per :meth:`ShaclValidator.validate` call and once per
     :class:`DeltaValidator` — not cached on the schema, which callers may
-    mutate between validations.  Effective property shapes, path and
-    class terms and the shape a class is targeted by are resolved the
-    first time a shape is checked, not once per entity.
+    mutate between validations.  Effective property shapes, path ids, the
+    id set a ``sh:class`` accepts (the class and its subclasses) and the
+    shape a class is targeted by are resolved the first time a shape is
+    checked, not once per entity.  :meth:`reset` forgets them.
 
     Reference cycles are broken optimistically: a key that is still being
     checked reads as conforming.  A verdict computed without reading such
@@ -109,29 +113,25 @@ class _EntityChecker:
     Args:
         schema: the shape schema ``S_G``.
         graph: the graph entities are checked in.
-        max_violations: stop collecting after this many failures.
-        table: entity -> shape name -> context-free nested verdict, owned
-            and invalidated by the caller; None keeps every verdict in
-            the memo.
+        table: entity id -> shape name -> context-free nested verdict,
+            owned and invalidated by the caller; None keeps every verdict
+            in the memo.
     """
 
     def __init__(
         self,
         schema: ShapeSchema,
         graph: Graph,
-        max_violations: int,
-        table: dict[Subject, dict[str, bool]] | None = None,
+        table: dict[int, dict[str, bool]] | None = None,
     ):
         self.schema = schema
         self.graph = graph
-        self.max_violations = max_violations
         self.table = table
         # Cheap plain-int/dict tallies on the hot path; ShaclValidator
         # flushes them to obs once per run.
         self.memo_hits = 0
         self.memo_misses = 0
         self.shape_checks: dict[str, int] = {}
-        self._plans: dict[str, tuple[_PropertyPlan, ...]] = {}
         # shape_for_class semantics: the first shape declared for a class.
         self._shape_of_class: dict[str, str] = {}
         for shape in schema:
@@ -139,7 +139,33 @@ class _EntityChecker:
                 self._shape_of_class.setdefault(shape.target_class, shape.name)
         #: Reads of in-progress or cycle-tainted memo entries so far; an
         #: entity check during which it did not move is context-free.
-        self._tainted_reads = 0
+        self.tainted_reads = 0
+        self.reset()
+
+    def reset(self) -> None:
+        """Resolve every id afresh against the graph's current interner."""
+        self.terms = self.graph._terms
+        self._spo = self.graph._spo
+        #: The interner's size now, and whether a term looked up since was
+        #: missing from it (a later delta may intern it).
+        self.size = len(self.terms)
+        self.missing = False
+        self._plans: dict[str, tuple[_PropertyPlan, ...]] = {}
+        self._classes: dict[str, frozenset[int]] = {}
+        self.type_id = self.lookup(_RDF_TYPE)
+
+    def lookup(self, term) -> int | None:
+        """The id of ``term``, None (and noted) when it is not interned."""
+        i = self.terms.lookup(term)
+        if i is None:
+            self.missing = True
+        return i
+
+    def instances(self, cls: str) -> Iterable[int]:
+        """Ids of the entities typed ``cls`` (not its subclasses)."""
+        cls_id = self.lookup(IRI(cls))
+        by_o = self.graph._pos.get(self.type_id, _EMPTY)
+        return by_o.get(cls_id, ()) if cls_id is not None else ()
 
     def _plan(self, shape_name: str) -> tuple[_PropertyPlan, ...]:
         plan = self._plans.get(shape_name)
@@ -151,36 +177,53 @@ class _EntityChecker:
         return plan
 
     def _resolve(self, phi: PropertyShape) -> _PropertyPlan:
-        alternatives: list[tuple[str | None, IRI | None, str | None]] = []
+        alternatives: list[tuple[str | None, frozenset[int] | None, str | None]] = []
         for vt in phi.value_types:
             if isinstance(vt, LiteralType):
                 alternatives.append((vt.datatype, None, None))
             elif isinstance(vt, ClassType):
                 alternatives.append(
-                    (None, IRI(vt.cls), self._shape_of_class.get(vt.cls))
+                    (None, self._class_ids(vt.cls), self._shape_of_class.get(vt.cls))
                 )
             elif isinstance(vt, NodeShapeRef) and vt.shape in self.schema:
                 alternatives.append((None, None, vt.shape))
         upper = "*" if phi.max_count == float("inf") else int(phi.max_count)
         return _PropertyPlan(
             shape=phi,
-            path=IRI(phi.path),
+            path_id=self.lookup(IRI(phi.path)),
             alternatives=tuple(alternatives),
             bounds=f"[{phi.min_count}, {upper}]",
             expected=str([str(v) for v in phi.value_types]),
         )
 
+    def _class_ids(self, cls: str) -> frozenset[int]:
+        """``cls`` and its IRI subclasses, closed over ``rdfs:subClassOf``."""
+        ids = self._classes.get(cls)
+        if ids is None:
+            root = self.lookup(IRI(cls))
+            seen = {root} if root is not None else set()
+            frontier = list(seen)
+            by_o = self.graph._pos.get(self.terms.lookup(_SUBCLASS_OF), _EMPTY)
+            term = self.terms.term
+            while frontier:
+                for s in by_o.get(frontier.pop(), ()):
+                    if s not in seen and isinstance(term(s), IRI):
+                        seen.add(s)
+                        frontier.append(s)
+            ids = self._classes[cls] = frozenset(seen)
+        return ids
+
     def check(
         self,
-        entity: Subject,
+        entity: int | None,
         shape_name: str,
-        report: ValidationReport | None,
-        memo: dict[tuple[Subject, str], bool],
+        sink: list[tuple] | None,
+        memo: dict[tuple[int | None, str], bool],
     ) -> bool:
-        """``entity ⊨_G shape_name``; violations go to ``report``.
+        """``entity ⊨_G shape_name``; violations go to ``sink``.
 
-        Nested checks of referenced values pass ``report=None``: only
-        their verdict is used.
+        Nested checks of referenced values pass ``sink=None``: only their
+        verdict is used.  An entity the graph never interned is None.
         """
         key = (entity, shape_name)
         cached = memo.get(key)
@@ -188,24 +231,18 @@ class _EntityChecker:
             self.memo_hits += 1
             # With a table the memo holds only in-progress and tainted
             # keys; without one nobody asks whether a verdict is tainted.
-            self._tainted_reads += 1
-            if not cached and report is not None:
+            self.tainted_reads += 1
+            if not cached and sink is not None:
                 # The failure was discovered while this entity was checked
                 # as a nested shape-ref target, where no violations are
                 # collected; the verdict must still reach this report.
-                self._record(
-                    report,
-                    entity,
-                    shape_name,
-                    None,
-                    "entity does not conform (checked as a referenced value)",
-                )
+                sink.append((entity, shape_name, None, None, None))
             return cached
         table = self.table
-        if table is not None and report is None:
-            # A focus check (report given) is always evaluated: the
+        if table is not None and sink is None:
+            # A focus check (sink given) is always evaluated: the
             # standing report needs its violations, not just the verdict.
-            known = table.get(entity, _NO_ROW).get(shape_name)
+            known = table.get(entity, _EMPTY).get(shape_name)
             if known is not None:
                 self.memo_hits += 1
                 return known
@@ -213,90 +250,103 @@ class _EntityChecker:
         self.shape_checks[shape_name] = self.shape_checks.get(shape_name, 0) + 1
         # Optimistically assume conformance to break reference cycles.
         memo[key] = True
-        tainted_reads = self._tainted_reads
+        tainted_reads = self.tainted_reads
+        by_p = self._spo.get(entity, _EMPTY)
         ok = True
         for plan in self._plan(shape_name):
-            if not self._check_property(entity, shape_name, plan, report, memo):
+            if not self._check_property(entity, by_p, shape_name, plan, sink, memo):
                 ok = False
-        if table is not None and self._tainted_reads == tainted_reads:
+        if table is not None and self.tainted_reads == tainted_reads:
             del memo[key]
             table.setdefault(entity, {})[shape_name] = ok
         else:
             memo[key] = ok
         return ok
 
+    def focus(
+        self,
+        entity: int,
+        shape_name: str,
+        scope: set[int] | None = None,
+        previous: list[list[tuple]] | None = None,
+    ) -> list[list[tuple]]:
+        """Per-plan violations of a focus check with a fresh memo.
+
+        With a ``scope`` only the plans whose path id is in it are
+        evaluated; the others' violations are copied from ``previous``.
+        """
+        self.memo_misses += 1
+        self.shape_checks[shape_name] = self.shape_checks.get(shape_name, 0) + 1
+        memo = {(entity, shape_name): True}
+        tainted_reads = self.tainted_reads
+        by_p = self._spo.get(entity, _EMPTY)
+        results: list[list[tuple]] = []
+        for i, plan in enumerate(self._plan(shape_name)):
+            if scope is not None and plan.path_id not in scope:
+                results.append(previous[i])
+                continue
+            sink: list[tuple] = []
+            self._check_property(entity, by_p, shape_name, plan, sink, memo)
+            results.append(sink or ())
+        if self.table is not None and self.tainted_reads == tainted_reads:
+            self.table.setdefault(entity, {})[shape_name] = not any(results)
+        return results
+
     def _check_property(
         self,
-        entity: Subject,
+        entity: int | None,
+        by_p: dict,
         shape_name: str,
         plan: _PropertyPlan,
-        report: ValidationReport | None,
-        memo: dict[tuple[Subject, str], bool],
+        sink: list[tuple] | None,
+        memo: dict[tuple[int | None, str], bool],
     ) -> bool:
         phi = plan.shape
-        values = list(self.graph.objects(entity, plan.path))
-        ok = True
-
-        count = len(values)
-        if count < phi.min_count or count > phi.max_count:
-            ok = False
-            if report is not None:
-                self._record(
-                    report,
-                    entity,
-                    shape_name,
-                    phi.path,
-                    f"cardinality {count} outside {plan.bounds}",
-                )
-
-        for value in values:
+        values = by_p.get(plan.path_id)
+        count = len(values) if values is not None else 0
+        ok = phi.min_count <= count <= phi.max_count
+        if not ok and sink is not None:
+            sink.append((entity, shape_name, plan, count, None))
+        for value in values or ():
             if not self._value_matches_any(value, plan, memo):
                 ok = False
-                if report is not None:
-                    self._record(
-                        report,
-                        entity,
-                        shape_name,
-                        phi.path,
-                        f"value {value.n3()} matches none of {plan.expected}",
-                    )
+                if sink is not None:
+                    sink.append((entity, shape_name, plan, None, value))
         return ok
 
     def _value_matches_any(
         self,
-        value: Object,
+        value: int,
         plan: _PropertyPlan,
-        memo: dict[tuple[Subject, str], bool],
+        memo: dict[tuple[int | None, str], bool],
     ) -> bool:
-        for datatype, cls, nested in plan.alternatives:
+        term = self.terms.term(value)
+        for datatype, classes, nested in plan.alternatives:
             if datatype is not None:
-                if isinstance(value, Literal) and value.datatype == datatype:
+                if isinstance(term, Literal) and term.datatype == datatype:
                     return True
-            elif not isinstance(value, IRI):
+            elif not isinstance(term, IRI):
                 continue
-            elif cls is None or self.graph.is_instance_of(value, cls):
+            elif classes is None or not classes.isdisjoint(
+                self._spo.get(value, _EMPTY).get(self.type_id, ())
+            ):
                 if nested is None or self.check(value, nested, None, memo):
                     return True
         return False
 
-    def _record(
-        self,
-        report: ValidationReport,
-        entity: Subject,
-        shape_name: str,
-        path: str | None,
-        message: str,
-    ) -> None:
-        if len(report.violations) < self.max_violations:
-            report.violations.append(
-                Violation(
-                    focus=str(entity),
-                    shape=shape_name,
-                    path=path,
-                    message=message,
-                )
-            )
-        report.conforms = False
+    def violation(self, raw: tuple) -> Violation:
+        """Render a recorded ``(focus, shape, plan, count, value)``: no
+        value for a cardinality failure, no plan for a memo read."""
+        entity, shape_name, plan, count, value = raw
+        term = self.terms.term
+        if plan is None:
+            message = "entity does not conform (checked as a referenced value)"
+        elif value is None:
+            message = f"cardinality {count} outside {plan.bounds}"
+        else:
+            message = f"value {term(value).n3()} matches none of {plan.expected}"
+        path = plan and plan.shape.path
+        return Violation(str(term(entity)), shape_name, path, message)
 
 
 class ShaclValidator:
@@ -314,7 +364,7 @@ class ShaclValidator:
 
     def validate(self, graph: Graph) -> ValidationReport:
         """Validate every targeted entity in ``graph``."""
-        checker = _EntityChecker(self.schema, graph, self.max_violations)
+        checker = _EntityChecker(self.schema, graph)
         with obs.span("shacl.validate", shapes=len(self.schema)) as span:
             report = self._validate(checker)
             span.set("entities", report.checked_entities)
@@ -327,17 +377,25 @@ class ShaclValidator:
 
     def _validate(self, checker: _EntityChecker) -> ValidationReport:
         report = ValidationReport(conforms=True)
-        class_to_shape = self.schema.target_classes()
+        sink: list[tuple] = []
         # Memo of (entity, shape-name) conformance to keep recursive
         # shape-reference checks linear.
-        memo: dict[tuple[Subject, str], bool] = {}
-        for cls_iri, shape_name in class_to_shape.items():
-            for entity in checker.graph.instances_of(IRI(cls_iri)):
-                report.checked_entities += 1
-                checker.check(entity, shape_name, report, memo)
-                if len(report.violations) >= self.max_violations:
-                    report.conforms = False
-                    return report
+        memo: dict[tuple[int | None, str], bool] = {}
+        focus_nodes = (
+            (entity, shape_name)
+            for cls_iri, shape_name in self.schema.target_classes().items()
+            for entity in checker.instances(cls_iri)
+        )
+        for entity, shape_name in focus_nodes:
+            report.checked_entities += 1
+            if not checker.check(entity, shape_name, sink, memo):
+                report.conforms = False
+            if len(sink) >= self.max_violations:
+                report.conforms = False
+                break
+        report.violations = [
+            checker.violation(raw) for raw in sink[: self.max_violations]
+        ]
         return report
 
     def _publish_metrics(
@@ -370,13 +428,22 @@ class ShaclValidator:
 
     def entity_conforms(self, graph: Graph, entity: Subject, shape_name: str) -> bool:
         """Check a single entity against a single shape (``e ⊨_G s``)."""
-        checker = _EntityChecker(self.schema, graph, self.max_violations)
-        return checker.check(entity, shape_name, None, {})
+        checker = _EntityChecker(self.schema, graph)
+        return checker.check(checker.lookup(entity), shape_name, None, {})
 
 
 def validate(graph: Graph, schema: ShapeSchema) -> ValidationReport:
     """Validate ``graph`` against ``schema`` (module-level convenience)."""
     return ShaclValidator(schema).validate(graph)
+
+
+class _Entry(NamedTuple):
+    """The standing result of one focus node: per shape, per plan, its
+    violations, and whether the check behind them read a tainted key."""
+
+    shapes: list[str]
+    results: list[list[list[tuple]]]
+    tainted: bool
 
 
 class DeltaValidator:
@@ -402,6 +469,12 @@ class DeltaValidator:
     points at never fan out.  A delta that rewrites the
     ``rdfs:subClassOf`` taxonomy invalidates class membership globally
     and falls back to a full rebuild.
+
+    A recheck evaluates only the property shapes whose path is the
+    predicate of a delta triple on the focus or a reference path from it
+    to an affected node.  The whole focus is rechecked when its last
+    check was cycle-tainted, its types or targeted shapes changed, or the
+    scoped check itself reads a tainted key.
 
     Every focus node is checked with a fresh memo, which makes its
     violation list independent of the order entities are (re)checked.
@@ -431,14 +504,15 @@ class DeltaValidator:
     ):
         self.schema = schema
         self.graph = graph
-        #: Entity -> shape name -> context-free nested verdict.  Rows of
-        #: referenced entities no shape targets live here too.
-        self._table: dict[Subject, dict[str, bool]] = {}
-        self._checker = _EntityChecker(schema, graph, max_violations, self._table)
+        #: Entity id -> shape name -> context-free nested verdict.  Rows
+        #: of referenced entities no shape targets live here too.
+        self._table: dict[int, dict[str, bool]] = {}
+        self._checker = _EntityChecker(schema, graph, self._table)
+        self.max_violations = max_violations
         self._targets = schema.target_classes()
         self._reference_paths = self._compute_reference_paths()
-        #: Focus entity -> violations of all shapes targeting its types.
-        self._entries: dict[Subject, tuple[Violation, ...]] = {}
+        #: Focus entity id -> its standing result.
+        self._entries: dict[int, _Entry] = {}
         #: Focus nodes rechecked by the last apply_delta (or rebuild).
         self.last_rechecked = 0
         #: Cumulative focus-node checks over the validator's lifetime.
@@ -453,6 +527,13 @@ class DeltaValidator:
                     paths.add(IRI(phi.path))
         return frozenset(paths)
 
+    def _resolve(self) -> None:
+        """(Re)resolve every id the validator holds against the graph."""
+        self._checker.reset()
+        lookup = self._checker.lookup
+        self._target_ids = {lookup(IRI(c)): s for c, s in self._targets.items()}
+        self._reference_ids = frozenset(map(lookup, self._reference_paths))
+
     @property
     def entity_checks(self) -> int:
         """Cumulative (entity, shape) evaluations, nested ones included."""
@@ -462,6 +543,7 @@ class DeltaValidator:
 
     def rebuild(self) -> None:
         """Recompute the standing report from scratch (full validation)."""
+        self._resolve()
         self._entries = {}
         self._table.clear()
         checked = 0
@@ -471,29 +553,36 @@ class DeltaValidator:
         self.last_rechecked = checked
         self.total_rechecked += checked
 
-    def _targeted_entities(self) -> Iterable[Subject]:
-        seen: set[Subject] = set()
+    def _targeted_entities(self) -> Iterator[int]:
+        seen: set[int] = set()
         for cls_iri in self._targets:
-            for entity in self.graph.instances_of(IRI(cls_iri)):
+            for entity in self._checker.instances(cls_iri):
                 if entity not in seen:
                     seen.add(entity)
                     yield entity
 
-    def _shapes_for(self, entity: Subject) -> list[str]:
-        shapes = {
-            self._targets[t.value]
-            for t in self.graph.types_of(entity)
-            if t.value in self._targets
-        }
-        return sorted(shapes)
+    def _shapes_for(self, entity: int) -> list[str]:
+        types = self.graph._spo.get(entity, _EMPTY).get(self._checker.type_id, ())
+        targets = self._target_ids
+        return sorted({targets[t] for t in types if t in targets})
 
-    def _check(self, entity: Subject, shapes: list[str]) -> tuple[Violation, ...]:
-        violations: list[Violation] = []
-        for shape_name in shapes:
-            report = ValidationReport(conforms=True)
-            self._checker.check(entity, shape_name, report, {})
-            violations.extend(report.violations)
-        return tuple(violations)
+    def _check(self, entity: int, shapes: list[str]) -> _Entry:
+        checker = self._checker
+        tainted_reads = checker.tainted_reads
+        results = [checker.focus(entity, shape_name) for shape_name in shapes]
+        return _Entry(shapes, results, checker.tainted_reads != tainted_reads)
+
+    def _recheck(self, entity: int, entry: _Entry, paths: set[int]) -> _Entry:
+        """Re-evaluate the plans on ``paths``; the whole focus if tainted."""
+        checker = self._checker
+        tainted_reads = checker.tainted_reads
+        results = [
+            checker.focus(entity, shape_name, paths, previous)
+            for shape_name, previous in zip(entry.shapes, entry.results)
+        ]
+        if checker.tainted_reads != tainted_reads:
+            return self._check(entity, entry.shapes)
+        return _Entry(entry.shapes, results, False)
 
     # ------------------------------------------------------------------ #
 
@@ -508,23 +597,35 @@ class DeltaValidator:
         """
         added = tuple(added)
         removed = tuple(removed)
-        if any(t.p == _SUBCLASS_OF for t in (*added, *removed)):
+        checker = self._checker
+        if self.graph._terms is not checker.terms or any(
+            t.p == _SUBCLASS_OF for t in (*added, *removed)
+        ):
             # Subclass-axiom changes shift class membership for every
-            # ``sh:class`` check; delta scoping is unsound here.
+            # ``sh:class`` check, and a cleared graph renumbered every
+            # term; delta scoping is unsound here.
             self.rebuild()
             return self.last_rechecked
+        if checker.missing and len(checker.terms) != checker.size:
+            self._resolve()
         affected = self._affected_entities(added, removed)
         # Every affected row goes before any recheck runs, so that no
         # recheck can read a verdict from before the delta.
         for entity in affected:
             self._table.pop(entity, None)
         checked = 0
-        for entity in affected:
+        for entity, paths in affected.items():
             shapes = self._shapes_for(entity)
             if not shapes:
                 self._entries.pop(entity, None)
                 continue
-            self._entries[entity] = self._check(entity, shapes)
+            entry = self._entries.get(entity)
+            scoped = entry is not None and not entry.tainted and entry.shapes == shapes
+            self._entries[entity] = (
+                self._recheck(entity, entry, paths)
+                if scoped and checker.type_id not in paths
+                else self._check(entity, shapes)
+            )
             checked += 1
         self.last_rechecked = checked
         self.total_rechecked += checked
@@ -534,19 +635,40 @@ class DeltaValidator:
         self,
         added: tuple[Triple, ...],
         removed: tuple[Triple, ...],
-    ) -> set[Subject]:
-        """The delta's subjects closed under reverse reference paths."""
-        affected: set[Subject] = {t.s for t in (*added, *removed)}
+    ) -> dict[int, set[int]]:
+        """The delta's subjects closed under reverse reference paths, each
+        with the path ids whose values the delta can have changed: its
+        delta triples' predicates and its reference paths to affected ids.
+        """
+        lookup = self.graph._terms.lookup
+        affected: dict[int, set[int]] = {}
+        for t in (*added, *removed):
+            s = lookup(t.s)
+            if s is not None:
+                affected.setdefault(s, set()).add(lookup(t.p))
         frontier = list(affected)
-        reference_paths = self._reference_paths
+        reference_ids = self._reference_ids
+        osp = self.graph._osp
         while frontier:
-            for t in self.graph.triples(o=frontier.pop()):
-                if t.p in reference_paths and t.s not in affected:
-                    affected.add(t.s)
-                    frontier.append(t.s)
+            for s, predicates in osp.get(frontier.pop(), _EMPTY).items():
+                for p in predicates:
+                    if p in reference_ids:
+                        paths = affected.get(s)
+                        if paths is None:
+                            paths = affected[s] = set()
+                            frontier.append(s)
+                        paths.add(p)
         return affected
 
     # ------------------------------------------------------------------ #
+
+    def _violations(self, entry: _Entry) -> list[Violation]:
+        """The entry's violations, at most ``max_violations`` per shape."""
+        return [
+            self._checker.violation(raw)
+            for results in entry.results
+            for raw in islice(chain.from_iterable(results), self.max_violations)
+        ]
 
     @property
     def focus_count(self) -> int:
@@ -555,10 +677,11 @@ class DeltaValidator:
 
     def report(self) -> ValidationReport:
         """The standing conformance report."""
+        term = self._checker.terms.term
         violations = [
             violation
-            for entity in sorted(self._entries, key=str)
-            for violation in self._entries[entity]
+            for entity in sorted(self._entries, key=lambda i: str(term(i)))
+            for violation in self._violations(self._entries[entity])
         ]
         return ValidationReport(
             conforms=not violations,
@@ -569,11 +692,14 @@ class DeltaValidator:
     @property
     def conforms(self) -> bool:
         """True when every tracked focus node conforms."""
-        return all(not v for v in self._entries.values())
+        return not any(
+            any(results) for entry in self._entries.values() for results in entry.results
+        )
 
     def snapshot(self) -> dict[str, list[str]]:
         """Focus node -> sorted violation strings (comparison/persistence)."""
+        term = self._checker.terms.term
         return {
-            str(entity): sorted(str(v) for v in violations)
-            for entity, violations in self._entries.items()
+            str(term(entity)): sorted(str(v) for v in self._violations(entry))
+            for entity, entry in self._entries.items()
         }

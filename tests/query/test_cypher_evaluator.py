@@ -64,6 +64,15 @@ class TestMatch:
         rows = engine.query("MATCH (n:Person) WHERE n.age > 26 RETURN n.name AS n")
         assert rows == [{"n": "Ann"}]
 
+    def test_where_less_or_equal_on_integer(self, engine):
+        rows = engine.query("MATCH (n:Person) WHERE n.age <= 25 RETURN n.name AS n")
+        assert rows == [{"n": "Bob"}]
+
+    def test_where_less_or_equal_on_string(self, engine):
+        rows = engine.query(
+            "MATCH (n:Person) WHERE n.name <= 'Bob' RETURN n.name AS n")
+        assert sorted(r["n"] for r in rows) == ["Ann", "Bob"]
+
     def test_where_is_null(self, engine):
         rows = engine.query("MATCH (n:Person) WHERE n.age IS NULL RETURN n.name AS n")
         assert rows == [{"n": "Cat"}]

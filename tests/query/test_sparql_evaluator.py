@@ -91,6 +91,19 @@ class TestFilters:
         )
         assert len(rows) == 1
 
+    def test_inequality_on_string(self, engine):
+        rows = engine.query(
+            PROLOG + 'SELECT ?e WHERE { ?e :name ?n . FILTER(?n != "Bob") }'
+        )
+        assert {str(r["e"]) for r in rows} == {
+            "http://x/a", "http://x/c", "http://x/d"}
+
+    def test_inequality_on_integer(self, engine):
+        rows = engine.query(
+            PROLOG + "SELECT ?e WHERE { ?e :age ?n . FILTER(?n != 30) }"
+        )
+        assert {str(r["e"]) for r in rows} == {"http://x/b", "http://x/c"}
+
     def test_boolean_and(self, engine):
         rows = engine.query(
             PROLOG + "SELECT ?e WHERE { ?e :age ?n . FILTER(?n > 20 && ?n < 30) }"

@@ -5,9 +5,9 @@ focus node checked from scratch, no table, no affected set.
 """
 
 from repro.fuzz import fresh_memo_snapshot
-from repro.rdf import parse_turtle
+from repro.rdf import IRI, parse_turtle
 from repro.rdf.ntriples import parse_line
-from repro.shacl import DeltaValidator, parse_shacl
+from repro.shacl import DeltaValidator, ShaclValidator, parse_shacl
 from repro.shacl.validator import validate
 
 SHAPES = parse_shacl("""
@@ -173,7 +173,8 @@ class TestDeltaScoping:
                     if referrer not in expected:
                         expected.add(referrer)
                         frontier.append(referrer)
-        assert validator._affected_entities(delta, ()) == expected
+        affected = validator._affected_entities(delta, ())
+        assert {graph._terms.term(i) for i in affected} == expected
         assert {str(e).rsplit("/", 1)[1] for e in expected} == {
             "r_a", "r_b", "r_c", "x", "y"}
 
@@ -289,3 +290,188 @@ class TestUntargetedReferencedEntity:
         assert validator.snapshot() == fresh_memo_snapshot(NODE_REF_SHAPES, graph)
         apply(graph, validator, added=(street,))
         assert validator.conforms and validator.focus_count == 2
+
+
+# --------------------------------------------------------------------- #
+# Interned-id edge cases and the per-plan scope of a recheck.
+# --------------------------------------------------------------------- #
+
+SH_PREFIXES = """
+@prefix sh: <http://www.w3.org/ns/shacl#> .
+@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+@prefix : <http://x/> .
+@prefix shapes: <http://x/shapes#> .
+"""
+
+PET_SHAPES = parse_shacl(SH_PREFIXES + """
+shapes:Owner a sh:NodeShape ; sh:targetClass :Owner ;
+  sh:property [ sh:path :pet ; sh:nodeKind sh:IRI ; sh:class :Dog ;
+                sh:minCount 0 ] ;
+  sh:property [ sh:path :nick ; sh:datatype xsd:string ; sh:minCount 1 ] .
+shapes:Dog a sh:NodeShape ; sh:targetClass :Dog ;
+  sh:property [ sh:path :tag ; sh:datatype xsd:string ; sh:minCount 1 ] .
+""")
+
+#: Two reference paths into a ring :w <-> :x where only :w has a name.
+#: Checked from :w the ring fails (:x has no name); entered at :x first,
+#: :w reads :x as in progress and passes.
+TWO_PATH_SHAPES = parse_shacl(SH_PREFIXES + """
+shapes:Person a sh:NodeShape ; sh:targetClass :Person ;
+  sh:property [ sh:path :name ; sh:datatype xsd:string ;
+                sh:minCount 1 ; sh:maxCount 1 ] ;
+  sh:property [ sh:path :left ; sh:nodeKind sh:IRI ; sh:class :Person ;
+                sh:minCount 0 ] ;
+  sh:property [ sh:path :right ; sh:nodeKind sh:IRI ; sh:class :Person ;
+                sh:minCount 0 ] .
+""")
+
+CAP_SHAPES = parse_shacl(SH_PREFIXES + """
+shapes:Item a sh:NodeShape ; sh:targetClass :Item ;
+  sh:property [ sh:path :size ; sh:datatype xsd:integer ; sh:minCount 0 ] ;
+  sh:property [ sh:path :label ; sh:datatype xsd:string ; sh:minCount 1 ] .
+""")
+
+ADMIN_SHAPES = parse_shacl(SH_PREFIXES + """
+shapes:Person a sh:NodeShape ; sh:targetClass :Person ;
+  sh:property [ sh:path :name ; sh:datatype xsd:string ; sh:minCount 1 ] .
+shapes:Admin a sh:NodeShape ; sh:targetClass :Admin ;
+  sh:property [ sh:path :level ; sh:datatype xsd:integer ; sh:minCount 1 ] .
+""")
+
+
+def held_to_reference(validator, schema, graph, **cap):
+    assert validator.snapshot() == fresh_memo_snapshot(schema, graph, **cap)
+    assert validator.conforms == validate(graph, schema).conforms
+
+
+class TestInternedIds:
+    def test_class_interned_by_a_delta_reaches_the_referrers_class_check(self):
+        # :Dog, :tag and every Dog-typed entity are unknown to the graph's
+        # interner when the validator resolves Owner's sh:class.
+        graph = parse_turtle(PREFIX + ':o a :Owner ; :nick "O" ; :pet :d .')
+        validator = DeltaValidator(PET_SHAPES, graph)
+        assert violating(validator) == {"o"}
+        apply(graph, validator, added=(
+            t(f"<http://x/d> {TYPE} <http://x/Dog> ."),
+            t('<http://x/d> <http://x/tag> "D" .'),
+        ))
+        held_to_reference(validator, PET_SHAPES, graph)
+        assert validator.conforms and validator.focus_count == 2
+
+    def test_path_interned_by_a_delta_is_read(self):
+        graph = parse_turtle(PREFIX + ":o a :Owner .")
+        validator = DeltaValidator(PET_SHAPES, graph)
+        assert violating(validator) == {"o"}
+        apply(graph, validator, added=(t('<http://x/o> <http://x/nick> "O" .'),))
+        held_to_reference(validator, PET_SHAPES, graph)
+        assert validator.conforms
+
+    def test_clear_then_rebuild(self):
+        graph = parse_turtle(BASE)
+        validator = DeltaValidator(SHAPES, graph)
+        triples = sorted(graph, key=str, reverse=True)
+        graph.clear()
+        validator.rebuild()
+        assert validator.focus_count == 0 and validator.conforms
+        # Re-added in another order, so every term gets a new id.
+        name_a = t('<http://x/a> <http://x/name> "A" .')
+        graph.update(triple for triple in triples if triple != name_a)
+        validator.rebuild()
+        held_to_reference(validator, SHAPES, graph)
+        assert violating(validator) == {"a"}
+
+    def test_delta_after_clear_rebuilds(self):
+        graph = parse_turtle(BASE)
+        validator = DeltaValidator(SHAPES, graph)
+        triples = list(graph)
+        graph.clear()
+        for triple in reversed(triples):
+            graph.add(triple)
+        name = t('<http://x/c> <http://x/name> "C2" .')
+        assert apply(graph, validator, added=(name,)) == 3
+        held_to_reference(validator, SHAPES, graph)
+
+    def test_entity_conforms_on_an_absent_entity(self):
+        graph = parse_turtle(BASE)
+        nobody = IRI("http://x/nobody")
+        # Person needs a name; Person in NODE_REF_SHAPES has no minimum.
+        assert not ShaclValidator(SHAPES).entity_conforms(
+            graph, nobody, "http://x/shapes#Person")
+        assert ShaclValidator(NODE_REF_SHAPES).entity_conforms(
+            graph, nobody, "http://x/shapes#Person")
+        # Interned (it was an object) but never a subject: the same.
+        graph.add(t("<http://x/a> <http://x/friend> <http://x/nobody> ."))
+        assert not ShaclValidator(SHAPES).entity_conforms(
+            graph, nobody, "http://x/shapes#Person")
+
+
+class TestScopedRecheck:
+    def test_retyping_changes_the_shape_set(self):
+        graph = parse_turtle(PREFIX + ':a a :Person ; :name "A" .')
+        validator = DeltaValidator(ADMIN_SHAPES, graph)
+        admin = t(f"<http://x/a> {TYPE} <http://x/Admin> .")
+        apply(graph, validator, added=(admin,))
+        held_to_reference(validator, ADMIN_SHAPES, graph)
+        assert violating(validator) == {"a"}
+        apply(graph, validator, added=(
+            t('<http://x/a> <http://x/level> "3"^^<http://www.w3.org/2001/XMLSchema#integer> .'),))
+        apply(graph, validator, removed=(
+            t(f"<http://x/a> {TYPE} <http://x/Person> ."),
+            t('<http://x/a> <http://x/name> "A" .')))
+        held_to_reference(validator, ADMIN_SHAPES, graph)
+        assert validator.conforms
+
+    def test_referrer_rechecks_its_reference_path(self):
+        # The delta is on :b alone; :a's :friend plan has to be re-read
+        # through the reverse path, its :name plan does not.
+        graph = parse_turtle(BASE)
+        validator = DeltaValidator(SHAPES, graph)
+        apply(graph, validator, removed=(t('<http://x/b> <http://x/name> "B" .'),))
+        held_to_reference(validator, SHAPES, graph)
+        assert violating(validator) == {"a", "b"}
+
+    def test_tainted_scoped_recheck_falls_back_to_a_whole_recheck(self):
+        graph = parse_turtle(PREFIX + """
+        :e a :Person ; :name "e" ; :left :y .
+        :y a :Person ; :name "y" .
+        :w a :Person ; :name "w" ; :left :x .
+        :x a :Person ; :left :w .
+        """)
+        validator = DeltaValidator(TWO_PATH_SHAPES, graph)
+        # Only :right is touched on :e, and checking it enters the ring:
+        # the scoped check is tainted, so :e is rechecked whole and its
+        # entry stays marked tainted.
+        apply(graph, validator, added=(t("<http://x/e> <http://x/right> <http://x/w> ."),))
+        held_to_reference(validator, TWO_PATH_SHAPES, graph)
+        assert validator._entries[graph._terms.lookup(IRI("http://x/e"))].tainted
+        # Now :left enters the ring at :x first, which makes :w pass: a
+        # :right result kept from the scoped check above would be stale.
+        apply(graph, validator, added=(t("<http://x/e> <http://x/left> <http://x/x> ."),))
+        held_to_reference(validator, TWO_PATH_SHAPES, graph)
+        (line,) = validator.snapshot()["http://x/e"]
+        assert "on http://x/left" in line
+
+    def test_violation_cap_applies_per_focus_and_shape(self):
+        integer = "<http://www.w3.org/2001/XMLSchema#integer>"
+        size_a = t('<http://x/i> <http://x/size> "a" .')
+        size_b = t('<http://x/i> <http://x/size> "b" .')
+        label = t('<http://x/i> <http://x/label> "I" .')
+        graph = parse_turtle(PREFIX + ':i a :Item ; :size "a" , "b" .')
+        validator = DeltaValidator(CAP_SHAPES, graph, max_violations=2)
+
+        def lines():
+            held_to_reference(validator, CAP_SHAPES, graph, max_violations=2)
+            return validator.snapshot()["http://x/i"]
+
+        assert len(lines()) == 2  # of three: the cap cuts the last one
+        # Each delta below is scoped to one plan; the cap still applies to
+        # the shape's violations as a whole, in declaration order.
+        apply(graph, validator, added=(label,))
+        assert all("on http://x/size" in line for line in lines())
+        apply(graph, validator, added=(t(f'<http://x/i> <http://x/size> "3"^^{integer} .'),))
+        assert len(lines()) == 2
+        apply(graph, validator, removed=(label,))
+        assert len(lines()) == 2
+        apply(graph, validator, removed=(size_a, size_b))
+        (line,) = lines()
+        assert "on http://x/label" in line
