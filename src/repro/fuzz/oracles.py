@@ -235,17 +235,24 @@ def _bound_constant_queries(case: FuzzCase) -> tuple[list[str], list[str]]:
 
 
 def _workload(case: FuzzCase) -> list[str]:
-    """At most ``_MAX_QUERIES`` queries, then the first class scan under
-    ORDER BY with LIMIT 1 and LIMIT 2, then the constant swaps: the
-    bound-constant lookups keep their slots, the per-shape scans fill
-    the rest."""
+    """At most ``_MAX_QUERIES`` queries, then one DISTINCT projection per
+    shape, then the first class scan under ORDER BY with LIMIT 1 and
+    LIMIT 2, then the constant swaps: the bound-constant lookups keep
+    their slots, the per-shape scans fill the rest."""
     bound, swapped = _bound_constant_queries(case)
     queries: list[str] = []
+    distinct: list[str] = []
     schema = case.schema
     for shape in schema:
         cls = local_name(shape.target_class)
         queries.append(_PROLOG + f"SELECT ?e WHERE {{ ?e a :{cls} . }}")
-        for phi in schema.effective_property_shapes(shape.name)[:2]:
+        phis = schema.effective_property_shapes(shape.name)[:2]
+        if phis:
+            distinct.append(
+                _PROLOG + f"SELECT DISTINCT ?v WHERE {{ ?e a :{cls} ; "
+                f":{local_name(phis[0].path)} ?v . }}"
+            )
+        for phi in phis:
             prop = local_name(phi.path)
             queries.append(
                 _PROLOG
@@ -258,7 +265,7 @@ def _workload(case: FuzzCase) -> list[str]:
             )
     # Two statements that differ only in LIMIT's value: one entry each.
     ordered = [q + f" ORDER BY ?e LIMIT {n}" for q in queries[:1] for n in (1, 2)]
-    return queries[:_MAX_QUERIES - len(bound)] + ordered + bound + swapped
+    return queries[:_MAX_QUERIES - len(bound)] + distinct + ordered + bound + swapped
 
 
 def _first_swap(case: FuzzCase, workload: list[str]) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from collections.abc import Iterator
 from functools import partial
+from itertools import repeat
 
 from ... import obs
 from ...errors import QueryError
@@ -286,8 +287,8 @@ class CypherEngine:
                     columns = part_columns
                 elif len(columns) != len(part_columns):
                     raise QueryError("UNION ALL parts must have the same arity")
-                for row in self._evaluate_single(part, analyze):
-                    rows.append(dict(zip(columns, row)))
+                part_rows = self._evaluate_single(part, analyze)
+                rows.extend(map(dict, map(zip, repeat(columns), part_rows)))
             span.set("rows", len(rows))
             span.set("expansions", self._expansions)
         metrics = obs.get_metrics()
@@ -353,10 +354,11 @@ class CypherEngine:
 
         When the whole query is one non-optional MATCH (whose WHERE, if
         any, is absorbed into its patterns entirely) returning literals,
-        variables, and property accesses — with ORDER BY keys limited to
-        returned aliases — the projection runs straight off the plan's
-        interned-id columns and no per-row binding dicts are built.  Any
-        other shape falls back to the generic pipeline (returns None).
+        variables, property accesses, and COALESCEs of those — with
+        ORDER BY keys limited to returned aliases — the projection runs
+        straight off the plan's interned-id columns and no per-row
+        binding dicts are built.  Any other shape falls back to the
+        generic pipeline (returns None).
         """
         planner = self.planner
         if planner is None or len(query.clauses) != 2:
@@ -370,13 +372,17 @@ class CypherEngine:
             return None
         if match.where is not None:
             return None
+        simple = (CypherLiteral, VarRef, PropertyAccess)
         items = []
         for item in ret.items:
-            if isinstance(item.expr, CypherLiteral):
-                item = ReturnItem(CypherLiteral(self._value(item.expr)), item.alias)
-            elif not isinstance(item.expr, (VarRef, PropertyAccess)):
+            expr = item.expr
+            if isinstance(expr, Coalesce) and all(
+                isinstance(arg, simple) for arg in expr.args
+            ):
+                expr = Coalesce(tuple(map(self._resolved, expr.args)))
+            elif not isinstance(expr, simple):
                 return None
-            items.append(item)
+            items.append(ReturnItem(self._resolved(expr), item.alias))
         if any(_alias_index(ret, key) is None for key in ret.order_by):
             return None
         with obs.span("cypher.match", rows_in=1) as span:
@@ -649,6 +655,12 @@ class CypherEngine:
 
     def _value(self, literal: CypherLiteral) -> object:
         return resolve(literal.value, self._params)
+
+    def _resolved(self, expr: CypherExpr) -> CypherExpr:
+        """``expr`` with a literal's parameter slot filled in."""
+        if isinstance(expr, CypherLiteral):
+            return CypherLiteral(self._value(expr))
+        return expr
 
     def _eval(self, expr: CypherExpr, binding: Binding) -> object:
         if isinstance(expr, CypherLiteral):

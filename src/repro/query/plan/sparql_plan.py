@@ -10,10 +10,12 @@ per-row cost model.  Disconnected patterns become hash-join cartesian
 products instead of per-binding rescans.  Plans are built from, and
 executed by, the batch operators of :mod:`repro.query.plan.vectorized`.
 
-Everything downstream of the BGP (OPTIONAL, UNION, FILTER, projection,
-DISTINCT, ORDER BY, LIMIT) is evaluated by the engine's existing code,
-so planned and ``planner=False`` runs are result-identical by
-construction; the differential fuzz oracle asserts it by test.
+A SELECT whose group is the BGP alone (no OPTIONAL, UNION or FILTER;
+not ASK or COUNT) projects its rows straight from the batch columns;
+otherwise OPTIONAL, UNION, FILTER and projection run on the engine's
+existing code over decoded bindings.  DISTINCT, ORDER BY and LIMIT
+always do.  Planned and ``planner=False`` runs are result-identical by
+test: the directed tests and the differential fuzz oracles assert it.
 """
 
 from __future__ import annotations
@@ -65,13 +67,16 @@ class SparqlPlanner(CachingPlanner):
         self._running = None
 
     def execute_bgp(
-        self, bgp: tuple, params=(), stats=None, analyze: bool = False
+        self, bgp: tuple, params=(), stats=None, analyze: bool = False,
+        names=None,
     ) -> Iterator[Binding]:
         """Plan (once per shape) and run a BGP, yielding solution bindings.
 
         ``bgp`` is :func:`~repro.query.normalize.lift_bgp`'s ``(shape,
         parameters, lifted patterns)``; a parameter that is itself a
         prepared statement's slot takes its value from ``params``.
+        With ``names``, each solution is a row of just those variables,
+        decoded straight from the batch columns.
         """
         key, lifted_params, lifted = bgp
         plan, hit = self._plan(
@@ -90,7 +95,7 @@ class SparqlPlanner(CachingPlanner):
             stats.selections += len(profile)
             for concrete in profile:
                 stats.selectivity[concrete] += 1
-        return plan.run(stats)
+        return plan.run(stats, names)
 
     def finish(self) -> None:
         """Record the BGP run started by :meth:`execute_bgp` (consumed)."""

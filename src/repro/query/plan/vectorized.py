@@ -7,10 +7,12 @@ are int comparisons and C-level ``array`` extends (one
 bucket) rather than one Python dict per row.  Operators stream: each
 pulls batches from its child, in the planner's static join order.
 Terms and graph elements are decoded back to objects only at plan
-boundaries — ORDER BY, projection, FILTER and the clause tail all run
-on the engines' existing code, which keeps planned execution
-bag-identical to the ``planner=False`` reference by construction (and
-by the differential fuzz oracle).
+boundaries, each distinct id once per column.  A tail-free SPARQL
+SELECT and a whole-query Cypher MATCH with a simple RETURN project
+their rows straight from the columns; FILTER, OPTIONAL and the other
+clause tails run on the engines' existing code over decoded bindings.
+Planned execution is bag-identical to the ``planner=False`` reference
+by test: the directed tests and the differential fuzz oracles.
 """
 
 from __future__ import annotations
@@ -480,21 +482,27 @@ class BatchHashJoin(PhysicalOperator):
             yield TermBatch(out_cols, m)
 
 
-def _decode_term_batches(graph, batches, memo: dict):
-    """Decode batches back to binding dicts (the plan boundary)."""
+def _decode_term_batches(graph, batches, memo: dict, names=None):
+    """Decode each batch to a list of row dicts (the plan boundary).
+
+    A row holds the variables of ``names`` the batch binds, in that
+    order (every column when None).  Each column decodes the distinct
+    ids ``memo`` lacks, and the rows are zipped from the columns read
+    through ``memo``.
+    """
     term = graph._terms.term
     for batch in batches:
-        names = list(batch.cols)
-        col_list = [batch.cols[name] for name in names]
-        for j in range(batch.n):
-            binding = {}
-            for name, col in zip(names, col_list):
-                tid = col[j]
-                t = memo.get(tid)
-                if t is None:
-                    t = memo[tid] = term(tid)
-                binding[name] = t
-            yield binding
+        cols = batch.cols
+        keys = list(cols) if names is None else [k for k in names if k in cols]
+        columns = []
+        for key in keys:
+            missing = set(cols[key]).difference(memo)
+            memo.update(zip(missing, map(term, missing)))
+            columns.append(map(memo.__getitem__, cols[key]))
+        if columns:
+            yield list(map(dict, map(zip, _repeat(keys), zip(*columns))))
+        else:
+            yield [{} for _ in range(batch.n)]
 
 
 class BatchedBGP(PhysicalOperator):
@@ -502,7 +510,9 @@ class BatchedBGP(PhysicalOperator):
 
     ``run(stats)`` yields decoded binding dicts, so the evaluator's
     downstream constructs (OPTIONAL, UNION, FILTER, modifiers) consume
-    it exactly like the reference evaluator's bindings.
+    it exactly like the reference evaluator's bindings;
+    ``run(stats, names)`` yields a tail-free SELECT's projected rows
+    straight from the columns instead.
     ``selectivity_profile`` holds the bound-position count of each
     pattern in join order, for trace parity with the reference arm.
     """
@@ -525,10 +535,10 @@ class BatchedBGP(PhysicalOperator):
         #: Per-operator row counters, bound once (see CachingPlanner).
         self.row_counters = None
 
-    def execute(self, stats=None):
-        yield from _decode_term_batches(
-            self.graph, self.children[0].run(stats), self._memo
-        )
+    def execute(self, stats=None, names=None):
+        return chain.from_iterable(_decode_term_batches(
+            self.graph, self.children[0].run(stats), self._memo, names
+        ))
 
 
 def _sparql_use_hash(shared, per_binding, standalone, out_est) -> bool:
@@ -866,9 +876,12 @@ class BatchFilter(PhysicalOperator):
 class BatchExpand(PhysicalOperator):
     """Follow one hop from the anchor column through the adjacency index.
 
-    Unconstrained hops extend whole edge-postings runs and gather the
-    far endpoints from the store's endpoint arrays; rows carrying
-    rel/node equality constraints fall back to per-edge checks.
+    The directions, adjacency maps, endpoint arrays and type ids are
+    decided once per execution.  A typed one-direction hop over a batch
+    without constraint columns extends whole edge-postings runs per
+    anchor and gathers the far endpoints once per batch; rel/node
+    equality constraints, undirected and untyped hops take the per-edge
+    checks.
     """
 
     op = "BatchExpand"
@@ -907,11 +920,18 @@ class BatchExpand(PhysicalOperator):
                 pass
             return
         src_arr, dst_arr = store.endpoint_arrays()
-        out_pass = rel.direction in ("out", "any")
-        in_pass = rel.direction in ("in", "any")
-        undirected = out_pass and in_pass
+        # (adjacency, far-endpoint array, skip self-loops) per traversal
+        # direction: an undirected hop's second pass skips self-loops.
+        passes = []
+        if rel.direction in ("out", "any"):
+            passes.append((store._out, dst_arr, False))
+        if rel.direction in ("in", "any"):
+            passes.append((store._in, src_arr, bool(passes)))
         if rel.types:
-            type_ids = [store._labels.lookup(t) for t in rel.types]
+            type_ids = [
+                li for li in map(store._labels.lookup, rel.types)
+                if li is not None
+            ]
         else:
             type_ids = None
         for batch in self.children[0].run(engine):
@@ -924,67 +944,73 @@ class BatchExpand(PhysicalOperator):
             n_cons = _resolve_constraint(node_var, "node", batch, names)
             sel = array("q")
             edge_out = array("q")
-            far_out = array("q")
-            expansions = 0
-            for i in range(n):
-                nid = anchor[i]
-                be = e_cons[i] if e_cons is not None else -1
-                if be == -2:
-                    continue
-                bn = n_cons[i] if n_cons is not None else -1
-                if bn == -2:
-                    continue
-                for is_out in (True, False):
-                    if is_out and not out_pass:
-                        continue
-                    if not is_out and not in_pass:
-                        continue
-                    adjacency = store._out if is_out else store._in
+            if (
+                e_cons is None and n_cons is None and len(passes) == 1
+                and type_ids is not None
+            ):
+                # Every edge of every typed bucket matches: whole postings
+                # runs, and the far endpoints gathered once per batch.
+                adjacency, endpoint, _ = passes[0]
+                for i, nid in enumerate(anchor):
                     by_type = adjacency.get(nid)
-                    if not by_type:
+                    if by_type:
+                        for li in type_ids:
+                            bucket = by_type.get(li)
+                            if bucket is not None:
+                                sel.extend(_repeat(i, bucket.extend_into(edge_out)))
+                expansions = len(edge_out)
+                far_out = _gather(endpoint, edge_out)
+            else:
+                # Anchor by anchor: each edge is checked against the row's
+                # rel/node constraints, the self-loop rule and (untyped)
+                # the edges already seen under another type.
+                far_out = array("q")
+                expansions = 0
+                for i, nid in enumerate(anchor):
+                    be = e_cons[i] if e_cons is not None else -1
+                    if be == -2:
                         continue
-                    if type_ids is None:
-                        buckets = list(by_type.values())
-                        seen = set() if len(buckets) > 1 else None
-                    else:
-                        buckets = [
-                            by_type[li] for li in type_ids
-                            if li is not None and li in by_type
-                        ]
-                        seen = None
-                    endpoint = dst_arr if is_out else src_arr
-                    skip_loops = undirected and not is_out
-                    for bucket in buckets:
-                        expansions += len(bucket)
-                        if (
-                            be < 0 and bn < 0 and seen is None
-                            and not skip_loops
-                        ):
-                            # Wholesale: the whole postings run matches.
-                            run = bucket.sorted_array()
-                            edge_out.extend(run)
-                            far_out.extend(map(endpoint.__getitem__, run))
-                            sel.extend(_repeat(i, len(run)))
+                    bn = n_cons[i] if n_cons is not None else -1
+                    if bn == -2:
+                        continue
+                    for adjacency, endpoint, skip_loops in passes:
+                        by_type = adjacency.get(nid)
+                        if not by_type:
                             continue
-                        if be >= 0:
-                            eids = (be,) if be in bucket else ()
+                        if type_ids is None:
+                            buckets = list(by_type.values())
+                            seen = set() if len(buckets) > 1 else None
                         else:
-                            eids = bucket
-                        for eid in eids:
-                            if seen is not None:
-                                if eid in seen:
+                            buckets = [by_type[li] for li in type_ids if li in by_type]
+                            seen = None
+                        for bucket in buckets:
+                            expansions += len(bucket)
+                            if be < 0 and bn < 0 and seen is None and not skip_loops:
+                                # Wholesale: the whole postings run matches.
+                                run = bucket.sorted_array()
+                                edge_out.extend(run)
+                                far_out.extend(map(endpoint.__getitem__, run))
+                                sel.extend(_repeat(i, len(run)))
+                                continue
+                            if be >= 0:
+                                eids = (be,) if be in bucket else ()
+                            else:
+                                eids = bucket
+                            for eid in eids:
+                                if seen is not None:
+                                    if eid in seen:
+                                        continue
+                                    seen.add(eid)
+                                if skip_loops and src_arr[eid] == dst_arr[eid]:
+                                    # A self-loop satisfies an undirected
+                                    # pattern once, not once per direction.
                                     continue
-                                seen.add(eid)
-                            if skip_loops and src_arr[eid] == dst_arr[eid]:
-                                # A self-loop satisfies an undirected
-                                # pattern once, not once per direction.
-                                continue
-                            far = endpoint[eid]
-                            if bn >= 0 and far != bn:
-                                continue
-                            edge_out.append(eid)
-                            far_out.append(far)
-                            sel.append(i)
+                                far = endpoint[eid]
+                                if bn >= 0 and far != bn:
+                                    continue
+                                edge_out.append(eid)
+                                far_out.append(far)
+                                sel.append(i)
             engine._expansions += expansions
             m = len(sel)
             if m == 0:
@@ -1232,48 +1258,84 @@ class BatchMatchPlan:
         """Project simple RETURN items straight off the path batches.
 
         ``items`` are return items whose expressions are literals,
-        variable references, or property accesses (the caller checks);
-        each column resolves its unique interned ids once, so no
-        binding dicts are materialized.  ``rows`` is the single empty
-        input row of a whole-query MATCH, so every variable the plan
-        binds is a column: an unbound variable is an error, a property
-        of one is null.
+        variable references, property accesses, or COALESCEs of those
+        (the caller checks, and fills the literals' slots).  An item's
+        value is computed once per distinct id of the columns it reads,
+        so no binding dicts are materialized.  ``rows`` is the single
+        empty input row of a whole-query MATCH, so every variable the
+        plan binds is a column: an unbound variable is an error, a
+        property of one is null.
         """
-        from ...errors import QueryError
-        from ..cypher.ast import CypherLiteral, VarRef
-
-        specs = []
-        for item in items:
-            expr = item.expr
-            if isinstance(expr, CypherLiteral):
-                specs.append(("lit", expr.value, None))
-            elif isinstance(expr, VarRef):
-                specs.append(("var", expr.name, None))
-            else:
-                specs.append(("prop", expr.var, expr.key))
         self.input.rows = rows
         self.root.prepare(analyze, params)
         out: list[tuple] = []
         for batch in self.root.run(engine):
-            if batch.n == 0:
-                continue
-            value_columns = []
-            for kind, var, prop_key in specs:
-                col = batch.cols.get(var)
-                if kind == "lit" or col is None:
-                    if kind == "var":
-                        raise QueryError(f"unbound variable {var!r}")
-                    value_columns.append(_repeat(var if kind == "lit" else None, batch.n))
-                    continue
-                lookup = _elements(self.store, col, batch.kinds[var] == "node", self._memo)
-                if kind == "prop":
-                    lookup = {
-                        vid: obj.properties.get(prop_key)
-                        for vid, obj in lookup.items()
-                    }
-                value_columns.append(map(lookup.__getitem__, col))
-            out.extend(zip(*value_columns))
+            if batch.n:
+                out.extend(zip(*(
+                    _project(self.store, item.expr, batch, self._memo)
+                    for item in items
+                )))
         return out
+
+
+def _project(store, expr, batch: PathBatch, memo: dict):
+    """The values of one projected expression over ``batch``'s rows.
+
+    A COALESCE takes the first non-null argument, as the engine's
+    ``_eval`` does.  Over one bound variable each argument is computed
+    once per distinct id still null; otherwise the arguments' columns
+    are combined row by row, and an unbound variable reached is an
+    error.
+    """
+    from ...errors import QueryError
+    from ..cypher.ast import Coalesce, CypherLiteral, VarRef
+
+    args = expr.args if isinstance(expr, Coalesce) else (expr,)
+    names = {
+        arg.name if isinstance(arg, VarRef) else arg.var
+        for arg in args if not isinstance(arg, CypherLiteral)
+    }
+    cols = batch.cols
+    if len(names) == 1 and names <= cols.keys():
+        name = names.pop()
+        col = cols[name]
+        pending = _elements(store, col, batch.kinds[name] == "node", memo)
+        values: dict = {}
+        for arg in args:
+            if isinstance(arg, CypherLiteral):
+                found = dict.fromkeys(pending, arg.value)
+            elif isinstance(arg, VarRef):
+                found = pending
+            else:
+                key = arg.key
+                found = {vid: obj.properties.get(key) for vid, obj in pending.items()}
+            values.update(found)
+            pending = {vid: pending[vid] for vid, v in found.items() if v is None}
+            if not pending:
+                break
+        return map(values.__getitem__, col)
+    columns = []
+    for arg in args:
+        if isinstance(arg, CypherLiteral):
+            columns.append(_repeat(arg.value, batch.n))
+        elif isinstance(arg, VarRef) and arg.name not in cols:
+            unbound = QueryError(f"unbound variable {arg.name!r}")
+            columns.append(_repeat(unbound, batch.n))
+        elif (arg.name if isinstance(arg, VarRef) else arg.var) in cols:
+            columns.append(_project(store, arg, batch, memo))
+        else:
+            columns.append(_repeat(None, batch.n))  # a property of nothing
+    return map(_first_non_null, zip(*columns))
+
+
+def _first_non_null(values):
+    """COALESCE of one row's argument values (raising an unbound one)."""
+    for value in values:
+        if isinstance(value, Exception):
+            raise value
+        if value is not None:
+            return value
+    return None
 
 
 def build_batched_match(planner, clause, bound, nullable) -> BatchMatchPlan:

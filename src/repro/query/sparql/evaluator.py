@@ -357,8 +357,18 @@ def _evaluate(
     analyze: bool = False,
     params=(),
 ) -> list[dict[str, Term]]:
+    projected = [v.name for v in query.variables] or query.all_variables()
     solutions: list[Binding] = []
     if prepared is not None and prepared.bgp is not None:
+        if not (
+            query.unions or query.optionals or query.filters or query.ask
+            or query.count is not None
+        ):
+            # A tail-free SELECT: the batches project its rows directly.
+            rows = list(planner.execute_bgp(
+                prepared.bgp, params, stats, analyze, projected
+            ))
+            return _order_and_truncate(rows, query)
         bgp = planner.execute_bgp(prepared.bgp, params, stats, analyze)
         if prepared.pinned:
             pinned = {
@@ -410,11 +420,22 @@ def _evaluate(
 
         return [{query.count: Literal(str(len(solutions)), XSD.integer)}]
 
-    projected = [v.name for v in query.variables] or query.all_variables()
     rows = [
         {name: binding[name] for name in projected if name in binding}
         for binding in solutions
     ]
+    return _order_and_truncate(rows, query)
+
+
+def _order_and_truncate(
+    rows: list[dict[str, Term]], query: SelectQuery
+) -> list[dict[str, Term]]:
+    """Apply DISTINCT, then ORDER BY fully, then LIMIT.
+
+    Kept as the single exit point for solution modifiers so pipelined
+    physical plans can never truncate before the sort is complete (the
+    SPARQL algebra applies Slice after OrderBy).
+    """
     if query.distinct:
         seen: set[tuple] = set()
         unique_rows = []
@@ -424,19 +445,7 @@ def _evaluate(
                 seen.add(key)
                 unique_rows.append(row)
         rows = unique_rows
-    return _order_and_truncate(rows, query.order_by, query.limit)
-
-
-def _order_and_truncate(
-    rows: list[dict[str, Term]], order_by, limit: int | None
-) -> list[dict[str, Term]]:
-    """Apply ORDER BY fully, then LIMIT.
-
-    Kept as the single exit point for solution modifiers so pipelined
-    physical plans can never truncate before the sort is complete (the
-    SPARQL algebra applies Slice after OrderBy).
-    """
-    for key in reversed(order_by):
+    for key in reversed(query.order_by):
         def sort_key(row, name=key.var.name):
             value = row.get(name)
             if value is None:
@@ -449,8 +458,8 @@ def _order_and_truncate(
             return (1, (type(effective).__name__, effective))
 
         rows.sort(key=sort_key, reverse=key.descending)
-    if limit is not None:
-        rows = rows[:limit]
+    if query.limit is not None:
+        rows = rows[:query.limit]
     return rows
 
 

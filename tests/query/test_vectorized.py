@@ -5,8 +5,11 @@ Each test pins a batch-boundary hazard of
 straddling LIMIT, empty batches, OPTIONAL null columns around the path
 hash join, self-loops through ``BatchExpand``, and a batch-size sweep
 asserting identical bags at sizes 1, 2, 3, 7 and 1024.  The property
-tests at the end build each join operator directly, so both stay
-covered whatever the planner's cost model picks.
+tests build each join operator directly, so both stay covered whatever
+the planner's cost model picks.  The last sections compare rows in
+order: those projected straight from the id columns (a tail-free
+SPARQL SELECT, a Cypher RETURN with COALESCE), and ``BatchExpand``'s
+per-batch loop against its per-edge checks.
 """
 
 from __future__ import annotations
@@ -17,6 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import transform
+from repro.core.config import DEFAULT_OPTIONS, MONOTONE_OPTIONS
+from repro.errors import QueryError
 from repro.eval.metrics import normalize_cypher_rows, normalize_sparql_rows
 from repro.pg.model import PropertyGraph
 from repro.pg.store import PropertyGraphStore
@@ -36,8 +42,11 @@ from repro.query.plan.vectorized import (
 )
 from repro.query.sparql.ast import TriplePattern, Var
 from repro.query.sparql.evaluator import SparqlEngine
+from repro.query.translate import translate_sparql_to_cypher
+from repro.rdf import parse_turtle
 from repro.rdf.graph import Graph, Triple
 from repro.rdf.terms import IRI, Literal
+from repro.shapes.extractor import extract_shapes
 from repro.storage.postings import IntPostings
 
 EX = "http://ex/"
@@ -432,3 +441,173 @@ def test_cypher_path_joins_match_reference(case):
     }
     for tag, join in joins.items():
         assert run(join) == expected, tag
+
+
+# --------------------------------------------------------------------- #
+# Rows projected straight from the id columns, rows in order
+# --------------------------------------------------------------------- #
+
+MIXED = parse_turtle("""
+@prefix : <http://x/> .
+:a a :Person ; :knows :b , "Zed" , :c ; :name "Ann" .
+:b a :Person ; :knows "Amy" , :a , :b ; :name "Bob" .
+:c a :Person ; :knows :c , "Zed" ; :name "Ann" .
+:d a :Person ; :knows "Zed" .
+""")
+
+MIXED_SCANS = [
+    "SELECT ?e ?v WHERE { ?e a :Person ; :knows ?v . }",
+    "SELECT DISTINCT ?v WHERE { ?e a :Person ; :knows ?v . } "
+    "ORDER BY DESC(?v) LIMIT 2",
+]
+
+
+def _same_rows(engine_cls, source, text):
+    """The planned rows equal the reference arm's, order included."""
+    expected = engine_cls(source, planner=False).query(text)
+    assert engine_cls(source).query(text) == expected, text
+    return expected
+
+
+def _spy(monkeypatch, engine, method):
+    """Record the arguments of each call of the planner's ``method``."""
+    calls = []
+    original = getattr(engine.planner, method)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine.planner, method, spy)
+    return calls
+
+
+@pytest.mark.parametrize("options", [DEFAULT_OPTIONS, MONOTONE_OPTIONS])
+@pytest.mark.parametrize("text", MIXED_SCANS)
+def test_coalesce_over_literal_and_resource_nodes(options, text):
+    """A translated object variable is ``COALESCE(v.value, v.iri)``:
+    literal nodes answer the first argument, resource nodes the second."""
+    result = transform(MIXED, extract_shapes(MIXED), options)
+    cypher = translate_sparql_to_cypher("PREFIX : <http://x/> " + text,
+                                        result.mapping)
+    assert "COALESCE" in cypher
+    rows = _same_rows(CypherEngine, PropertyGraphStore(result.graph), cypher)
+    values = {row["v"] for row in rows}
+    assert {"Zed", "http://x/c"} <= values or "DISTINCT" in text
+
+
+def test_translated_scan_projects_from_columns(monkeypatch):
+    result = transform(MIXED, extract_shapes(MIXED))
+    engine = CypherEngine(PropertyGraphStore(result.graph))
+    calls = _spy(monkeypatch, engine, "execute_match_projected")
+    cypher = translate_sparql_to_cypher(
+        "PREFIX : <http://x/> " + MIXED_SCANS[0], result.mapping
+    )
+    assert len(engine.query(cypher)) == 9
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("text", [
+    "MATCH (a:Person)-[:KNOWS]->(b) RETURN COALESCE(a.nick, b.name) AS x",
+    "MATCH (a:Person)-[r:KNOWS]->(b) "
+    "RETURN a.name, COALESCE(r.w, b.nick, a.age) AS x",
+    "MATCH (a:Person) RETURN COALESCE(a.nick, 'none') AS x, a.name",
+    "MATCH (a:Person) RETURN COALESCE(a.nick, a) AS x",
+    "MATCH (a:Person) RETURN COALESCE(null, 7) AS x, a.age",
+    # ``z`` is bound by no clause: its property is null.
+    "MATCH (a:Person) RETURN COALESCE(z.name, a.name) AS x",
+    "MATCH (a:Person)-[:KNOWS]->(b) RETURN COALESCE(b.nick, z.name) AS x",
+    # COALESCE stops at the first non-null argument: ``z`` is not reached.
+    "MATCH (a:Person) RETURN COALESCE(a.name, z) AS x",
+    "MATCH (a:Person)-[:KNOWS]->(b) "
+    "RETURN DISTINCT COALESCE(b.nick, b.name) AS x ORDER BY x DESC LIMIT 2",
+])
+def test_coalesce_projection_matches_reference(monkeypatch, text):
+    store = PropertyGraphStore(_pg())
+    for node in ("p3", "p4", "p9"):
+        store.graph.nodes[node].properties["nick"] = f"nick-{node}"
+    engine = CypherEngine(store)
+    calls = _spy(monkeypatch, engine, "execute_match_projected")
+    expected = CypherEngine(store, planner=False).query(text)
+    assert expected
+    assert engine.query(text) == expected
+    assert calls, "the projection must run on the id columns"
+
+
+def test_coalesce_reaching_an_unbound_variable_fails_on_both_arms():
+    store = PropertyGraphStore(_pg())
+    text = "MATCH (a:Person) RETURN COALESCE(a.nick, z) AS x"
+    for planner in (False, True):
+        with pytest.raises(QueryError, match="unbound variable 'z'"):
+            CypherEngine(store, planner=planner).query(text)
+
+
+@pytest.mark.parametrize("text", [
+    "SELECT * WHERE { ?e a :Person ; :knows ?v . }",
+    # The planner joins these from ``:name``: ORDER BY fixes the order.
+    "SELECT ?e ?nobody WHERE { ?e a :Person ; :name ?n . } ORDER BY ?e",
+    "SELECT ?n WHERE { ?e a :Person ; :name ?n . } ORDER BY ?n",
+    MIXED_SCANS[1],
+    "SELECT DISTINCT ?v WHERE { ?e :knows ?v . } ORDER BY ?v",
+    "SELECT ?x WHERE { ?x :knows ?x . }",
+    "SELECT ?x WHERE { ?x a :Person . :b :knows ?x . }",
+])
+def test_tail_free_select_projects_from_columns(monkeypatch, text):
+    engine = SparqlEngine(MIXED)
+    calls = _spy(monkeypatch, engine, "execute_bgp")
+    text = "PREFIX : <http://x/> " + text
+    expected = SparqlEngine(MIXED, planner=False).query(text)
+    assert expected
+    assert engine.query(text) == expected
+    assert calls and calls[0][4] is not None, "rows must come from columns"
+
+
+@pytest.mark.parametrize("text", [
+    "SELECT ?e ?v WHERE { ?e a :Person ; :knows ?v . FILTER(isLiteral(?v)) }",
+    "SELECT ?e ?n WHERE { ?e a :Person . OPTIONAL { ?e :name ?n . } }",
+    "SELECT DISTINCT ?e WHERE { ?e :knows ?v . FILTER(?v != :c) } "
+    "ORDER BY ?e",
+])
+def test_select_with_a_tail_keeps_the_binding_path(monkeypatch, text):
+    engine = SparqlEngine(MIXED)
+    calls = _spy(monkeypatch, engine, "execute_bgp")
+    text = "PREFIX : <http://x/> " + text
+    expected = SparqlEngine(MIXED, planner=False).query(text)
+    assert expected
+    assert engine.query(text) == expected
+    assert calls and len(calls[0]) == 4, "a tail needs binding dicts"
+
+
+def test_explain_analyze_counts_the_projected_rows():
+    engine = SparqlEngine(MIXED)
+    text = "PREFIX : <http://x/> " + MIXED_SCANS[0]
+    plan = engine.explain(text, fmt="json", analyze=True)
+    assert plan["actual_rows"] == len(engine.query(text)) == 9
+
+
+# --------------------------------------------------------------------- #
+# BatchExpand: the per-batch fast loop and the per-edge checks
+# --------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("text", [
+    # Undirected over self-loops: each self-loop once.
+    "MATCH (a:Person)-[:KNOWS]-(b) RETURN a.name, b.name",
+    "MATCH (a:Person)-[r:KNOWS|LIKES]-(b) RETURN a.name, r, b.name",
+    # Several types: an edge carrying both is found once per type.
+    "MATCH (a:Person)-[r:KNOWS|LIKES]->(b) RETURN a.name, r, b.name",
+    "MATCH (a:Person)<-[:LIKES|KNOWS]-(b) RETURN a.name, b.name",
+    "MATCH (a:Person)-[:KNOWS|NOPE]->(b)-[:NOPE|LIKES]->(c) "
+    "RETURN a.name, c.name",
+    # A rel var and a node var bound by an earlier clause.
+    "MATCH (a:Person)-[r:KNOWS]->(b) MATCH (a)-[r]->(c) "
+    "RETURN a.name, c.name",
+    "MATCH (b:Person {age: 3}) MATCH (a)-[:KNOWS]->(b) "
+    "RETURN a.name, b.name",
+    "MATCH (a:Person)-[r:KNOWS]->(b) MATCH (c)-[r]-(d) "
+    "RETURN c.name, d.name",
+])
+def test_expand_matches_reference(text):
+    pg = _pg()
+    pg.add_edge("p5", "p5", {"KNOWS", "LIKES"})
+    rows = _same_rows(CypherEngine, PropertyGraphStore(pg), text)
+    assert rows, text
