@@ -17,6 +17,7 @@ from .oracles import (
     Oracle,
     fresh_memo_snapshot,
     graph_layout,
+    reference_extract_shapes,
     reference_parse,
 )
 from .runner import (
@@ -40,6 +41,7 @@ __all__ = [
     "generate_case",
     "graph_layout",
     "load_reproducer",
+    "reference_extract_shapes",
     "reference_parse",
     "replay_corpus",
     "run_fuzz",

@@ -14,6 +14,7 @@ routes cases without the oracles having to re-check applicability.
 from __future__ import annotations
 
 import random
+from collections import Counter, defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Callable
@@ -24,7 +25,7 @@ from ..core.inverse import pg_to_rdf, pgschema_to_shacl, scalar_to_lexical, \
 from ..core.optimize import optimize
 from ..core.pipeline import transform
 from ..errors import ParseError, TranslationError
-from ..namespaces import RDF_TYPE, local_name
+from ..namespaces import RDF_TYPE, RDFS, local_name
 from ..pg.csv_io import export_csv, import_csv
 from ..pg.model import PropertyGraph
 from ..pg.store import PropertyGraphStore
@@ -37,10 +38,12 @@ from ..rdf.graph import Graph, graphs_equal_modulo_bnodes
 from ..rdf.terms import BlankNode, IRI, Literal, Triple
 from ..rdf.ntriples import parse_line, parse_ntriples, serialize_ntriples
 from ..rdf.turtle import parse_turtle, serialize_turtle
-from ..shacl.model import ClassType, LiteralType
+from ..shacl.model import UNBOUNDED, ClassType, LiteralType, PropertyShape
 from ..shacl.validator import Violation, validate as shacl_validate
+from ..shapes.extractor import ExtractionConfig, ShapeExtractor, extract_shapes
 from .generators import EX, FuzzCase
 
+_SUBCLASS_OF = IRI(RDFS.subClassOf)
 _BOTH_MODES: tuple[TransformOptions, ...] = (DEFAULT_OPTIONS, MONOTONE_OPTIONS)
 
 
@@ -185,6 +188,89 @@ def validation_equivalence(case: FuzzCase) -> str | None:
                 f"{pg_report.conforms} in {_mode(options)} mode "
                 f"({case.note or 'no mutation'}; {detail})"
             )
+    return None
+
+
+# --------------------------------------------------------------------- #
+# Shape extraction (the paper's QSE reference [33]) on interned ids
+# --------------------------------------------------------------------- #
+
+class _ReferenceExtractor(ShapeExtractor):
+    """The counting pass on decoded terms, entity by entity: what the
+    extractor's grouped counts over interned postings are held to.
+    Naming, ``sh:or`` selection and the hierarchy pass are shared."""
+
+    def _shaped_classes(self, graph: Graph) -> list[tuple[str, list]]:
+        config = self.config
+        shaped = []
+        for cls in sorted(graph.classes(), key=lambda c: c.value):
+            instances = list(graph.instances_of(cls))
+            if len(instances) < config.min_class_support:
+                continue
+            values = defaultdict(list)  # predicate -> values per entity using it
+            for entity in instances:
+                for predicate in graph.predicates_of(entity):
+                    if predicate.value != RDF_TYPE:
+                        values[predicate].append(list(graph.objects(entity, predicate)))
+            shapes = []
+            for predicate in sorted(values, key=lambda p: p.value):
+                users = values[predicate]
+                if len(users) / len(instances) < config.min_property_support:
+                    continue
+                kinds = Counter(kind for objects in users for value in objects
+                                for kind in _reference_kinds(graph, value))
+                value_types = self._select_value_types(kinds, sum(map(len, users)))
+                if value_types:
+                    shapes.append(PropertyShape(
+                        path=predicate.value,
+                        value_types=value_types,
+                        min_count=1 if len(users) == len(instances) else 0,
+                        max_count=UNBOUNDED if any(len(o) > 1 for o in users) else 1,
+                    ))
+            shaped.append((cls.value, shapes))
+        return shaped
+
+
+def _reference_kinds(graph: Graph, value) -> list[tuple[str, str]]:
+    if isinstance(value, Literal):
+        if value.language is not None:
+            return [("literal", Literal.LANG_STRING)]
+        return [("literal", value.datatype)]
+    types = graph.types_of(value)
+    return sorted(
+        ("class", t.value) for t in types
+        if not any(t in graph.superclasses(other) for other in types if other != t)
+    )
+
+
+def reference_extract_shapes(graph: Graph, config: ExtractionConfig | None = None):
+    """What :func:`~repro.shapes.extractor.extract_shapes` must equal,
+    counted the slow way on decoded terms."""
+    return _ReferenceExtractor(config).extract(graph)
+
+
+def extraction_equivalence(case: FuzzCase) -> str | None:
+    """Extraction on interned ids equals the decoded reference under the
+    default config and one drawn per case, on the case as generated and
+    with its schema's ``extends`` edges added as ``rdfs:subClassOf``
+    triples (the only way cases reach the most-specific-type rule and
+    the hierarchy pass)."""
+    pick = random.Random(case.seed ^ 0x05E)
+    drawn = ExtractionConfig(pick.randint(0, 3), pick.choice((0.0, 0.1, 0.5, 1.0)),
+                             pick.choice((0.0, 0.2, 0.3, 0.5)), pick.random() < 0.8)
+    target = {shape.name: IRI(shape.target_class) for shape in case.schema}
+    subclass = [Triple(target[shape.name], _SUBCLASS_OF, target[parent])
+                for shape in case.schema for parent in shape.extends]
+    for label, extra in (("", []), (" with rdfs:subClassOf", subclass)):
+        graph = Graph(case.triples + extra)
+        for config in (ExtractionConfig(), drawn):
+            got = list(extract_shapes(graph, config))
+            want = list(reference_extract_shapes(graph, config))
+            if got != want:
+                diff = next(((a.name, a.extends, a.property_shapes, b.extends,
+                              b.property_shapes) for a, b in zip(got, want) if a != b),
+                            (len(got), len(want)))
+                return f"extracted schema != reference{label} under {config}: {diff}"
     return None
 
 
@@ -943,6 +1029,11 @@ ORACLES: dict[str, Oracle] = {
             "fold_exact", _RDF_KINDS, fold_exact,
             "optimize(F_dt^np(G)) = F_dt^p(G) in graph, mapping and "
             "conformance, and M of it is G",
+        ),
+        Oracle(
+            "extraction_equivalence", _RDF_KINDS, extraction_equivalence,
+            "QSE extraction counted on interned ids equals the decoded "
+            "reference, with and without rdfs:subClassOf",
         ),
         Oracle(
             "validation_equivalence", ("valid", "mutated"),

@@ -648,11 +648,14 @@ class BatchInput(PhysicalOperator):
     def __init__(self, batch_size: int = DEFAULT_BATCH_SIZE):
         super().__init__(None)
         self.rows: list[dict] = []
+        #: The variables some incoming row has a key for, this execution.
+        self.row_vars: frozenset[str] = frozenset()
         self.batch_size = batch_size
 
     def execute(self, engine):
         self.actual_loops += 1
         rows = self.rows
+        self.row_vars = frozenset().union(*rows)
         bs = self.batch_size
         for start in range(0, len(rows), bs):
             chunk = rows[start:start + bs]
@@ -664,6 +667,7 @@ class BatchConst(PhysicalOperator):
     """Source: a single empty binding (hash-join build sides)."""
 
     op = "Const"
+    row_vars: frozenset[str] = frozenset()
 
     def __init__(self):
         super().__init__(1.0)
@@ -674,12 +678,21 @@ class BatchConst(PhysicalOperator):
         yield PathBatch([{}], {}, {}, None, None)
 
 
-def _resolve_constraint(var, want_kind, batch, names):
+def _source(op: PhysicalOperator) -> PhysicalOperator:
+    """The leaf (``BatchInput`` or ``BatchConst``) a pipeline pulls from."""
+    while op.children:
+        op = op.children[0]
+    return op
+
+
+def _resolve_constraint(var, want_kind, batch, names, row_vars):
     """Per-row id constraints for ``var``: -1 unbound, -2 never-match.
 
     A value of the wrong kind (a node where an edge is required, a
     non-graph value) can never match, exactly like the reference
-    evaluator's identity checks.
+    evaluator's identity checks.  ``row_vars`` are the variables the
+    execution's incoming rows have keys for; the rows are scanned only
+    for one of those.
     """
     if var is None:
         return None
@@ -688,6 +701,8 @@ def _resolve_constraint(var, want_kind, batch, names):
         if batch.kinds.get(var) == want_kind:
             return col
         return array("q", (-2,)) * batch.n
+    if var not in row_vars:
+        return None
     from ...pg.model import PGEdge, PGNode
 
     expected = PGNode if want_kind == "node" else PGEdge
@@ -721,6 +736,7 @@ class BatchSeed(PhysicalOperator):
 
     def __init__(self, child, store, pattern, choice, est_rows: float):
         super().__init__(est_rows, (child,))
+        self.source = _source(child)
         self.store = store
         self.pattern = pattern
         self.choice = choice
@@ -757,7 +773,7 @@ class BatchSeed(PhysicalOperator):
             sel = array("q")
             out = array("q")
             if bound_mode:
-                cons = _resolve_constraint(var, "node", batch, names)
+                cons = _resolve_constraint(var, "node", batch, names, self.source.row_vars)
                 if cons is not None:
                     for i in range(n):
                         v = cons[i]
@@ -765,7 +781,7 @@ class BatchSeed(PhysicalOperator):
                             out.append(v)
                             sel.append(i)
             elif len(candidates):
-                cons = _resolve_constraint(var, "node", batch, names)
+                cons = _resolve_constraint(var, "node", batch, names, self.source.row_vars)
                 if cons is None:
                     cnt = len(candidates)
                     for i in range(n):
@@ -890,6 +906,7 @@ class BatchExpand(PhysicalOperator):
         super().__init__(est_rows, (child,))
         from .cypher_plan import _flip
 
+        self.source = _source(child)
         self.store = store
         self.rel = rel
         self.node = node
@@ -940,8 +957,9 @@ class BatchExpand(PhysicalOperator):
                 continue
             self.actual_loops += n
             anchor = batch.anchor
-            e_cons = _resolve_constraint(rel_var, "rel", batch, names)
-            n_cons = _resolve_constraint(node_var, "node", batch, names)
+            row_vars = self.source.row_vars
+            e_cons = _resolve_constraint(rel_var, "rel", batch, names, row_vars)
+            n_cons = _resolve_constraint(node_var, "node", batch, names, row_vars)
             sel = array("q")
             edge_out = array("q")
             if (
@@ -1104,6 +1122,7 @@ class BatchPathHashJoin(PhysicalOperator):
 
     def __init__(self, probe, build, key: tuple[str, ...], est_rows, store):
         super().__init__(est_rows, (probe, build))
+        self.source = _source(probe)
         self.key = key
         self.store = store
 
@@ -1135,7 +1154,7 @@ class BatchPathHashJoin(PhysicalOperator):
                 )
                 continue
             probe_keys = [
-                _resolve_constraint(k, b_kinds[k], batch, names)
+                _resolve_constraint(k, b_kinds[k], batch, names, self.source.row_vars)
                 for k in key
             ]
             if any(col is None for col in probe_keys):

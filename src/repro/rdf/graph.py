@@ -583,6 +583,25 @@ class Graph:
                     frontier.append(o)
         return seen
 
+    def _subclass_closure(self, cls_id: int, up: bool) -> frozenset[int]:
+        """:meth:`superclasses` on interned ids: the IRI classes reachable
+        from ``cls_id`` in one or more ``rdfs:subClassOf`` steps, upwards
+        (its superclasses) or downwards (its subclasses).  ``cls_id`` is
+        in the result only through a cycle."""
+        sub_id = self._terms.lookup(_SUBCLASS_OF)
+        spo = self._spo
+        by_o = self._pos.get(sub_id, {})
+        term = self._terms.term
+        seen: set[int] = set()
+        frontier = [cls_id]
+        while frontier:
+            c = frontier.pop()
+            for n in (spo.get(c, {}).get(sub_id) if up else by_o.get(c)) or ():
+                if n not in seen and isinstance(term(n), IRI):
+                    seen.add(n)
+                    frontier.append(n)
+        return frozenset(seen)
+
     def is_instance_of(self, entity: Subject, cls: IRI) -> bool:
         """True when ``entity`` is typed with ``cls`` or a subclass of it."""
         types = self.types_of(entity)

@@ -201,16 +201,10 @@ class _EntityChecker:
         ids = self._classes.get(cls)
         if ids is None:
             root = self.lookup(IRI(cls))
-            seen = {root} if root is not None else set()
-            frontier = list(seen)
-            by_o = self.graph._pos.get(self.terms.lookup(_SUBCLASS_OF), _EMPTY)
-            term = self.terms.term
-            while frontier:
-                for s in by_o.get(frontier.pop(), ()):
-                    if s not in seen and isinstance(term(s), IRI):
-                        seen.add(s)
-                        frontier.append(s)
-            ids = self._classes[cls] = frozenset(seen)
+            ids = self._classes[cls] = (
+                frozenset() if root is None
+                else self.graph._subclass_closure(root, up=False) | {root}
+            )
         return ids
 
     def check(

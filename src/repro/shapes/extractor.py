@@ -7,6 +7,13 @@ predicates its instances use, the kinds and datatypes of their values, and
 their per-entity multiplicities, then emit node/property shapes with
 support- and confidence-based pruning.
 
+Every count is a grouped count over the graph's interned postings: a
+class's instances are its ``rdf:type`` POS bucket, each instance's SPO
+row gives its predicates and their object ids, and the kinds of each
+distinct object id are worked out once per extraction.  Terms are
+decoded only for those kinds (a literal's datatype, a class's IRI) and
+to name and sort the shapes.
+
 Extraction rules:
 
 * one node shape per class with at least ``min_class_support`` instances;
@@ -25,10 +32,12 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 
 from ..namespaces import RDF_TYPE, RDFS, SHAPES, local_name
 from ..rdf.graph import Graph
-from ..rdf.terms import IRI, BlankNode, Literal
+from ..rdf.terms import IRI, Literal
 from ..shacl.model import (
     UNBOUNDED,
     ClassType,
@@ -38,6 +47,7 @@ from ..shacl.model import (
     ShapeSchema,
     ValueType,
 )
+from ..storage.intern import Memo
 
 _TYPE = IRI(RDF_TYPE)
 _SUBCLASS = IRI(RDFS.subClassOf)
@@ -71,20 +81,10 @@ class ShapeExtractor:
 
     def extract(self, graph: Graph) -> ShapeSchema:
         """Run extraction over ``graph``."""
-        config = self.config
         schema = ShapeSchema()
-        classes = sorted(
-            (
-                c
-                for c in graph.classes()
-                if sum(1 for _ in graph.instances_of(c)) >= config.min_class_support
-            ),
-            key=lambda c: c.value,
-        )
-        class_set = {c.value for c in classes}
-        shape_names = {
-            c.value: SHAPES.term(local_name(c.value) + "Shape") for c in classes
-        }
+        classes = self._shaped_classes(graph)
+        class_set = {cls for cls, _ in classes}
+        shape_names = {cls: SHAPES.term(local_name(cls) + "Shape") for cls, _ in classes}
         # Disambiguate local-name collisions across namespaces.
         seen: dict[str, str] = {}
         for class_iri, shape_name in list(shape_names.items()):
@@ -93,93 +93,87 @@ class ShapeExtractor:
                 shape_names[class_iri] = shape_name + "_" + str(len(seen))
             seen[shape_names[class_iri]] = class_iri
 
-        for cls in classes:
-            shape = self._extract_node_shape(
-                graph, cls, shape_names, class_set
+        for cls, property_shapes in classes:
+            schema.add(
+                NodeShape(
+                    name=shape_names[cls],
+                    target_class=cls,
+                    property_shapes=property_shapes,
+                )
             )
-            schema.add(shape)
 
-        if config.derive_hierarchy:
+        if self.config.derive_hierarchy:
             self._apply_hierarchy(graph, schema, shape_names, class_set)
         return schema
 
     # ------------------------------------------------------------------ #
 
-    def _extract_node_shape(
-        self,
-        graph: Graph,
-        cls: IRI,
-        shape_names: dict[str, str],
-        class_set: set[str],
-    ) -> NodeShape:
+    def _shaped_classes(self, graph: Graph) -> list[tuple[str, list[PropertyShape]]]:
+        """Every class with at least ``min_class_support`` instances, in
+        IRI order, with its property shapes: the counting pass."""
+        terms = graph._terms
+        term = terms.term
+        type_id = terms.lookup(_TYPE)
+        by_class = graph._pos.get(type_id, {})
+        # The set C of Definition 2.1: IRI objects of rdf:type and the IRIs
+        # on either side of rdfs:subClassOf.
+        class_ids = set(by_class)
+        for o, subs in graph._pos.get(terms.lookup(_SUBCLASS), {}).items():
+            class_ids.add(o)
+            class_ids.update(subs)
+        support = self.config.min_class_support
+        superclasses = Memo(partial(graph._subclass_closure, up=True))
+        kinds_of = Memo(partial(_object_kinds, graph, type_id, superclasses))
+        return [
+            (iri, self._property_shapes(graph, by_class.get(c, ()), type_id, kinds_of))
+            for iri, c in sorted(
+                (term(c).value, c) for c in class_ids
+                if isinstance(term(c), IRI) and len(by_class.get(c, ())) >= support
+            )
+        ]
+
+    def _property_shapes(
+        self, graph: Graph, instances, type_id: int | None, kinds_of: Memo
+    ) -> list[PropertyShape]:
+        """One class's property shapes, counted over the SPO rows of its
+        ``instances`` (ids); ``kinds_of`` memoises each object id's kinds."""
         config = self.config
-        instances = list(graph.instances_of(cls))
         n_instances = len(instances)
-        usage: dict[IRI, int] = Counter()  # instances using the predicate
-        multi: dict[IRI, bool] = defaultdict(bool)
-        value_kinds: dict[IRI, Counter] = defaultdict(Counter)
-        value_totals: dict[IRI, int] = Counter()
-
+        # predicate id -> one object postings per instance using it, so
+        # usage is the list's length; postings are never empty, so some
+        # instance has two values exactly when the values outnumber it.
+        buckets: dict[int, list] = defaultdict(list)
+        spo = graph._spo
         for entity in instances:
-            for predicate in list(graph.predicates_of(entity)):
-                if predicate == _TYPE:
-                    continue
-                values = list(graph.objects(entity, predicate))
-                usage[predicate] += 1
-                if len(values) > 1:
-                    multi[predicate] = True
-                for value in values:
-                    value_totals[predicate] += 1
-                    for kind in self._value_kinds(graph, value):
-                        value_kinds[predicate][kind] += 1
-
+            for predicate, objects in spo[entity].items():
+                buckets[predicate].append(objects)
+        buckets.pop(type_id, None)
+        term = graph._terms.term
         property_shapes: list[PropertyShape] = []
-        for predicate in sorted(usage, key=lambda p: p.value):
-            support = usage[predicate] / n_instances if n_instances else 0.0
-            if support < config.min_property_support:
+        for path, predicate in sorted((term(p).value, p) for p in buckets):
+            usage = len(buckets[predicate])
+            if usage / n_instances < config.min_property_support:
                 continue
-            value_types = self._select_value_types(
-                value_kinds[predicate], value_totals[predicate]
+            # One C-level tally of the values' kind tuples, then per kind.
+            per_kinds = Counter(
+                map(kinds_of.__getitem__, chain.from_iterable(buckets[predicate]))
             )
-            if not value_types:
-                continue
-            property_shapes.append(
-                PropertyShape(
-                    path=predicate.value,
-                    value_types=value_types,
-                    min_count=1 if usage[predicate] == n_instances else 0,
-                    max_count=UNBOUNDED if multi[predicate] else 1,
+            total = sum(per_kinds.values())
+            counts: Counter = Counter()
+            for kinds, n in per_kinds.items():
+                for kind in kinds:
+                    counts[kind] += n
+            value_types = self._select_value_types(counts, total)
+            if value_types:
+                property_shapes.append(
+                    PropertyShape(
+                        path=path,
+                        value_types=value_types,
+                        min_count=1 if usage == n_instances else 0,
+                        max_count=UNBOUNDED if total > usage else 1,
+                    )
                 )
-            )
-        return NodeShape(
-            name=shape_names[cls.value],
-            target_class=cls.value,
-            property_shapes=property_shapes,
-        )
-
-    @staticmethod
-    def _value_kinds(graph: Graph, value) -> list[tuple[str, str]]:
-        if isinstance(value, Literal):
-            if value.language is not None:
-                return [("literal", Literal.LANG_STRING)]
-            return [("literal", value.datatype)]
-        if isinstance(value, (IRI, BlankNode)):
-            types = graph.types_of(value)
-            # Keep only the most specific types: drop any type that is a
-            # superclass of another type the object carries, so that an
-            # object typed {Settlement, Place} yields just Settlement.
-            specific = [
-                t
-                for t in types
-                if not any(
-                    t in graph.superclasses(other) for other in types if other != t
-                )
-            ]
-            return [
-                ("class", t.value)
-                for t in sorted(specific, key=lambda t: t.value)
-            ]  # untyped IRIs contribute no constraint
-        return []
+        return property_shapes
 
     def _select_value_types(
         self, kinds: Counter, total: int
@@ -237,6 +231,28 @@ class ShapeExtractor:
                     and phi.cardinality() == inherited[phi.path].cardinality()
                 )
             ]
+
+
+def _object_kinds(
+    graph: Graph, type_id: int | None, superclasses: Memo, oid: int
+) -> tuple[tuple[str, str], ...]:
+    """The kinds of object id ``oid``: a literal's datatype
+    (``rdf:langString`` when tagged), or an IRI's or blank node's most
+    specific IRI types; ``superclasses`` memoises the closure per class."""
+    term = graph._terms.term
+    value = term(oid)
+    if isinstance(value, Literal):
+        return (("literal", value.datatype),)
+    types = graph._spo.get(oid, {}).get(type_id) or ()
+    types = [c for c in types if isinstance(term(c), IRI)]
+    # Keep only the most specific types: drop any type that is a
+    # superclass of another type the object carries, so that an object
+    # typed {Settlement, Place} yields just Settlement.
+    return tuple(sorted(
+        ("class", term(c).value)
+        for c in types
+        if not any(c in superclasses[other] for other in types if other != c)
+    ))  # untyped IRIs contribute no constraint
 
 
 def extract_shapes(

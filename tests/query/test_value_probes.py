@@ -5,7 +5,9 @@ string ``"chat"`` in three forms on ``:w``, one subject per value.  Each
 probe states the row count SPARQL 1.1 value semantics give (hand-written,
 not taken from an engine) and asserts that planned SPARQL and its
 Cypher translation both return it, on parsimonious and non-parsimonious
-PGs.
+PGs.  Two DISTINCT probes do the same for terms that must stay apart:
+an IRI next to a string literal spelling it, and ``"chat"@en`` next to
+``"chat"@fr``.
 
 Today neither side gets every answer right: translated Cypher compares
 lexical forms and drops language tags, and the SPARQL engine ignores
@@ -23,6 +25,7 @@ from repro.core.pipeline import S3PG
 from repro.namespaces import RDF_TYPE, XSD
 from repro.pg import PropertyGraphStore
 from repro.query import CypherEngine, SparqlEngine, translate_sparql_to_cypher
+from repro.rdf import parse_turtle
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Literal, Triple
 from repro.shapes.extractor import extract_shapes
@@ -82,5 +85,36 @@ def test_value_probe_matches_the_spec(graph, transformed, sparql, expected):
     answers = (
         len(SparqlEngine(graph).query(sparql)),
         len(CypherEngine(store).query(cypher)),
+    )
+    assert answers == (expected, expected)
+
+
+#: (id, Turtle body, rows the spec answers) for a DISTINCT over ``:p``.
+_DISTINCT_PROBES = [
+    # An IRI and a string literal spelling it are different terms.
+    ("iri-vs-string", ':a a :C ; :p :b . :c a :C ; :p "http://x/b" .', 2),
+    # Two literals that differ only in their language tag.
+    ("language-tags", ':a a :C ; :p "chat"@en . :c a :C ; :p "chat"@fr .', 2),
+]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="translated DISTINCT compares projected values, "
+                          "not terms: an IRI and its spelling, or two "
+                          "tagged literals, become one value")
+@pytest.mark.parametrize("parsimonious", [True, False],
+                         ids=["parsimonious", "non-parsimonious"])
+@pytest.mark.parametrize("body,expected",
+                         [probe[1:] for probe in _DISTINCT_PROBES],
+                         ids=[probe[0] for probe in _DISTINCT_PROBES])
+def test_distinct_probe_keeps_terms_apart(body, expected, parsimonious):
+    graph = parse_turtle(f"@prefix : <{X}> .\n{body}")
+    result = S3PG(TransformOptions(parsimonious=parsimonious)).transform(
+        graph, extract_shapes(graph))
+    sparql = f"SELECT DISTINCT ?v WHERE {{ ?e a <{X}C> ; <{X}p> ?v . }}"
+    cypher = translate_sparql_to_cypher(sparql, result.mapping)
+    answers = (
+        len(SparqlEngine(graph).query(sparql)),
+        len(CypherEngine(PropertyGraphStore(result.graph)).query(cypher)),
     )
     assert answers == (expected, expected)

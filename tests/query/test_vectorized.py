@@ -611,3 +611,24 @@ def test_expand_matches_reference(text):
     pg.add_edge("p5", "p5", {"KNOWS", "LIKES"})
     rows = _same_rows(CypherEngine, PropertyGraphStore(pg), text)
     assert rows, text
+
+
+
+@pytest.mark.parametrize("batch_size", [1, 1024])
+@pytest.mark.parametrize("text,count", [
+    # One row per KNOWS edge: the second MATCH follows r, not every edge.
+    ("MATCH (a:Person)-[r:KNOWS]->(b) MATCH (x)-[r]->(y) "
+     "RETURN x.name, y.name", 37),
+    # b is an incoming row variable, seeded from the rows.
+    ("MATCH (b:Person {age: 3}) MATCH (b)-[:KNOWS]->(c) "
+     "RETURN b.name, c.name", 5),
+    # b is the far endpoint of the expansion, checked against the rows.
+    ("MATCH (b:Person {age: 3}) MATCH (a:Person)-[:KNOWS]->(b) "
+     "RETURN a.name, b.name", 5),
+])
+def test_row_bound_variables_constrain(batch_size, text, count):
+    """A variable bound by an earlier clause reaches the second MATCH as
+    an incoming row value, not a column, and still constrains it."""
+    store = PropertyGraphStore(_pg())
+    assert len(_same_rows(CypherEngine, store, text)) == count
+    assert len(_planned(CypherEngine, store, batch_size).query(text)) == count

@@ -1,7 +1,10 @@
 """Tests for the QSE-style shape extractor."""
 
-from repro.namespaces import XSD
-from repro.rdf import parse_turtle
+import pytest
+
+from repro.fuzz import reference_extract_shapes
+from repro.namespaces import RDF_TYPE, XSD
+from repro.rdf import IRI, Literal, Triple, parse_turtle
 from repro.shacl import (
     ClassType,
     LiteralType,
@@ -141,3 +144,100 @@ class TestExtractedSchemaQuality:
         a = serialize_shacl(extract_shapes(small_dbpedia.graph))
         b = serialize_shacl(extract_shapes(small_dbpedia.graph))
         assert a == b
+
+
+def same_as_reference(graph, config: ExtractionConfig | None = None):
+    """Extraction over interned postings equals the decoded reference:
+    same shapes in the same order, same ``value_types`` order, bounds."""
+    got = extract_shapes(graph, config)
+    assert list(got) == list(reference_extract_shapes(graph, config))
+    return got
+
+
+class TestMatchesReference:
+    """Inputs the fuzz generator does not make, held to the reference."""
+
+    BODY = """
+    :Sub rdfs:subClassOf :Super .
+    :a a :A ; :name "a" ; :rel :b, :c, :ghost ; :tags "x", "y" .
+    :a2 a :A ; :name "a2"@en ; :rel :c .
+    :b a :Sub, :Super . :c a :Super .
+    """
+
+    def test_snapshot_backed_graph(self, tmp_path):
+        from repro.storage import load_snapshot, save_snapshot
+
+        path = tmp_path / "g.snap"
+        save_snapshot(parse_turtle(PREFIX + self.BODY), path)
+        schema = same_as_reference(load_snapshot(path))
+        rel = schema.shape_for_class("http://x/A").property_shape_for("http://x/rel")
+        assert rel.value_types == (ClassType("http://x/Super"), ClassType("http://x/Sub"))
+        assert rel.cardinality() == (1, UNBOUNDED)
+
+    def test_mutated_buckets_with_unsorted_extra(self):
+        graph = parse_turtle(PREFIX + self.BODY + " :z a :A ; :rel :c .")
+        a, rel, late = IRI("http://x/a"), IRI("http://x/rel"), IRI("http://x/late")
+        graph.add(Triple(late, IRI(RDF_TYPE), IRI("http://x/Sub")))
+        graph.add(Triple(a, rel, late))  # an id below the bucket's tail
+        graph.add(Triple(IRI("http://x/z"), rel, IRI("http://x/b")))
+        graph.remove(Triple(a, IRI("http://x/name"), Literal("a")))
+        assert any(
+            objects._extra for by_p in graph._spo.values() for objects in by_p.values()
+        )
+        schema = same_as_reference(graph)
+        shape = schema.shape_for_class("http://x/A")
+        assert shape.property_shape_for("http://x/name").min_count == 0
+
+    @pytest.mark.parametrize("config", [
+        ExtractionConfig(min_class_support=2),
+        ExtractionConfig(derive_hierarchy=False),
+    ], ids=["cycle-unshaped", "no-hierarchy"])
+    def test_subclass_cycle(self, config):
+        graph = parse_turtle(PREFIX + """
+        :A rdfs:subClassOf :B . :B rdfs:subClassOf :A .
+        :e a :E ; :rel :v . :e2 a :E ; :rel :v . :v a :A, :B .
+        """)
+        schema = same_as_reference(graph, config)
+        # Each type is a superclass of the other: neither is most specific.
+        assert schema.shape_for_class("http://x/E").property_shapes == []
+
+    def test_rdf_type_object_literal_or_blank(self):
+        graph = parse_turtle(PREFIX + """
+        :e a "C", [ :q 1 ], :E ; :rel :v . :v a "D", :D .
+        """)
+        schema = same_as_reference(graph)
+        assert [s.target_class for s in schema] == ["http://x/D", "http://x/E"]
+        rel = schema.shape_for_class("http://x/E").property_shape_for("http://x/rel")
+        assert rel.value_types == (ClassType("http://x/D"),)
+
+    @pytest.mark.parametrize("support", [0, 1])
+    def test_class_only_in_subclass_of(self, support):
+        graph = parse_turtle(PREFIX + ":Orphan rdfs:subClassOf :A . :a a :A .")
+        schema = same_as_reference(graph, ExtractionConfig(min_class_support=support))
+        assert (schema.shape_for_class("http://x/Orphan") is not None) == (support == 0)
+
+    def test_typed_blank_node_values(self):
+        graph = parse_turtle(PREFIX + """
+        :a a :A ; :rel [ a :B ], [ a :B, :C ], [ :q 1 ] .
+        """)
+        schema = same_as_reference(graph)
+        rel = schema.shape_for_class("http://x/A").property_shape_for("http://x/rel")
+        assert rel.value_types == (ClassType("http://x/B"), ClassType("http://x/C"))
+
+    def test_language_tags_and_plain_string_on_one_predicate(self):
+        graph = parse_turtle(PREFIX + ':a a :A ; :label "x"@en, "x"@fr, "x" .')
+        schema = same_as_reference(graph)
+        phi = schema.shape_for_class("http://x/A").property_shape_for("http://x/label")
+        assert phi.value_types == (
+            LiteralType(Literal.LANG_STRING), LiteralType(XSD.string))
+        assert phi.cardinality() == (1, UNBOUNDED)
+
+    def test_untyped_iri_among_typed_values(self):
+        graph = parse_turtle(PREFIX + """
+        :a a :A ; :rel :ghost, :b . :a2 a :A ; :rel :ghost . :b a :B .
+        """)
+        config = ExtractionConfig(min_type_confidence=0.4)
+        same_as_reference(graph)
+        schema = same_as_reference(graph, config)
+        # Untyped values count toward the total: :B covers 1 of 3 values.
+        assert schema.shape_for_class("http://x/A").property_shapes == []
