@@ -445,43 +445,36 @@ class DeltaValidator:
 
     Instead of re-running whole-graph validation after every change, the
     validator keeps the violations of every focus node and, given the
-    (added, removed) triples of a delta, recomputes only the focus nodes
-    the delta can affect:
+    (added, removed) triples of a delta, recomputes only what the delta
+    can change.  The *affected set* ``A`` is the delta's subjects closed
+    under reverse *reference paths* — property shapes with a ``sh:class``
+    or ``sh:node`` value type, whose checks read the referenced node's
+    types and nested verdict.  Nothing outside ``A`` can change.
 
-    * the **subjects** of every delta triple (their own property values
-      or type targeting changed), and
-    * transitively, every entity that **references** an affected node
-      through a property whose shape carries a class or node-shape
-      constraint (its conformance inspects the referenced node's types
-      or nested conformance).
+    Inside ``A`` a change travels only through verdicts that change.
+    ``A`` is walked values before referrers, and a node is recomputed
+    when it is a delta subject, or when a value of it in ``A`` changed
+    its ``rdf:type`` set or one of its standing nested verdicts (the
+    context-free rows of one verdict table, see :class:`_EntityChecker`,
+    kept across deltas).  Any other node reads the same data and rows as
+    before, so its rows and report entry stand.  That induction needs an
+    acyclic, untainted ``A``: a delta invalidates every row of ``A`` and
+    rechecks all of its focus nodes instead (``fallbacks`` counts these)
+    when ``A``'s reference edges contain a cycle — every cycle touching
+    ``A`` lies inside it, and a cycle the delta closes runs through one
+    of its subjects — when a node in ``A`` has a cycle-tainted entry, or
+    when a recomputed verdict comes out tainted.  A delta that rewrites
+    the ``rdfs:subClassOf`` taxonomy rebuilds from scratch.
 
-    The reachability uses only the shape registry's *reference paths*
-    (property shapes whose value types carry ``sh:class`` or ``sh:node``
-    constraints): those checks validate the referenced node's nested
-    conformance, so any change to it — types or literal properties —
-    can flip the referrer's verdict.  Deltas on nodes no reference path
-    points at never fan out.  A delta that rewrites the
-    ``rdfs:subClassOf`` taxonomy invalidates class membership globally
-    and falls back to a full rebuild.
-
-    A recheck evaluates only the property shapes whose path is the
-    predicate of a delta triple on the focus or a reference path from it
-    to an affected node.  The whole focus is rechecked when its last
-    check was cycle-tainted, its types or targeted shapes changed, or the
-    scoped check itself reads a tainted key.
-
-    Every focus node is checked with a fresh memo, which makes its
-    violation list independent of the order entities are (re)checked.
-    What a recheck does not redo is the nested checks of the nodes it
-    references: their context-free verdicts (see :class:`_EntityChecker`)
-    stand in one table across deltas.  A delta drops the rows of *every*
-    affected entity before any of them is rechecked — a cycle the delta
-    closes runs through one of its subjects, so all its nodes are
-    affected, and a recheck that read a row from before the delta would
-    not see the cycle.  The standing report after any delta sequence is
-    therefore *equal* to checking every focus node of the final graph
-    from scratch, and its ``conforms`` flag matches
-    :meth:`ShaclValidator.validate`.
+    A recheck evaluates only the property shapes on the focus's changed
+    paths: the predicates of its delta triples and the reference paths to
+    changed values.  The whole focus is rechecked when its last check was
+    cycle-tainted, its types or targeted shapes changed, or the scoped
+    check itself reads a tainted key.  Every focus node is checked with a
+    fresh memo, so the standing report after any delta sequence is
+    *equal* to checking every focus node of the final graph from scratch,
+    and its ``conforms`` flag matches :meth:`ShaclValidator.validate`
+    (DESIGN.md §12 has the argument).
 
     Args:
         schema: the shape schema ``S_G``.
@@ -511,6 +504,8 @@ class DeltaValidator:
         self.last_rechecked = 0
         #: Cumulative focus-node checks over the validator's lifetime.
         self.total_rechecked = 0
+        #: Deltas that invalidated every affected row (see apply_delta).
+        self.fallbacks = 0
         self.rebuild()
 
     def _compute_reference_paths(self) -> frozenset[IRI]:
@@ -540,12 +535,10 @@ class DeltaValidator:
         self._resolve()
         self._entries = {}
         self._table.clear()
-        checked = 0
         for entity in self._targeted_entities():
             self._entries[entity] = self._check(entity, self._shapes_for(entity))
-            checked += 1
-        self.last_rechecked = checked
-        self.total_rechecked += checked
+        self.last_rechecked = len(self._entries)
+        self.total_rechecked += self.last_rechecked
 
     def _targeted_entities(self) -> Iterator[int]:
         seen: set[int] = set()
@@ -566,17 +559,30 @@ class DeltaValidator:
         results = [checker.focus(entity, shape_name) for shape_name in shapes]
         return _Entry(shapes, results, checker.tainted_reads != tainted_reads)
 
-    def _recheck(self, entity: int, entry: _Entry, paths: set[int]) -> _Entry:
-        """Re-evaluate the plans on ``paths``; the whole focus if tainted."""
-        checker = self._checker
-        tainted_reads = checker.tainted_reads
-        results = [
-            checker.focus(entity, shape_name, paths, previous)
-            for shape_name, previous in zip(entry.shapes, entry.results)
-        ]
-        if checker.tainted_reads != tainted_reads:
-            return self._check(entity, entry.shapes)
-        return _Entry(entry.shapes, results, False)
+    def _recheck(self, entity: int, paths: set[int]) -> _Entry | None:
+        """Recheck the plans of ``entity`` on ``paths``, or all of them;
+        None when no shape targets it any more."""
+        shapes = self._shapes_for(entity)
+        entries, checker = self._entries, self._checker
+        if not shapes:
+            entries.pop(entity, None)
+            return None
+        self.last_rechecked += 1
+        entry = entries.get(entity)
+        if (
+            entry is not None and not entry.tainted and entry.shapes == shapes
+            and checker.type_id not in paths
+        ):
+            tainted_reads = checker.tainted_reads
+            results = [
+                checker.focus(entity, shape_name, paths, previous)
+                for shape_name, previous in zip(shapes, entry.results)
+            ]
+            if checker.tainted_reads == tainted_reads:
+                entries[entity] = entry = _Entry(shapes, results, False)
+                return entry
+        entries[entity] = entry = self._check(entity, shapes)
+        return entry
 
     # ------------------------------------------------------------------ #
 
@@ -585,7 +591,7 @@ class DeltaValidator:
         added: Iterable[Triple] = (),
         removed: Iterable[Triple] = (),
     ) -> int:
-        """Recheck the focus nodes affected by an already-applied delta.
+        """Recheck the focus nodes an already-applied delta can change.
 
         Returns the number of focus nodes rechecked.
         """
@@ -602,57 +608,87 @@ class DeltaValidator:
             return self.last_rechecked
         if checker.missing and len(checker.terms) != checker.size:
             self._resolve()
-        affected = self._affected_entities(added, removed)
-        # Every affected row goes before any recheck runs, so that no
-        # recheck can read a verdict from before the delta.
-        for entity in affected:
-            self._table.pop(entity, None)
-        checked = 0
-        for entity, paths in affected.items():
-            shapes = self._shapes_for(entity)
-            if not shapes:
-                self._entries.pop(entity, None)
-                continue
-            entry = self._entries.get(entity)
-            scoped = entry is not None and not entry.tainted and entry.shapes == shapes
-            self._entries[entity] = (
-                self._recheck(entity, entry, paths)
-                if scoped and checker.type_id not in paths
-                else self._check(entity, shapes)
-            )
-            checked += 1
-        self.last_rechecked = checked
-        self.total_rechecked += checked
-        return checked
+        subjects, referrers = self._affected_entities(added, removed)
+        order = _values_first(referrers)
+        entries = self._entries
+        self.last_rechecked = 0
+        if (
+            order is None
+            or any(entries[e].tainted for e in referrers if e in entries)
+            or not self._propagate(order, subjects, referrers)
+        ):
+            self.fallbacks += 1
+            # Every affected row goes before any recheck runs, so that no
+            # recheck can read a verdict from before the delta.
+            paths = {e: set(subjects.get(e, ())) for e in referrers}
+            for value, edges in referrers.items():
+                self._table.pop(value, None)
+                for s, p in edges:
+                    paths[s].add(p)
+            for entity, scope in paths.items():
+                self._recheck(entity, scope)
+        self.total_rechecked += self.last_rechecked
+        return self.last_rechecked
+
+    def _propagate(
+        self,
+        order: list[int],
+        subjects: dict[int, set[int]],
+        referrers: dict[int, list[tuple[int, int]]],
+    ) -> bool:
+        """Recompute, values first, the delta's subjects and the referrers
+        of every node whose types or standing rows changed; False when a
+        recomputed verdict is cycle-tainted."""
+        checker, table = self._checker, self._table
+        scope = {e: set(paths) for e, paths in subjects.items()}
+        for entity in order:
+            paths = scope.get(entity)
+            if paths is None:
+                continue  # same data, same rows read: its results stand
+            old = table.pop(entity, _EMPTY)
+            entry = self._recheck(entity, paths)
+            # Rows read through sh:node or sh:class, not as a focus.
+            for shape_name in old.keys() - table.get(entity, _EMPTY).keys():
+                checker.check(entity, shape_name, None, {})
+            new = table.get(entity, _EMPTY)
+            if (entry is not None and entry.tainted) or not old.keys() <= new.keys():
+                return False  # tainted verdicts stay out of the table
+            # A row the entity did not have before was read by nobody.
+            if checker.type_id in paths or any(new[k] != v for k, v in old.items()):
+                for s, p in referrers[entity]:
+                    scope.setdefault(s, set()).add(p)
+        return True
 
     def _affected_entities(
         self,
         added: tuple[Triple, ...],
         removed: tuple[Triple, ...],
-    ) -> dict[int, set[int]]:
-        """The delta's subjects closed under reverse reference paths, each
-        with the path ids whose values the delta can have changed: its
-        delta triples' predicates and its reference paths to affected ids.
+    ) -> tuple[dict[int, set[int]], dict[int, list[tuple[int, int]]]]:
+        """The delta's subjects with their delta triples' predicates, and
+        the affected set ``A`` — the subjects closed under reverse
+        reference paths — as each member's ``(referrer, path)`` edges.
         """
         lookup = self.graph._terms.lookup
-        affected: dict[int, set[int]] = {}
+        subjects: dict[int, set[int]] = {}
         for t in (*added, *removed):
             s = lookup(t.s)
             if s is not None:
-                affected.setdefault(s, set()).add(lookup(t.p))
-        frontier = list(affected)
+                subjects.setdefault(s, set()).add(lookup(t.p))
+        referrers: dict[int, list[tuple[int, int]]] = {s: [] for s in subjects}
+        frontier = list(subjects)
         reference_ids = self._reference_ids
         osp = self.graph._osp
         while frontier:
-            for s, predicates in osp.get(frontier.pop(), _EMPTY).items():
+            node = frontier.pop()
+            edges = referrers[node]
+            for s, predicates in osp.get(node, _EMPTY).items():
                 for p in predicates:
                     if p in reference_ids:
-                        paths = affected.get(s)
-                        if paths is None:
-                            paths = affected[s] = set()
+                        edges.append((s, p))
+                        if s not in referrers:
+                            referrers[s] = []
                             frontier.append(s)
-                        paths.add(p)
-        return affected
+        return subjects, referrers
 
     # ------------------------------------------------------------------ #
 
@@ -697,3 +733,19 @@ class DeltaValidator:
             str(term(entity)): sorted(str(v) for v in self._violations(entry))
             for entity, entry in self._entries.items()
         }
+
+
+def _values_first(referrers: dict[int, list[tuple[int, int]]]) -> list[int] | None:
+    """The nodes of ``referrers`` with every value before its referrers
+    (Kahn's sort); None when their reference edges contain a cycle."""
+    pending = dict.fromkeys(referrers, 0)
+    for refs in referrers.values():
+        for s, _ in refs:
+            pending[s] += 1
+    order = [e for e, n in pending.items() if not n]
+    for value in order:  # grows while it is walked
+        for s, _ in referrers[value]:
+            pending[s] -= 1
+            if not pending[s]:
+                order.append(s)
+    return order if len(order) == len(pending) else None

@@ -212,7 +212,11 @@ class ShapeExtractor:
                 continue
             child = schema[shape_names[child_iri]]
             parent_name = shape_names[parent_iri]
-            if parent_name not in child.extends:
+            # An edge whose parent already reaches the child would close
+            # an inheritance cycle (subclass cycles are legal RDFS).
+            if parent_name not in child.extends and child.name not in (
+                parent_name, *schema.ancestors(parent_name)
+            ):
                 child.extends = (*child.extends, parent_name)
         # Remove child-local property shapes identical to an inherited one.
         for shape in schema:

@@ -4,7 +4,10 @@ The reference every snapshot is held to is ``fresh_memo_snapshot``: each
 focus node checked from scratch, no table, no affected set.
 """
 
+from repro.cdc import CDCConfig, CDCPipeline, Delta, replay_deltas
+from repro.core import S3PG
 from repro.fuzz import fresh_memo_snapshot
+from repro.pg import PropertyGraphStore
 from repro.rdf import IRI, parse_turtle
 from repro.rdf.ntriples import parse_line
 from repro.shacl import DeltaValidator, ShaclValidator, parse_shacl
@@ -173,7 +176,7 @@ class TestDeltaScoping:
                     if referrer not in expected:
                         expected.add(referrer)
                         frontier.append(referrer)
-        affected = validator._affected_entities(delta, ())
+        _, affected = validator._affected_entities(delta, ())
         assert {graph._terms.term(i) for i in affected} == expected
         assert {str(e).rsplit("/", 1)[1] for e in expected} == {
             "r_a", "r_b", "r_c", "x", "y"}
@@ -256,6 +259,141 @@ class TestReferenceCycles:
         validator = DeltaValidator(SHAPES, graph)
         apply(graph, validator, added=tuple(
             friend(f"r{i}", "c", "a") for i in range(COPIES)))
+        assert validator.snapshot() == fresh_memo_snapshot(SHAPES, graph)
+
+
+def name(copy: str, node: str, value: str):
+    return t(f'<http://x/{copy}_{node}> <http://x/name> "{value}" .')
+
+
+def typed(copy: str, node: str):
+    return t(f"<http://x/{copy}_{node}> {TYPE} <http://x/Person> .")
+
+
+#: Person -> Address through sh:node, and Address -> Address.
+ADDRESS_SHAPES = parse_shacl("""
+@prefix sh: <http://www.w3.org/ns/shacl#> .
+@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+@prefix : <http://x/> .
+@prefix shapes: <http://x/shapes#> .
+shapes:Person a sh:NodeShape ; sh:targetClass :Person ;
+  sh:property [ sh:path :home ; sh:nodeKind sh:IRI ; sh:node shapes:Address ;
+                sh:minCount 0 ] .
+shapes:Address a sh:NodeShape ; sh:targetClass :Address ;
+  sh:property [ sh:path :street ; sh:datatype xsd:string ;
+                sh:minCount 1 ; sh:maxCount 1 ] ;
+  sh:property [ sh:path :next ; sh:nodeKind sh:IRI ; sh:node shapes:Address ;
+                sh:minCount 0 ] .
+""")
+
+
+class TestFlipPropagation:
+    """A change reaches a referrer only through a verdict or a type that
+    changed, and every scenario the induction cannot cover falls back to
+    rechecking the whole affected set."""
+
+    def test_unflipped_literal_delta_rechecks_the_node_alone(self):
+        graph = rings(FRIEND_RING[:2])  # a -> b -> c; :a has no name
+        validator = DeltaValidator(SHAPES, graph)
+        for i in range(COPIES):
+            # Renamed, :b still conforms: its referrer :a is not rechecked.
+            copy = f"r{i}"
+            assert apply(graph, validator, added=(name(copy, "b", "b2"),),
+                         removed=(name(copy, "b", "b"),)) == 1
+            assert validator.snapshot() == fresh_memo_snapshot(SHAPES, graph)
+        assert validator.fallbacks == 0
+
+    def test_flip_rechecks_referrers_until_a_verdict_stands(self):
+        graph = parse_turtle("".join(
+            ring(f"r{i}", FRIEND_RING[:2])
+            + f':r{i}_x a :Person ; :name "x" ; :friend :r{i}_a .\n'
+            for i in range(COPIES)))
+        validator = DeltaValidator(SHAPES, graph)
+        assert violating(validator) == {
+            f"r{i}_{n}" for i in range(COPIES) for n in "xa"}
+        for i in range(COPIES):
+            # :c and through it :b flip; :a failed already (no name), so
+            # :x, which refers to :a, is not rechecked.
+            assert apply(graph, validator, removed=(name(f"r{i}", "c", "c"),)) == 3
+            assert validator.snapshot() == fresh_memo_snapshot(SHAPES, graph)
+        assert validator.fallbacks == 0
+        assert violating(validator) == {
+            f"r{i}_{n}" for i in range(COPIES) for n in "xabc"}
+
+    def test_type_change_reaches_the_referrer_without_a_row_change(self):
+        graph = rings(FRIEND_RING[1:2])  # b -> c
+        validator = DeltaValidator(SHAPES, graph)
+        for i in range(COPIES):
+            # :c keeps its name, so its Person verdict stays true, but
+            # :b's sh:class test on it fails now.  :c leaves the report.
+            assert apply(graph, validator, removed=(typed(f"r{i}", "c"),)) == 1
+            assert validator.snapshot() == fresh_memo_snapshot(SHAPES, graph)
+        assert validator.fallbacks == 0
+        assert violating(validator) == {
+            f"r{i}_{n}" for i in range(COPIES) for n in "ab"}
+
+    def test_cycle_closed_through_an_unflipped_verdict_falls_back(self):
+        graph = rings(FRIEND_RING[1:])  # b -> c -> a; :a has no name
+        validator = DeltaValidator(SHAPES, graph)
+        assert violating(validator) == {
+            f"r{i}_{n}" for i in range(COPIES) for n in "abc"}
+        for i in range(COPIES):
+            # :a -> :b closes the ring.  No verdict flips, but checked
+            # from :a the ring now reads :a as in progress and :b passes:
+            # a recheck of :a that read :b's row would report :b.
+            assert apply(graph, validator, added=(friend(f"r{i}", "a", "b"),)) == 3
+            assert validator.fallbacks == i + 1
+            assert validator.snapshot() == fresh_memo_snapshot(SHAPES, graph)
+
+    def test_tainted_entry_in_the_affected_set_falls_back(self):
+        # :p -> :u -> :y <-> :z.  Only :p is targeted; the ring lies
+        # outside any delta's affected set, so :p's entry is tainted and
+        # :u, whose verdict is tainted too, has no row that could flip.
+        graph = parse_turtle("".join(PREFIX + f"""
+            :{c}_p a :Person ; :home :{c}_u .
+            :{c}_u :street "u" ; :next :{c}_y .
+            :{c}_y :street "y" ; :next :{c}_z .
+            :{c}_z :street "z" ; :next :{c}_y .
+            """ for c in (f"r{i}" for i in range(COPIES))))
+        validator = DeltaValidator(ADDRESS_SHAPES, graph)
+        assert validator.conforms
+        for i in range(COPIES):
+            street = t(f'<http://x/r{i}_u> <http://x/street> "u" .')
+            assert apply(graph, validator, removed=(street,)) == 1
+            assert validator.fallbacks == i + 1
+            assert validator.snapshot() == fresh_memo_snapshot(ADDRESS_SHAPES, graph)
+        assert violating(validator) == {f"r{i}_p" for i in range(COPIES)}
+
+    def test_merged_batch_of_eight_deltas(self):
+        graph = rings(FRIEND_RING[:2])  # a -> b -> c; :a has no name
+        result = S3PG().transform(graph, SHAPES)
+        validator = DeltaValidator(SHAPES, graph)
+        pipeline = CDCPipeline(
+            result.transformed, graph, store=PropertyGraphStore(result.graph),
+            validator=validator,
+            config=CDCConfig(max_batch_size=8, max_linger_s=0.0))
+        d = t(f"<http://x/r7_d> {TYPE} <http://x/Person> .")
+        batch = [  # one delta per copy, then rechecks of that copy
+            ((name("r0", "b", "b2"),), (name("r0", "b", "b"),)),   # b
+            ((), (name("r1", "c", "c"),)),                         # c b a
+            ((), (typed("r2", "c"),)),                             # b a
+            ((name("r3", "a", "a"),), ()),                         # a
+            ((), (friend("r4", "a", "b"),)),                       # a
+            ((), (name("r5", "b", "b"),)),                         # b a
+            ((name("r6", "c", "c2"),), ()),                        # c b a
+            ((d, name("r7", "d", "d"), friend("r7", "d", "a")), ()),  # d
+        ]
+        stats = replay_deltas(pipeline, [
+            Delta(seq, added=added, removed=removed)
+            for seq, (added, removed) in enumerate(batch, 1)])
+        assert stats.batches == 1 and stats.deltas_applied == 8
+        assert stats.focus_rechecked == validator.last_rechecked == 14
+        assert validator.fallbacks == 0
+        assert validator.snapshot() == fresh_memo_snapshot(SHAPES, graph)
+        # A second batch closes a ring in every copy but the first.
+        stats = replay_deltas(pipeline, [
+            Delta(8 + i, added=(friend(f"r{i}", "c", "a"),)) for i in range(1, COPIES)])
+        assert stats.batches == 2 and validator.fallbacks == 1
         assert validator.snapshot() == fresh_memo_snapshot(SHAPES, graph)
 
 

@@ -189,17 +189,23 @@ class TestMatchesReference:
         assert shape.property_shape_for("http://x/name").min_count == 0
 
     @pytest.mark.parametrize("config", [
+        ExtractionConfig(),
         ExtractionConfig(min_class_support=2),
         ExtractionConfig(derive_hierarchy=False),
-    ], ids=["cycle-unshaped", "no-hierarchy"])
+    ], ids=["cycle-shaped", "cycle-unshaped", "no-hierarchy"])
     def test_subclass_cycle(self, config):
         graph = parse_turtle(PREFIX + """
-        :A rdfs:subClassOf :B . :B rdfs:subClassOf :A .
+        :A rdfs:subClassOf :B . :B rdfs:subClassOf :A . :A rdfs:subClassOf :A .
         :e a :E ; :rel :v . :e2 a :E ; :rel :v . :v a :A, :B .
         """)
         schema = same_as_reference(graph, config)
         # Each type is a superclass of the other: neither is most specific.
         assert schema.shape_for_class("http://x/E").property_shapes == []
+        # Shaped, the edge that would close the cycle is skipped and the
+        # first one in edge order is kept.
+        a, b = (schema.shape_for_class(f"http://x/{c}") for c in "AB")
+        if a is not None and config.derive_hierarchy:
+            assert (a.extends, b.extends) == ((b.name,), ())
 
     def test_rdf_type_object_literal_or_blank(self):
         graph = parse_turtle(PREFIX + """
