@@ -23,6 +23,7 @@ from statistics import mean
 
 from conftest import write_json_result, write_result
 
+from repro import obs
 from repro.core import S3PG
 from repro.datasets.university import (
     UNIVERSITY_CYPHER_WORKLOAD,
@@ -119,11 +120,14 @@ def test_fig6_planner_ablation(benchmark):
     result = S3PG().transform(graph, university_shapes())
     store = PropertyGraphStore(result.graph)
 
-    # Estimate-vs-actual summaries from the cardinality-feedback store
-    # of the planner-on engines, embedded in the JSON artifact.
-    feedback: dict[str, dict] = {}
+    # Per-statement estimate accuracy from the workload tracker,
+    # embedded in the JSON artifact.  A text runs on both arms, so it is
+    # one statement; only the planned runs carry a plan-cache lookup and
+    # a q-error.
+    q_errors: dict[str, dict] = {}
 
     def run_ablation():
+        tracker = obs.install_workload()
         rows = []
         sparql_on = SparqlEngine(graph)
         sparql_off = SparqlEngine(graph, planner=False)
@@ -153,19 +157,27 @@ def test_fig6_planner_ablation(benchmark):
                 "results_identical":
                     normalize_cypher_rows(r_on) == normalize_cypher_rows(r_off),
             })
-        for lang, engine in (("sparql", sparql_on), ("cypher", cypher_on)):
-            summary = engine.planner.feedback.summary()
-            summary["worst_plans"] = [
-                {"detail": entry["operators"][0]["detail"]
-                          if entry["operators"] else "",
-                 "max_q_error": entry["max_q_error"],
-                 "executions": entry["executions"]}
-                for entry in sorted(
-                    engine.planner.feedback.snapshot(),
-                    key=lambda e: e["max_q_error"], reverse=True,
-                )[:5]
+        obs.uninstall_workload()
+        for lang in ("sparql", "cypher"):
+            statements = [
+                {"query": s["query"], "q_error_max": s["q_error_max"],
+                 "q_error_mean": s["q_error_mean"],
+                 "planned_executions":
+                     s["plan_cache_hits"] + s["plan_cache_misses"]}
+                for s in tracker.snapshot(lang=lang)
             ]
-            feedback[lang] = summary
+            q_errors[lang] = {
+                "statements": len(statements),
+                "planned_executions":
+                    sum(s["planned_executions"] for s in statements),
+                "max_q_error": max(
+                    (s["q_error_max"] or 1.0 for s in statements), default=1.0
+                ),
+                "worst_statements": sorted(
+                    statements, key=lambda s: s["q_error_max"] or 1.0,
+                    reverse=True,
+                )[:5],
+            }
         return rows
 
     rows = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
@@ -200,7 +212,7 @@ def test_fig6_planner_ablation(benchmark):
     write_json_result(
         "fig6_planner_ablation", rows,
         scale=scale, quick=BENCH_QUICK, triples=len(graph),
-        feedback=feedback, latency_quantiles=latency_quantiles,
+        q_error=q_errors, latency_quantiles=latency_quantiles,
     )
 
     # Correctness is unconditional: identical bags in every mode.
@@ -208,11 +220,11 @@ def test_fig6_planner_ablation(benchmark):
         assert row["results_identical"], (row["qid"], row["lang"])
         assert row["rows"] > 0, row["qid"]
 
-    # The feedback store observed every planned query: sane q-errors.
+    # The tracker observed every planned query: sane q-errors.
     for lang in ("sparql", "cypher"):
-        assert feedback[lang]["plans"] > 0, lang
-        assert feedback[lang]["max_q_error"] >= 1.0, lang
-        assert math.isfinite(feedback[lang]["max_q_error"]), lang
+        assert q_errors[lang]["planned_executions"] > 0, lang
+        assert q_errors[lang]["max_q_error"] >= 1.0, lang
+        assert math.isfinite(q_errors[lang]["max_q_error"]), lang
 
     if BENCH_QUICK:
         return

@@ -11,8 +11,11 @@ stats collection entirely.  This bench pins that property down two ways:
 * an A/B of the serial transform with tracing off vs. on, reported (but
   not asserted — wall-clock A/Bs at this scale are noise-dominated), and
 * the same per-call budget argument with the **flight recorder**
-  installed: bounded span ring + fast-path ``record_query`` hook must
-  also land under 5%, and the ring must stay at its capacity bound.
+  installed: bounded span ring + the one per-query report
+  (``obs.report_query``) must also land under 5%, and the ring must stay
+  at its capacity bound, and
+* the report of a planned query with the **workload tracker**
+  installed, under the same budget.
 """
 
 from __future__ import annotations
@@ -96,8 +99,9 @@ def test_recorder_overhead(dbpedia2022_bundle):
     """Flight-recorder-enabled instrumentation must stay under 5%.
 
     The recorder path is costlier than disabled tracing: every span
-    lands in the bounded ring and every finished query pays the
-    ``record_query`` threshold check.  Both per-call costs, scaled by
+    lands in the bounded ring and every finished query pays its report:
+    the per-query metrics and the slow-op threshold check.  Both
+    per-call costs, scaled by
     the span budget, must still fit the same 5% envelope — and the span
     ring must honour its capacity bound no matter how many spans flow
     through it.
@@ -119,7 +123,7 @@ def test_recorder_overhead(dbpedia2022_bundle):
         start = time.perf_counter()
         for _ in range(calls):
             # Fast path: below the slow threshold, so no capture.
-            obs.record_query("sparql", "SELECT 1", 0.0001, 1)
+            obs.report_query("sparql", "SELECT 1", None, 0.0001, 1)
         per_record = (time.perf_counter() - start) / calls
 
         # The ring is bounded: 100k spans flowed, at most 1024 retained.
@@ -129,7 +133,7 @@ def test_recorder_overhead(dbpedia2022_bundle):
         overhead = (per_span + per_record) * SPAN_BUDGET / transform_s
         rows = [{
             "recorded_span_ns": round(per_span * 1e9, 1),
-            "record_query_ns": round(per_record * 1e9, 1),
+            "report_query_ns": round(per_record * 1e9, 1),
             "span_budget": SPAN_BUDGET,
             "spans_buffered": len(recorder.tracer),
             "span_capacity": recorder.span_capacity,
@@ -153,39 +157,46 @@ def test_statements_tracking_overhead(dbpedia2022_bundle):
     """Workload statement tracking must also fit the 5% envelope.
 
     Per the same budget argument: the per-call cost of
-    ``obs.record_statement`` — fingerprint the (pre-parsed) query,
-    update the per-statement aggregate, bump the metric families —
-    scaled by the span budget must stay under 5% of a serial transform.
-    The disabled hook (no tracker installed) must be near-free.
+    ``obs.report_query`` for a planned query, with the record its
+    engine passes — its metrics (runs, latency, plan-cache lookup,
+    operator rows, q-error), then the prepared statement's cached
+    fingerprint and the per-statement aggregate — scaled by the span
+    budget must stay under 5% of a serial transform.  Without a tracker
+    the report writes the metrics alone.  A ``planner=False`` engine
+    passes the parsed query, which is fingerprinted on every call; that
+    cost is reported alongside, not gated.
     """
+    from repro.datasets.university import university_graph
+    from repro.query.sparql import SparqlEngine
     from repro.query.sparql.parser import parse_sparql
 
     transform_s = min(_transform_seconds(dbpedia2022_bundle) for _ in range(3))
 
     text = (
         "SELECT ?s ?name WHERE { "
-        "?s a <http://example.org/T> . "
-        "?s <http://example.org/name> ?name }"
+        "?s a <http://example.org/university#Student> . "
+        "?s <http://example.org/university#name> ?name }"
     )
-    query = parse_sparql(text)
+    engine = SparqlEngine(university_graph())
+    engine.query(text)
+    statement = engine.statements.prepare(text)
+    executions = engine.planner.last_executions
     calls = 20_000
 
-    # Disabled: the None-check fast path.
+    def per_call(query) -> float:
+        start = time.perf_counter()
+        for _ in range(calls):
+            obs.report_query("sparql", text, query, 0.001, 10, executions)
+        return (time.perf_counter() - start) / calls
+
+    # No tracker: the metrics and a None check.
     assert obs.get_workload() is None
-    start = time.perf_counter()
-    for _ in range(calls):
-        obs.record_statement("sparql", text, query, 0.001, 10)
-    per_disabled = (time.perf_counter() - start) / calls
+    per_disabled = per_call(statement)
 
     obs.install_workload()
     try:
-        start = time.perf_counter()
-        for _ in range(calls):
-            obs.record_statement(
-                "sparql", text, query, 0.001, 10,
-                cache_hit=True, q_error=1.5,
-            )
-        per_enabled = (time.perf_counter() - start) / calls
+        per_enabled = per_call(statement)
+        per_parsed = per_call(parse_sparql(text))
     finally:
         obs.uninstall_workload()
         obs.get_metrics().reset()
@@ -193,7 +204,8 @@ def test_statements_tracking_overhead(dbpedia2022_bundle):
     overhead = per_enabled * SPAN_BUDGET / transform_s
     rows = [{
         "disabled_hook_ns": round(per_disabled * 1e9, 1),
-        "record_statement_ns": round(per_enabled * 1e9, 1),
+        "report_query_ns": round(per_enabled * 1e9, 1),
+        "report_parsed_query_ns": round(per_parsed * 1e9, 1),
         "span_budget": SPAN_BUDGET,
         "transform_s": round(transform_s, 4),
         "overhead_pct": round(overhead * 100, 4),

@@ -322,6 +322,7 @@ class CDCPipeline:
                 self._m_latency.observe(latency)
                 if len(self.stats.latencies) < _MAX_SAMPLES:
                     self.stats.latencies.append(latency)
+            rechecked = 0
             if (added_effective or removed_effective) and (
                 config.validate and self.validator is not None
             ):
@@ -343,6 +344,7 @@ class CDCPipeline:
             span.set("applied", applied)
             span.set("triples_added", len(added_effective))
             span.set("triples_removed", len(removed_effective))
+            span.set("rechecked", rechecked)
             if (
                 self.checkpoint_dir is not None
                 and config.checkpoint_every > 0

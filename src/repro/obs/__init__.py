@@ -27,6 +27,7 @@ from .export import (
 from .metrics import (
     DEFAULT_BOUNDARIES,
     LATENCY_BOUNDARIES,
+    Q_ERROR_BOUNDARIES,
     Counter,
     Gauge,
     Histogram,
@@ -41,7 +42,7 @@ from .recorder import (
     get_recorder,
     install_recorder,
     record_op,
-    record_query,
+    report_query,
     uninstall_recorder,
 )
 from .server import OpsServer
@@ -52,7 +53,6 @@ from .workload import (
     get_workload,
     install_workload,
     plan_cache_stats,
-    record_statement,
     register_plan_cache,
     uninstall_workload,
 )
@@ -78,6 +78,7 @@ __all__ = [
     "LATENCY_BOUNDARIES",
     "MetricsRegistry",
     "OpsServer",
+    "Q_ERROR_BOUNDARIES",
     "SelfTimeRow",
     "Span",
     "StatementStats",
@@ -99,10 +100,9 @@ __all__ = [
     "plan_cache_stats",
     "quantiles_from_histogram",
     "record_op",
-    "record_query",
-    "record_statement",
     "register_plan_cache",
     "render_profile",
+    "report_query",
     "set_tracer",
     "span",
     "spans_to_chrome_trace",

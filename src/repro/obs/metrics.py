@@ -30,6 +30,7 @@ __all__ = [
     "quantiles_from_histogram",
     "DEFAULT_BOUNDARIES",
     "LATENCY_BOUNDARIES",
+    "Q_ERROR_BOUNDARIES",
 ]
 
 #: Default histogram bucket boundaries (seconds-flavoured).
@@ -43,6 +44,12 @@ DEFAULT_BOUNDARIES: tuple[float, ...] = (
 LATENCY_BOUNDARIES: tuple[float, ...] = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
+)
+
+#: Buckets for cardinality q-errors: 1.0 is a perfect estimate, >10 is
+#: a badly mis-ordered join, >1000 is pathological.
+Q_ERROR_BOUNDARIES: tuple[float, ...] = (
+    1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 25.0, 100.0, 1000.0,
 )
 
 

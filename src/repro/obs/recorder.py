@@ -1,4 +1,4 @@
-"""The flight recorder: always-on, bounded runtime diagnostics.
+"""The flight recorder, and the one report every query makes.
 
 A :class:`FlightRecorder` owns two ring buffers sized for an always-on
 service:
@@ -13,9 +13,11 @@ service:
   when the operation actually crossed the threshold, so fast operations
   never pay for explain assembly.
 
-The module-level hooks (:func:`record_query`, :func:`record_op`) are
-called unconditionally from the engines and the CDC pipeline; with no
-recorder installed they are a single attribute check, keeping the
+:func:`report_query` is the one record of a finished query on either
+engine: it writes every per-query metric and feeds the slow-op log and
+the workload tracker.  :func:`record_op` feeds the CDC batches to the
+slow-op log.  Both are called unconditionally; with no recorder or
+tracker installed those feeds are a single attribute check, keeping the
 disabled path within the overhead budget pinned by
 ``benchmarks/bench_obs_overhead.py``.
 """
@@ -28,15 +30,16 @@ import time
 from collections import deque
 from collections.abc import Callable
 
-from .metrics import LATENCY_BOUNDARIES, get_metrics
+from .metrics import LATENCY_BOUNDARIES, Q_ERROR_BOUNDARIES, get_metrics
 from .tracer import Tracer, get_tracer, set_tracer
+from .workload import get_workload
 
 __all__ = [
     "FlightRecorder",
     "get_recorder",
     "install_recorder",
     "record_op",
-    "record_query",
+    "report_query",
     "uninstall_recorder",
 ]
 
@@ -104,10 +107,7 @@ class FlightRecorder:
                 record["plan_error"] = f"{type(exc).__name__}: {exc}"
         with self._lock:
             self._slow.append(record)
-        get_metrics().counter(
-            "repro_slow_ops_total",
-            help="operations captured by the slow-op log",
-        ).inc(1, kind=kind)
+        _family(get_metrics(), "repro_slow_ops_total").inc(1, kind=kind)
         return record
 
     # ------------------------------------------------------------------ #
@@ -171,23 +171,11 @@ def install_recorder(
     if get_tracer() is None:
         set_tracer(_RECORDER.tracer)
     metrics = get_metrics()
-    metrics.counter("repro_query_runs_total", help="query engine invocations")
-    metrics.histogram(
-        "repro_query_latency_seconds",
-        boundaries=LATENCY_BOUNDARIES,
-        help="end-to-end query evaluation latency",
-    )
-    metrics.counter(
-        "repro_slow_ops_total", help="operations captured by the slow-op log"
-    )
-    # Lazy import: plan.stats imports repro.obs at module load.
-    from ..query.plan.stats import Q_ERROR_BOUNDARIES
-
-    metrics.histogram(
-        "repro_plan_q_error",
-        boundaries=Q_ERROR_BOUNDARIES,
-        help="per-plan worst cardinality q-error",
-    )
+    for name in (
+        "repro_query_runs_total", "repro_query_latency_seconds",
+        "repro_slow_ops_total", "repro_plan_q_error",
+    ):
+        _family(metrics, name)
     return _RECORDER
 
 
@@ -206,26 +194,6 @@ def get_recorder() -> FlightRecorder | None:
     return _RECORDER
 
 
-def record_query(
-    lang: str,
-    text: str,
-    duration_s: float,
-    rows: int,
-    plan: Callable[[], object] | None = None,
-) -> None:
-    """Feed one finished query to the recorder (no-op when absent)."""
-    recorder = _RECORDER
-    if recorder is None:
-        return
-    recorder.observe(
-        "query",
-        text,
-        duration_s,
-        detail={"lang": lang, "rows": rows},
-        plan=plan,
-    )
-
-
 def record_op(
     kind: str,
     name: str,
@@ -238,3 +206,110 @@ def record_op(
     if recorder is None:
         return
     recorder.observe(kind, name, duration_s, detail=detail, plan=plan)
+
+
+# --------------------------------------------------------------------- #
+# The per-query report
+# --------------------------------------------------------------------- #
+
+#: The families a query's report (and the slow-op log) write:
+#: name -> (help, histogram boundaries, or None for a counter).
+_FAMILIES = {
+    "repro_query_runs_total": ("query engine invocations", None),
+    "repro_query_latency_seconds": (
+        "end-to-end query evaluation latency", LATENCY_BOUNDARIES
+    ),
+    "repro_plan_cache_total": ("plan cache lookups", None),
+    "repro_plan_operator_rows_total": ("rows produced by physical plan operators", None),
+    "repro_plan_q_error": ("per-plan worst cardinality q-error", Q_ERROR_BOUNDARIES),
+    "repro_cypher_expansions_total": ("edges considered by pattern expansion", None),
+    "repro_cypher_rows_total": ("result rows produced", None),
+    "repro_sparql_pattern_matches_total": (
+        "bindings yielded by triple-pattern matches", None
+    ),
+    "repro_slow_ops_total": ("operations captured by the slow-op log", None),
+}
+
+
+def _family(metrics, name: str):
+    help, boundaries = _FAMILIES[name]
+    if boundaries is None:
+        return metrics.counter(name, help=help)
+    return metrics.histogram(name, boundaries=boundaries, help=help)
+
+
+_BOUND: dict[tuple, tuple] = {}
+
+
+def _child(metrics, name: str, **labels):
+    """The child of ``name`` for ``labels``, bound once per registry."""
+    family = _family(metrics, name)
+    key = (name, *labels.values())
+    bound = _BOUND.get(key)
+    if bound is None or bound[0] is not family:
+        bound = _BOUND[key] = (family, family.labels(**labels))
+    return bound[1]
+
+
+def _count_execution(metrics, lang: str, execution) -> None:
+    """One planned execution's plan-cache lookup, operator rows and
+    q-error; the lookup and row children are bound once per plan."""
+    family, plan = _family(metrics, "repro_plan_operator_rows_total"), execution.plan
+    if plan.row_counters is None or plan.row_counters[0] is not family:
+        lookups = _family(metrics, "repro_plan_cache_total")
+        plan.row_counters = (
+            family,
+            [family.labels(lang=lang, op=op.op) for op in plan.ops],
+            [lookups.labels(engine=lang, result=r) for r in ("miss", "hit")],
+        )
+    _, rows, lookups = plan.row_counters
+    lookups[execution.hit].inc()
+    for child, actual in zip(rows, execution.rows):
+        child.inc(actual)
+    if execution.worst is not None:
+        _child(metrics, "repro_plan_q_error", engine=lang).observe(execution.worst)
+
+
+def report_query(
+    lang: str,
+    text: str,
+    statement,
+    duration_s: float,
+    rows: int,
+    executions=(),
+    plan: Callable[[], object] | None = None,
+    counters: dict | None = None,
+) -> None:
+    """Report one finished query: the only writer of per-query metrics.
+
+    Both engines' ``query()`` and ``explain()`` call this once, with one
+    record: the language, the text, the prepared statement (or parsed
+    query) the tracker fingerprints, the wall time, the row count, the
+    planner's :class:`~repro.query.plan.operator.Execution` records (one
+    per planned BGP or MATCH clause), a lazy plan builder for the
+    slow-op log, and the engine's counters as ``{name: amount}`` (written
+    to the label-less ``repro_<lang>_<name>_total``).  A statement is a
+    plan-cache hit when every execution hit, and its q-error is the
+    worst across them.
+    """
+    metrics = get_metrics()
+    _child(metrics, "repro_query_runs_total", lang=lang).inc()
+    _child(metrics, "repro_query_latency_seconds", lang=lang).observe(duration_s)
+    for name, amount in (counters or {}).items():
+        _child(metrics, f"repro_{lang}_{name}_total").inc(amount)
+    for execution in executions:
+        _count_execution(metrics, lang, execution)
+    recorder = _RECORDER
+    if recorder is not None:
+        recorder.observe(
+            "query", text, duration_s, detail={"lang": lang, "rows": rows},
+            plan=plan,
+        )
+    tracker = get_workload()
+    if tracker is not None:
+        worst = [e.worst for e in executions if e.worst is not None]
+        tracker.record(
+            lang, text, statement, duration_s, rows,
+            cache_hit=all(e.hit for e in executions) if executions else None,
+            q_error=max(worst, default=None),
+        )

@@ -13,10 +13,10 @@ A bounded registry aggregates every execution on both engines by
   :class:`StatementStats` keyed by ``(lang, fingerprint)``: calls,
   total/min/max latency, a fixed-boundary latency histogram on the
   shared ``LATENCY_BOUNDARIES``, rows returned, plan-cache hit/miss,
-  and worst/mean q-error joined from the planner's ``FeedbackStore``.
-  Both engines feed it through the :func:`record_statement` hook (a
-  no-op ``None`` check when no tracker is installed, the same pattern
-  as the flight recorder); ``/debug/statements`` and ``/healthz`` read
+  and worst/mean q-error of the planned executions.  It is the one
+  per-statement view of estimate accuracy.  Both engines feed it
+  through :func:`repro.obs.report_query` (a no-op ``None`` check when
+  no tracker is installed); ``/debug/statements`` and ``/healthz`` read
   it.
 """
 
@@ -41,7 +41,6 @@ __all__ = [
     "get_workload",
     "install_workload",
     "plan_cache_stats",
-    "record_statement",
     "register_plan_cache",
     "uninstall_workload",
 ]
@@ -248,7 +247,7 @@ class WorkloadTracker:
 
 
 # --------------------------------------------------------------------- #
-# Global tracker (install/uninstall + fast-path hook)
+# Global tracker (install/uninstall)
 # --------------------------------------------------------------------- #
 
 _TRACKER: WorkloadTracker | None = None
@@ -269,25 +268,6 @@ def uninstall_workload() -> None:
 
 def get_workload() -> WorkloadTracker | None:
     return _TRACKER
-
-
-def record_statement(
-    lang: str,
-    text: str,
-    query,
-    duration_s: float,
-    rows: int,
-    cache_hit: bool | None = None,
-    q_error: float | None = None,
-) -> None:
-    """Engine hook: a no-op unless a tracker is installed."""
-    tracker = _TRACKER
-    if tracker is None:
-        return
-    tracker.record(
-        lang, text, query, duration_s, rows,
-        cache_hit=cache_hit, q_error=q_error,
-    )
 
 
 # --------------------------------------------------------------------- #

@@ -8,7 +8,6 @@ grouping, as in openCypher).
 
 from __future__ import annotations
 
-import time
 from collections.abc import Iterator
 from functools import partial
 from itertools import repeat
@@ -19,6 +18,7 @@ from ...lexer import resolve
 from ...pg.model import PGEdge, PGNode
 from ...pg.store import PropertyGraphStore
 from ..plan.cypher_plan import PreparedQuery, prepare_cypher
+from ..engine import Engine
 from .ast import (
     Coalesce,
     CountStar,
@@ -97,7 +97,7 @@ def _value_key(value: object) -> object:
     return (type(value).__name__, value)
 
 
-class CypherEngine:
+class CypherEngine(Engine):
     """Evaluates parsed Cypher queries against an indexed PG store.
 
     Args:
@@ -112,15 +112,14 @@ class CypherEngine:
         >>> rows = engine.query("MATCH (n:Person) RETURN n.iri")
     """
 
+    lang = "cypher"
+
     def __init__(self, store: PropertyGraphStore, planner: bool = True):
         self.store = store
         #: Edges considered by pattern expansion in the current query.
         self._expansions = 0
         #: Values of the current query's ``$n`` slots.
         self._params = ()
-        self.planner = None
-        #: Statements prepared once per token shape (planned engines).
-        self.statements = None
         if planner:
             from ..plan import CypherPlanner
             from ..statements import StatementCache
@@ -146,63 +145,9 @@ class CypherEngine:
         bound = self.statements.prepare(strip_statement(text))
         return bound.statement.prepared, bound.params, bound
 
-    def query(self, text: str) -> list[dict[str, object]]:
-        """Parse (once per token shape) and evaluate; returns a list of
-        column-name -> value rows."""
-        query, params, statement = self._prepare(text)
-        start = time.perf_counter()
-        rows = self.evaluate(query, params=params)
-        duration = time.perf_counter() - start
-        plan = None
-        cache_hit = q_error = None
-        if self.planner is not None:
-            executions, n_rows = self.planner.last_executions, len(rows)
-            plan = lambda: self._assemble_explain(
-                query, n_rows, executions
-            ).to_dict()
-            # One query may plan several MATCH clauses: a statement is a
-            # cache hit only when every clause hit, and its q-error is
-            # the worst across the clauses' plans.
-            if executions:
-                cache_hit = all(execution.hit for execution in executions)
-            errors = [e.worst for e in executions if e.worst is not None]
-            q_error = max(errors) if errors else None
-        obs.record_query("cypher", text, duration, len(rows), plan=plan)
-        obs.record_statement(
-            "cypher", text, statement, duration, len(rows),
-            cache_hit=cache_hit, q_error=q_error,
-        )
-        return rows
-
-    def count(self, text: str) -> int:
-        """Number of result rows of a query."""
-        return len(self.query(text))
-
-    def explain(self, text: str, fmt: str = "text", analyze: bool = False):
-        """Run a query and explain its physical plan.
-
-        Returns the rendered tree as a string (``fmt="text"``) or a
-        JSON-friendly dict (``fmt="json"``).  Non-optional MATCH
-        clauses show the planner's operator pipeline with estimated
-        and actual cardinalities; OPTIONAL MATCH and the clause tail
-        are evaluated by the engine's fixed code and appear as logical
-        nodes.  With ``analyze`` the physical operators also report
-        loop counts and inclusive per-operator wall time.
-        """
-        from ..plan import render_text
-
-        if self.planner is None:
-            raise QueryError("EXPLAIN requires the planner to be enabled")
-        if fmt not in ("text", "json"):
-            raise QueryError(f"unknown explain format {fmt!r}")
-        query, params, _ = self._prepare(text)
+    def _execute(self, query, params, analyze: bool):
         rows = self.evaluate(query, analyze, params)
-        root = self._assemble_explain(
-            query, len(rows), self.planner.last_executions
-        )
-        if fmt == "json":
-            return root.to_dict()
-        return render_text(root)
+        return rows, {"expansions": self._expansions, "rows": len(rows)}
 
     def _assemble_explain(self, query: CypherQuery, result_rows: int, executions):
         from ..plan.explain import ExplainNode
@@ -276,8 +221,7 @@ class CypherEngine:
         self._params = params
         self._expansions = 0
         if self.planner is not None:
-            self.planner.reset_explains()
-        start = time.perf_counter()
+            self.planner.last_executions = []
         with obs.span("cypher.evaluate", parts=len(query.parts)) as span:
             rows: list[dict[str, object]] = []
             columns: list[str] | None = None
@@ -291,22 +235,6 @@ class CypherEngine:
                 rows.extend(map(dict, map(zip, repeat(columns), part_rows)))
             span.set("rows", len(rows))
             span.set("expansions", self._expansions)
-        metrics = obs.get_metrics()
-        metrics.counter(
-            "repro_query_runs_total", help="query engine invocations"
-        ).inc(1, lang="cypher")
-        metrics.histogram(
-            "repro_query_latency_seconds",
-            boundaries=obs.LATENCY_BOUNDARIES,
-            help="end-to-end query evaluation latency",
-        ).observe(time.perf_counter() - start, lang="cypher")
-        metrics.counter(
-            "repro_cypher_expansions_total",
-            help="edges considered by pattern expansion",
-        ).inc(self._expansions)
-        metrics.counter(
-            "repro_cypher_rows_total", help="result rows produced"
-        ).inc(len(rows))
         return rows
 
     # ------------------------------------------------------------------ #

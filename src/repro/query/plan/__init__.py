@@ -27,16 +27,9 @@ engines' existing code, keeping planned runs result-identical to the
 from .cache import PlanCache
 from .cypher_plan import CypherPlanner
 from .explain import ExplainNode, render_text
-from .operator import PhysicalOperator
+from .operator import PhysicalOperator, q_error
 from .sparql_plan import SparqlPlanner, explain_select
-from .stats import (
-    FeedbackStore,
-    GraphCatalog,
-    Q_ERROR_BOUNDARIES,
-    SeedChoice,
-    StoreCatalog,
-    q_error,
-)
+from .stats import GraphCatalog, SeedChoice, StoreCatalog
 from .vectorized import (
     DEFAULT_BATCH_SIZE,
     BatchedBGP,
@@ -51,11 +44,9 @@ __all__ = [
     "CypherPlanner",
     "DEFAULT_BATCH_SIZE",
     "ExplainNode",
-    "FeedbackStore",
     "GraphCatalog",
     "PhysicalOperator",
     "PlanCache",
-    "Q_ERROR_BOUNDARIES",
     "SeedChoice",
     "SparqlPlanner",
     "StoreCatalog",

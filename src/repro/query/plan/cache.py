@@ -23,7 +23,6 @@ from collections import OrderedDict
 
 from ... import obs
 from .operator import Execution
-from .stats import FeedbackStore, q_error
 from .vectorized import DEFAULT_BATCH_SIZE
 
 __all__ = ["CachingPlanner", "PlanCache"]
@@ -119,11 +118,9 @@ class CachingPlanner:
         self.cache = PlanCache(cache_size)
         #: Rows per batch of the plans built from here on.
         self.batch_size = DEFAULT_BATCH_SIZE
-        #: Observed-cardinality feedback, keyed by shape (no version).
-        self.feedback = FeedbackStore(self.lang)
-        #: (lookup counter family, miss child, hit child), rebound when
-        #: the metrics registry is reset.
-        self._lookups: tuple = (None,)
+        #: Records of the plans the last query executed (the engine
+        #: derives EXPLAIN and the query's report from these).
+        self.last_executions: list[Execution] = []
         obs.register_plan_cache(self.lang, self.cache)
 
     def _plan(self, key: tuple, build, **attrs):
@@ -138,46 +135,17 @@ class CachingPlanner:
         if obs.enabled():
             with obs.span(f"{self.lang}.plan", cache_hit=hit, **attrs):
                 pass
-        family = obs.get_metrics().counter(
-            "repro_plan_cache_total", help="plan cache lookups"
-        )
-        if self._lookups[0] is not family:
-            self._lookups = (family, *(
-                family.labels(engine=self.lang, result=result)
-                for result in ("miss", "hit")
-            ))
-        self._lookups[1 + hit].inc()
         return plan, hit
 
-    def _record(self, key: tuple, hit: bool, plan, params, analyze: bool) -> Execution:
-        """Take an execution's record and feed the live telemetry.
+    def _record(self, key: tuple, hit: bool, plan, params, analyze: bool) -> None:
+        """Take an execution's record.
 
-        The per-operator row counters (bound once per plan) and the
-        q-error histogram are fed here; the EXPLAIN tree, the feedback
-        entry and the per-operator spans are derived from the record,
-        the last two only when a tracer or a reader wants them.
+        Under a tracer, one zero-length span per operator carries its
+        cardinalities (operators interleave their work, so only those
+        are exact); the metrics are the query's report's to write.
         """
-        ops = plan.ops
-        execution = Execution(key, hit, plan.root, ops, params, analyze)
-        family = obs.get_metrics().counter(
-            "repro_plan_operator_rows_total",
-            help="rows produced by physical plan operators",
-        )
-        if plan.row_counters is None or plan.row_counters[0] is not family:
-            plan.row_counters = (family, [
-                family.labels(lang=self.lang, op=op.op) for op in ops
-            ])
-        worst = 0.0  # q-errors are >= 1: 0 means no physical operator
-        for op, child, actual in zip(ops, plan.row_counters[1], execution.rows):
-            child.inc(actual)
-            if op.est_rows is not None:
-                worst = max(worst, q_error(op.est_rows, actual))
-        if worst:
-            execution.worst = worst
-            self.feedback.record(key, execution.explain, worst)
+        execution = Execution(key, hit, plan, params, analyze)
         if obs.enabled():
-            # Operators interleave their work, so only cardinalities are
-            # exact: one zero-length span per operator carries them.
             for node in execution.explain().walk():
                 with obs.span(
                     f"{self.lang}.plan.operator",
@@ -187,4 +155,4 @@ class CachingPlanner:
                     actual_rows=node.actual_rows,
                 ):
                     pass
-        return execution
+        self.last_executions.append(execution)

@@ -52,7 +52,6 @@ from ..cypher.ast import (
 )
 from ..normalize import lift_paths
 from .cache import CachingPlanner
-from .operator import Execution
 from .stats import SeedChoice, StoreCatalog
 from .vectorized import BatchMatchPlan, build_batched_match
 
@@ -200,14 +199,6 @@ class CypherPlanner(CachingPlanner):
     def __init__(self, store: PropertyGraphStore, cache_size: int = 128):
         self.store = store
         super().__init__(StoreCatalog(store), cache_size)
-        #: Records of the MATCH clauses executed by the last query (the
-        #: engine derives EXPLAIN and per-statement stats from these).
-        self.last_executions: list[Execution] = []
-        #: Shape key of the last executed MATCH (feedback-store key).
-        self.last_key: tuple | None = None
-
-    def reset_explains(self) -> None:
-        self.last_executions = []
 
     def _lookup_plan(
         self, rows: list[Binding], clause: PreparedMatch, params
@@ -236,7 +227,6 @@ class CypherPlanner(CachingPlanner):
             ),
             paths=len(paths),
         )
-        self.last_key = key
         return key, hit, plan, [resolve(value, params) for value in lifted_params]
 
     def execute_match(
@@ -250,7 +240,7 @@ class CypherPlanner(CachingPlanner):
         """Plan and run the (non-optional) paths of a MATCH clause."""
         key, hit, plan, params = self._lookup_plan(rows, clause, params)
         result = plan.execute(rows, engine, analyze, params)
-        self.last_executions.append(self._record(key, hit, plan, params, analyze))
+        self._record(key, hit, plan, params, analyze)
         return result
 
     def execute_match_projected(
@@ -263,7 +253,7 @@ class CypherPlanner(CachingPlanner):
         """
         key, hit, plan, params = self._lookup_plan([{}], clause, params)
         result = plan.execute_projected([{}], engine, items, analyze, params)
-        self.last_executions.append(self._record(key, hit, plan, params, analyze))
+        self._record(key, hit, plan, params, analyze)
         return result
 
     # ------------------------------------------------------------------ #

@@ -34,7 +34,18 @@ from collections.abc import Iterator
 
 from .explain import ExplainNode
 
-__all__ = ["Execution", "PhysicalOperator"]
+__all__ = ["Execution", "PhysicalOperator", "q_error"]
+
+
+def q_error(estimated: float, actual: float) -> float:
+    """The multiplicative estimation error, symmetric and >= 1.
+
+    Both sides are floored at one row (the usual convention) so empty
+    results don't divide by zero and tiny cardinalities don't dominate.
+    """
+    est = max(float(estimated), 1.0)
+    act = max(float(actual), 1.0)
+    return max(est / act, act / est)
 
 
 class PhysicalOperator:
@@ -110,29 +121,34 @@ class Execution:
 
     ``key`` is the plan's shape key and ``hit`` whether the plan came
     from the cache.  ``rows`` (and, under analyze, ``loops`` and
-    ``wall_ns``) hold one entry per operator of ``root``'s subtree in
-    pre-order.  Taking this record is all an execution pays;
-    :meth:`explain` derives the ``EXPLAIN`` tree from it, the plan and
-    the parameters on demand.
+    ``wall_ns``) hold one entry per operator of ``plan.ops``, the plan
+    root's subtree in pre-order, and ``worst`` the plan's worst
+    q-error.  Taking this record is all an
+    execution pays: :meth:`explain` derives the ``EXPLAIN`` tree from
+    it, the plan and the parameters on demand, and the query's report
+    (:func:`repro.obs.report_query`) derives the metrics.
     """
 
     __slots__ = (
-        "key", "hit", "root", "params", "rows", "loops", "wall_ns", "worst",
+        "key", "hit", "plan", "params", "rows", "loops", "wall_ns", "worst",
     )
 
-    def __init__(self, key, hit: bool, root: PhysicalOperator, ops, params,
-                 analyze: bool):
+    def __init__(self, key, hit: bool, plan, params, analyze: bool):
         self.key = key
         self.hit = hit
-        self.root = root
+        self.plan = plan
         self.params = params
+        ops = plan.ops
         self.rows = tuple([op.actual_rows for op in ops])
         self.loops = self.wall_ns = None
         if analyze:
             self.loops = tuple([op.actual_loops for op in ops])
             self.wall_ns = tuple([op.wall_ns for op in ops])
-        #: Worst q-error over the physical operators (set by the planner).
-        self.worst: float | None = None
+        #: Worst q-error over the operators with an estimate, or None.
+        self.worst = max((
+            q_error(op.est_rows, rows)
+            for op, rows in zip(ops, self.rows) if op.est_rows is not None
+        ), default=None)
 
     def explain(self) -> ExplainNode:
         """The plan's EXPLAIN tree with this execution's actuals."""
@@ -149,4 +165,4 @@ class Execution:
             node.children = tuple(build(child) for child in op.children)
             return node
 
-        return build(self.root)
+        return build(self.plan.root)

@@ -28,7 +28,6 @@ from ...lexer import resolve
 from ..sparql.ast import SelectQuery
 from .cache import CachingPlanner
 from .explain import ExplainNode
-from .operator import Execution
 from .stats import GraphCatalog
 from .vectorized import build_batched_bgp
 
@@ -58,12 +57,8 @@ class SparqlPlanner(CachingPlanner):
     def __init__(self, graph: Graph, cache_size: int = 128):
         self.graph = graph
         super().__init__(GraphCatalog(graph), cache_size)
-        #: Record of the last executed BGP plan (set by the evaluator
-        #: once the plan's iterator is fully consumed).
-        self.last_execution: Execution | None = None
-        #: Shape key of the last planned BGP (feedback-store key).
-        self.last_key: tuple | None = None
-        #: (hit, plan, parameters, analyze) of the BGP awaiting its record.
+        #: (key, hit, plan, parameters, analyze) of the BGP awaiting its
+        #: record, taken once the plan's iterator is fully consumed.
         self._running = None
 
     def execute_bgp(
@@ -83,8 +78,7 @@ class SparqlPlanner(CachingPlanner):
             key, lambda: build_batched_bgp(self, lifted), patterns=len(lifted)
         )
         params = [resolve(value, params) for value in lifted_params]
-        self.last_key = key
-        self._running = (hit, plan, params, analyze)
+        self._running = (key, hit, plan, params, analyze)
         plan.prepare(analyze, params)
         if stats is not None:
             # The plan-time join order plays the role of the reference
@@ -100,7 +94,7 @@ class SparqlPlanner(CachingPlanner):
     def finish(self) -> None:
         """Record the BGP run started by :meth:`execute_bgp` (consumed)."""
         if self._running is not None:
-            self.last_execution = self._record(self.last_key, *self._running)
+            self._record(*self._running)
             self._running = None
 
 

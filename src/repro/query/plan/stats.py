@@ -23,9 +23,6 @@ so a generic plan never depends on which constant it was built for.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
-from ... import obs
 from ...pg.store import PropertyGraphStore
 from ...rdf.graph import Graph
 from ...rdf.terms import IRI, BlankNode, Triple
@@ -34,12 +31,9 @@ from ..normalize import Param, resolve
 from ..sparql.ast import TriplePattern, Var
 
 __all__ = [
-    "FeedbackStore",
     "GraphCatalog",
-    "Q_ERROR_BOUNDARIES",
     "SeedChoice",
     "StoreCatalog",
-    "q_error",
 ]
 
 
@@ -228,130 +222,3 @@ class StoreCatalog:
             fanout *= 2.0
         return fanout
 
-
-# --------------------------------------------------------------------- #
-# Cardinality feedback
-# --------------------------------------------------------------------- #
-
-#: Histogram buckets for q-error observations: 1.0 is a perfect
-#: estimate, >10 is a badly mis-ordered join, >1000 is pathological.
-Q_ERROR_BOUNDARIES: tuple[float, ...] = (
-    1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 25.0, 100.0, 1000.0,
-)
-
-
-def q_error(estimated: float, actual: float) -> float:
-    """The multiplicative estimation error, symmetric and >= 1.
-
-    Both sides are floored at one row (the usual convention) so empty
-    results don't divide by zero and tiny cardinalities don't dominate.
-    """
-    est = max(float(estimated), 1.0)
-    act = max(float(actual), 1.0)
-    return max(est / act, act / est)
-
-
-def _physical(root) -> list:
-    """The explain nodes that carry both an estimate and an actual."""
-    return [
-        node for node in root.walk()
-        if node.est_rows is not None and node.actual_rows is not None
-    ]
-
-
-class FeedbackStore:
-    """Observed cardinalities of executed plans, keyed by query shape.
-
-    After every execution the planner records it here; the store keeps,
-    per shape, the latest execution and its worst q-error plus an
-    execution count, bounded LRU-style to ``capacity`` shapes.  Keys
-    carry no catalog version, so executions of one statement shape
-    accumulate across mutations instead of filling the store with
-    entries no key can reach again.  Each recording feeds the
-    ``repro_plan_q_error{engine=...}`` histogram so estimate drift is
-    scrapeable from the ops endpoint (and is the signal a re-planner
-    would consume; DESIGN.md records why there is none today).
-    """
-
-    def __init__(self, engine: str, capacity: int = 512):
-        self.engine = engine
-        self.capacity = capacity
-        #: key -> (executions, worst q-error, explain tree or its builder)
-        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
-        #: (histogram family, this engine's child), rebound on reset.
-        self._histogram: tuple = (None, None)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def record(self, key: tuple | None, root, worst: float | None = None) -> None:
-        """Fold one execution into the store.
-
-        ``root`` is the execution's explain tree, or a zero-argument
-        callable building it.  The planners pass the latter together
-        with the ``worst`` q-error they already computed, so the tree is
-        built only when a reader asks for the entry.  Only physical
-        operators (nodes carrying both an estimate and an actual count)
-        participate; a tree without any records nothing.
-        """
-        if key is None or root is None:
-            return
-        if worst is None:
-            errors = [q_error(n.est_rows, n.actual_rows) for n in _physical(root)]
-            if not errors:
-                return
-            worst = max(errors)
-        executions = self._entries.pop(key, (0,))[0] + 1
-        self._entries[key] = (executions, worst, root)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-        family = obs.get_metrics().histogram(
-            "repro_plan_q_error",
-            boundaries=Q_ERROR_BOUNDARIES,
-            help="per-plan worst cardinality q-error",
-        )
-        if self._histogram[0] is not family:
-            self._histogram = (family, family.labels(engine=self.engine))
-        self._histogram[1].observe(worst)
-
-    def _entry(self, executions: int, worst: float, root) -> dict:
-        if callable(root):
-            root = root()
-        return {
-            "engine": self.engine,
-            "executions": executions,
-            "max_q_error": round(worst, 3),
-            "operators": [
-                {
-                    "op": node.op,
-                    "detail": node.detail,
-                    "est_rows": round(float(node.est_rows), 3),
-                    "actual_rows": node.actual_rows,
-                    "q_error": round(q_error(node.est_rows, node.actual_rows), 3),
-                }
-                for node in _physical(root)
-            ],
-        }
-
-    def get(self, key: tuple) -> dict | None:
-        entry = self._entries.get(key)
-        return self._entry(*entry) if entry is not None else None
-
-    def max_q_error(self, key: tuple | None) -> float | None:
-        """The worst q-error of the latest execution of one shape, or None."""
-        entry = self._entries.get(key) if key is not None else None
-        return round(entry[1], 3) if entry is not None else None
-
-    def snapshot(self) -> list[dict]:
-        """Every retained entry, least-recently-recorded first."""
-        return [self._entry(*entry) for entry in self._entries.values()]
-
-    def summary(self) -> dict:
-        """Aggregate accuracy numbers for artifacts and `/healthz`."""
-        entries = list(self._entries.values())
-        return {
-            "engine": self.engine,
-            "plans": len(entries),
-            "executions": sum(e[0] for e in entries),
-            "max_q_error": round(max((e[1] for e in entries), default=1.0), 3),
-        }

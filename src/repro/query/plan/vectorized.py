@@ -532,7 +532,8 @@ class BatchedBGP(PhysicalOperator):
         #: The operator tree EXPLAIN shows, and its operators pre-order.
         self.root = root
         self.ops = tuple(root.walk())
-        #: Per-operator row counters, bound once (see CachingPlanner).
+        #: Per-operator row and plan-cache lookup counters, bound once
+        #: (see obs.report_query).
         self.row_counters = None
 
     def execute(self, stats=None, names=None):
@@ -1257,7 +1258,7 @@ class BatchMatchPlan:
         self.root = root
         self.store = store
         self._memo: dict = {}
-        #: The operators pre-order, and their bound row counters.
+        #: The operators pre-order, and their bound row and lookup counters.
         self.ops = tuple(root.walk())
         self.row_counters = None
 

@@ -9,7 +9,6 @@ greedy join order: at each step the pattern with the most bound positions
 from __future__ import annotations
 
 import re
-import time
 from collections.abc import Iterator
 from functools import partial
 
@@ -18,6 +17,7 @@ from ...errors import QueryError
 from ...lexer import Param, resolve
 from ...rdf.graph import Graph
 from ...rdf.terms import IRI, BlankNode, Literal, Term
+from ..engine import Engine
 from .ast import (
     BooleanOp,
     Comparison,
@@ -299,6 +299,7 @@ def evaluate(
     planner=None,
     analyze: bool = False,
     params=(),
+    stats: _EvalStats | None = None,
 ) -> list[dict[str, Term]]:
     """Evaluate ``query`` over ``graph``; returns solution mappings.
 
@@ -310,18 +311,19 @@ def evaluate(
     :class:`PreparedSelect` has ``$n`` slots, which ``params`` fill);
     all other constructs are unaffected.
     ``analyze`` additionally collects per-operator loop counts and wall
-    times for ``EXPLAIN ANALYZE`` (small per-row overhead).
+    times for ``EXPLAIN ANALYZE`` (small per-row overhead).  ``stats``
+    receives the operator tallies; they are only collected under an
+    active tracer, so the per-match bookkeeping stays off the
+    disabled-path hot loop.
     """
     prepared = None
     if planner is not None:
         if not isinstance(query, PreparedSelect):
             query = PreparedSelect(query)
         prepared, query = query, query.query
-        planner.last_execution = None
-    # Operator tallies are only collected under an active tracer, so the
-    # per-match bookkeeping stays off the disabled-path hot loop.
-    stats = _EvalStats() if obs.enabled() else None
-    start = time.perf_counter()
+        planner.last_executions = []
+    if stats is None and obs.enabled():
+        stats = _EvalStats()
     with obs.span("sparql.evaluate", patterns=len(query.patterns)) as span:
         rows = _evaluate(graph, query, stats, planner, prepared, analyze, params)
         span.set("rows", len(rows))
@@ -331,20 +333,6 @@ def evaluate(
             span.set("selectivity_profile", list(stats.selectivity))
         if planner is not None:
             planner.finish()
-    metrics = obs.get_metrics()
-    metrics.counter(
-        "repro_query_runs_total", help="query engine invocations"
-    ).inc(1, lang="sparql")
-    metrics.histogram(
-        "repro_query_latency_seconds",
-        boundaries=obs.LATENCY_BOUNDARIES,
-        help="end-to-end query evaluation latency",
-    ).observe(time.perf_counter() - start, lang="sparql")
-    if stats is not None:
-        metrics.counter(
-            "repro_sparql_pattern_matches_total",
-            help="bindings yielded by triple-pattern matches",
-        ).inc(stats.matches)
     return rows
 
 
@@ -463,7 +451,7 @@ def _order_and_truncate(
     return rows
 
 
-class SparqlEngine:
+class SparqlEngine(Engine):
     """A tiny SPARQL endpoint over a :class:`Graph`.
 
     Args:
@@ -478,11 +466,10 @@ class SparqlEngine:
         >>> rows = engine.query('SELECT ?s WHERE { ?s a <http://x/C> . }')
     """
 
+    lang = "sparql"
+
     def __init__(self, graph: Graph, planner: bool = True):
         self.graph = graph
-        self.planner = None
-        #: Statements prepared once per token shape (planned engines).
-        self.statements = None
         if planner:
             from ..plan import SparqlPlanner
             from ..statements import StatementCache
@@ -504,60 +491,16 @@ class SparqlEngine:
         bound = self.statements.prepare(text)
         return bound.statement.prepared, bound.params, bound
 
-    def query(self, text: str) -> list[dict[str, Term]]:
-        """Parse (once per token shape) and evaluate a SELECT query."""
-        query, params, statement = self._prepare(text)
-        start = time.perf_counter()
-        rows = evaluate(self.graph, query, planner=self.planner, params=params)
-        duration = time.perf_counter() - start
-        plan = None
-        cache_hit = q_error = None
-        if self.planner is not None:
-            from ..plan import explain_select
+    def _execute(self, query, params, analyze: bool):
+        stats = _EvalStats() if obs.enabled() else None
+        rows = evaluate(self.graph, query, self.planner, analyze, params, stats)
+        return rows, stats and {"pattern_matches": stats.matches}
 
-            execution, n_rows = self.planner.last_execution, len(rows)
-            plan = lambda: explain_select(
-                query.query, execution and execution.explain(), n_rows
-            ).to_dict()
-            if execution is not None:
-                cache_hit, q_error = execution.hit, execution.worst
-        obs.record_query("sparql", text, duration, len(rows), plan=plan)
-        obs.record_statement(
-            "sparql", text, statement, duration, len(rows),
-            cache_hit=cache_hit, q_error=q_error,
-        )
-        return rows
+    def _assemble_explain(self, prepared, result_rows: int, executions):
+        from ..plan import explain_select
 
-    def explain(self, text: str, fmt: str = "text", analyze: bool = False):
-        """Run a query and explain its physical plan.
-
-        Returns the rendered tree as a string (``fmt="text"``) or a
-        JSON-friendly dict (``fmt="json"``); estimated cardinalities
-        come from the statistics catalog, actual ones from the run.
-        With ``analyze`` the physical operators also report loop counts
-        and inclusive per-operator wall time.
-        """
-        from ..plan import explain_select, render_text
-
-        if self.planner is None:
-            raise QueryError("EXPLAIN requires the planner to be enabled")
-        if fmt not in ("text", "json"):
-            raise QueryError(f"unknown explain format {fmt!r}")
-        prepared, params, _ = self._prepare(text)
-        rows = evaluate(
-            self.graph, prepared, planner=self.planner, analyze=analyze, params=params
-        )
-        execution = self.planner.last_execution
-        root = explain_select(
-            prepared.query, execution and execution.explain(), len(rows)
-        )
-        if fmt == "json":
-            return root.to_dict()
-        return render_text(root)
-
-    def count(self, text: str) -> int:
-        """Number of solutions of a SELECT query."""
-        return len(self.query(text))
+        plan = executions[0].explain() if executions else None
+        return explain_select(prepared.query, plan, result_rows)
 
     def ask(self, text: str) -> bool:
         """Evaluate an ASK query to a boolean."""

@@ -454,10 +454,11 @@ class DeltaValidator:
     Inside ``A`` a change travels only through verdicts that change.
     ``A`` is walked values before referrers, and a node is recomputed
     when it is a delta subject, or when a value of it in ``A`` changed
-    its ``rdf:type`` set or one of its standing nested verdicts (the
-    context-free rows of one verdict table, see :class:`_EntityChecker`,
-    kept across deltas).  Any other node reads the same data and rows as
-    before, so its rows and report entry stand.  That induction needs an
+    one of its standing nested verdicts (the context-free rows of one
+    verdict table, see :class:`_EntityChecker`, kept across deltas) or
+    was retyped in or out of a class an ``sh:class`` test on that path
+    accepts.  Any other node reads the same data and rows as before, so
+    its rows and report entry stand.  That induction needs an
     acyclic, untainted ``A``: a delta invalidates every row of ``A`` and
     rechecks all of its focus nodes instead (``fallbacks`` counts these)
     when ``A``'s reference edges contain a cycle — every cycle touching
@@ -522,6 +523,9 @@ class DeltaValidator:
         lookup = self._checker.lookup
         self._target_ids = {lookup(IRI(c)): s for c, s in self._targets.items()}
         self._reference_ids = frozenset(map(lookup, self._reference_paths))
+        #: Path id -> the class id sets the schema's sh:class tests on it
+        #: accept (filled on first use).
+        self._tested: dict[int, list[frozenset[int]]] = {}
 
     @property
     def entity_checks(self) -> int:
@@ -610,12 +614,17 @@ class DeltaValidator:
             self._resolve()
         subjects, referrers = self._affected_entities(added, removed)
         order = _values_first(referrers)
+        lookup = self.graph._terms.lookup
+        retyped: dict[int, set[int]] = {}
+        for t in (*added, *removed):
+            if t.p == _RDF_TYPE:
+                retyped.setdefault(lookup(t.s), set()).add(lookup(t.o))
         entries = self._entries
         self.last_rechecked = 0
         if (
             order is None
             or any(entries[e].tainted for e in referrers if e in entries)
-            or not self._propagate(order, subjects, referrers)
+            or not self._propagate(order, subjects, retyped, referrers)
         ):
             self.fallbacks += 1
             # Every affected row goes before any recheck runs, so that no
@@ -634,11 +643,14 @@ class DeltaValidator:
         self,
         order: list[int],
         subjects: dict[int, set[int]],
+        retyped: dict[int, set[int]],
         referrers: dict[int, list[tuple[int, int]]],
     ) -> bool:
         """Recompute, values first, the delta's subjects and the referrers
-        of every node whose types or standing rows changed; False when a
-        recomputed verdict is cycle-tainted."""
+        of every node whose standing rows or tested class memberships
+        changed; False when a recomputed verdict is cycle-tainted.
+        ``retyped`` maps a delta subject to the classes its ``rdf:type``
+        triples in the delta name."""
         checker, table = self._checker, self._table
         scope = {e: set(paths) for e, paths in subjects.items()}
         for entity in order:
@@ -654,10 +666,44 @@ class DeltaValidator:
             if (entry is not None and entry.tainted) or not old.keys() <= new.keys():
                 return False  # tainted verdicts stay out of the table
             # A row the entity did not have before was read by nobody.
-            if checker.type_id in paths or any(new[k] != v for k, v in old.items()):
-                for s, p in referrers[entity]:
-                    scope.setdefault(s, set()).add(p)
+            edges = referrers[entity]
+            if all(new[k] == v for k, v in old.items()):
+                if entity not in retyped:
+                    continue
+                edges = self._class_flips(entity, retyped[entity], edges)
+            for s, p in edges:
+                scope.setdefault(s, set()).add(p)
         return True
+
+    def _class_flips(
+        self, entity: int, touched: set[int], edges: list[tuple[int, int]]
+    ) -> list[tuple[int, int]]:
+        """The reference edges to ``entity`` whose ``sh:class`` tests a
+        delta touching its types ``touched`` can flip: a tested class set
+        that meets ``touched`` and no type the entity kept."""
+        types = self.graph._spo.get(entity, _EMPTY).get(self._checker.type_id, ())
+        kept = set(types) - touched
+        return [
+            (s, p) for s, p in edges
+            if any(
+                not classes.isdisjoint(touched) and classes.isdisjoint(kept)
+                for classes in self._tested_classes(p)
+            )
+        ]
+
+    def _tested_classes(self, path: int) -> list[frozenset[int]]:
+        tested = self._tested.get(path)
+        if tested is None:
+            plan = self._checker._plan
+            tested = self._tested[path] = [
+                classes
+                for shape in self.schema
+                for property_plan in plan(shape.name)
+                if property_plan.path_id == path
+                for _, classes, _ in property_plan.alternatives
+                if classes is not None
+            ]
+        return tested
 
     def _affected_entities(
         self,

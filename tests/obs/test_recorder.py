@@ -83,7 +83,7 @@ def test_plan_capture_failure_never_fails_the_op():
 
 def test_slow_capture_increments_counter():
     obs.install_recorder(slow_threshold_ms=0.0)
-    obs.record_query("sparql", "SELECT 1", 0.01, rows=1)
+    obs.report_query("sparql", "SELECT 1", None, 0.01, rows=1)
     obs.record_op("cdc.batch", "batch@7", 0.01, detail={"size": 3})
     exposition = obs.get_metrics().to_prometheus()
     assert 'repro_slow_ops_total{kind="query"} 1' in exposition
@@ -99,10 +99,14 @@ def test_slow_capture_increments_counter():
 
 def test_hooks_are_noops_without_recorder():
     assert obs.get_recorder() is None
-    obs.record_query("sparql", "SELECT 1", 10.0, rows=0)
     obs.record_op("cdc.batch", "batch@1", 10.0)
-    assert obs.get_recorder() is None
     assert obs.get_metrics().snapshot() == {}
+    # A query's report still writes its own families, but no slow op.
+    obs.report_query("sparql", "SELECT 1", None, 10.0, rows=0)
+    assert obs.get_recorder() is None
+    assert sorted(obs.get_metrics().snapshot()) == [
+        "repro_query_latency_seconds", "repro_query_runs_total",
+    ]
 
 
 def test_install_is_idempotent_and_uninstall_restores():
@@ -143,7 +147,7 @@ def test_snapshot_reports_occupancy():
     )
     with obs.span("one"):
         pass
-    obs.record_query("sparql", "SELECT 1", 0.01, rows=1)
+    obs.report_query("sparql", "SELECT 1", None, 0.01, rows=1)
     snapshot = recorder.snapshot()
     assert snapshot["span_capacity"] == 4
     assert snapshot["spans_buffered"] == 1

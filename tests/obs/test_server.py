@@ -79,7 +79,7 @@ def test_debug_slow_and_trace_routes(server):
     obs.install_recorder(slow_threshold_ms=0.0)
     with obs.span("unit.op"):
         pass
-    obs.record_query("sparql", "SELECT 1", 0.01, rows=2,
+    obs.report_query("sparql", "SELECT 1", None, 0.01, rows=2,
                      plan=lambda: {"op": "Scan"})
     status, slow = _get_json(server.url + "/debug/slow")
     assert status == 200

@@ -155,3 +155,29 @@ def test_engines_feed_statements_and_plan_caches(uni):
     counted = {labels: c.value for labels, c in calls.children()}
     assert counted[(("lang", "sparql"),)] == 2
 
+
+
+def test_each_query_and_explain_reports_once(uni, monkeypatch):
+    graph, store = uni
+    reports = []
+    report = obs.report_query
+    monkeypatch.setattr(
+        obs, "report_query",
+        lambda lang, *args, **kwargs: (
+            reports.append(lang), report(lang, *args, **kwargs)
+        ),
+    )
+    obs.install_workload()
+    sparql, cypher = SparqlEngine(graph), CypherEngine(store)
+    sparql.query(f"SELECT ?s ?n WHERE {{ ?s <{UNI}name> ?n }}")
+    cypher.query(
+        "MATCH (s:uni_Student)-[:uni_advisedBy]->(p) "
+        "MATCH (p)-[:uni_worksFor]->(d) RETURN s.iri AS s, d.iri AS d"
+    )
+    assert reports == ["sparql", "cypher"]
+    # An EXPLAIN reports too, so it reaches the tracker.
+    sparql.explain(f"SELECT ?s ?n WHERE {{ ?s <{UNI}name> ?n }}", analyze=True)
+    assert reports == ["sparql", "cypher", "sparql"]
+    by_lang = {s["lang"]: s for s in obs.get_workload().snapshot()}
+    assert by_lang["sparql"]["calls"] == 2
+    assert by_lang["sparql"]["plan_cache_hits"] == 1

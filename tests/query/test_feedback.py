@@ -1,11 +1,11 @@
-"""The cardinality-feedback store: q-error telemetry per cached plan.
+"""Cardinality feedback: q-errors reach the tracker and the histogram.
 
-Every planned execution feeds its EXPLAIN snapshot (estimates + actuals)
-back into the planner's :class:`~repro.query.plan.FeedbackStore`, keyed
-by the query shape.  These tests pin the q-error math, the sanity of
-the recorded numbers on the university workload (both engines), the
-execution accounting across repeated runs and catalog versions, and the
-store's LRU bound.
+Every planned execution carries its worst q-error (estimate vs actual
+over the physical operators).  A query's report folds the worst of its
+executions into its statement in the workload tracker and observes each
+execution's into ``repro_plan_q_error``.  These tests pin the q-error
+math, the sanity of the recorded numbers on the university workload
+(both engines), and the accounting of reruns across catalog versions.
 """
 
 from __future__ import annotations
@@ -25,11 +25,18 @@ from repro.datasets.university import (
 )
 from repro.pg import PropertyGraphStore
 from repro.query import CypherEngine, SparqlEngine
-from repro.query.plan import FeedbackStore, Q_ERROR_BOUNDARIES, q_error
-from repro.query.plan.explain import ExplainNode
+from repro.query.plan import q_error
 from repro.rdf.terms import IRI, Triple
 
 PREFIX = "PREFIX uni: <http://example.org/university#>\n"
+
+
+@pytest.fixture()
+def tracker():
+    obs.get_metrics().reset()
+    yield obs.install_workload()
+    obs.uninstall_workload()
+    obs.get_metrics().reset()
 
 
 def test_q_error_math():
@@ -43,73 +50,68 @@ def test_q_error_math():
 
 
 def test_q_error_boundaries_are_sorted_and_start_at_one():
-    assert Q_ERROR_BOUNDARIES[0] == 1.0
-    assert list(Q_ERROR_BOUNDARIES) == sorted(Q_ERROR_BOUNDARIES)
+    assert obs.Q_ERROR_BOUNDARIES[0] == 1.0
+    assert list(obs.Q_ERROR_BOUNDARIES) == sorted(obs.Q_ERROR_BOUNDARIES)
 
 
-def _check_store_sanity(store, expected_plans):
-    assert len(store) == expected_plans
-    summary = store.summary()
-    assert summary["plans"] == expected_plans
-    assert summary["executions"] >= expected_plans
-    assert summary["max_q_error"] >= 1.0
-    for entry in store.snapshot():
-        assert entry["operators"], entry
-        assert math.isfinite(entry["max_q_error"])
-        assert 1.0 <= entry["max_q_error"] < 1000.0, entry
-        for operator in entry["operators"]:
-            assert operator["q_error"] >= 1.0, operator
-            assert operator["actual_rows"] >= 0, operator
+def _check_statements_sanity(tracker, expected_statements):
+    statements = tracker.snapshot()
+    assert len(statements) == expected_statements
+    for statement in statements:
+        assert statement["calls"] == 1
+        assert math.isfinite(statement["q_error_max"])
+        assert 1.0 <= statement["q_error_max"] < 1000.0, statement
+        assert statement["q_error_mean"] <= statement["q_error_max"]
 
 
-def test_sparql_feedback_on_university_workload():
+def test_sparql_feedback_on_university_workload(tracker):
     engine = SparqlEngine(generate_university(scale=0.25, seed=7))
     qids = list(university_workload())
     for _qid, _category, query in qids:
         engine.query(query)
-    _check_store_sanity(engine.planner.feedback, expected_plans=len(qids))
+    _check_statements_sanity(tracker, expected_statements=len(qids))
 
 
-def test_cypher_feedback_on_university_workload():
+def test_cypher_feedback_on_university_workload(tracker):
     graph = generate_university(scale=0.25, seed=7)
     result = S3PG().transform(graph, university_shapes())
     engine = CypherEngine(PropertyGraphStore(result.graph))
     for _qid, _category, query in UNIVERSITY_CYPHER_WORKLOAD:
         engine.query(query)
-    _check_store_sanity(
-        engine.planner.feedback, expected_plans=len(UNIVERSITY_CYPHER_WORKLOAD)
+    _check_statements_sanity(
+        tracker, expected_statements=len(UNIVERSITY_CYPHER_WORKLOAD)
     )
 
 
-def test_feedback_keyed_by_plan_cache_key():
+def test_feedback_keyed_by_plan_cache_key(tracker):
     engine = SparqlEngine(university_graph())
     query = PREFIX + (
         "SELECT ?s ?d WHERE { ?s uni:advisedBy ?p . ?p uni:worksFor ?d . }"
     )
     engine.query(query)
-    key = engine.planner.last_key
-    assert key is not None
-    entry = engine.planner.feedback.get(key)
-    assert entry is not None and entry["executions"] == 1
+    (execution,) = engine.planner.last_executions
+    key = execution.key
 
     # Re-running the same query hits the same cached plan and the same
-    # feedback slot; a different query gets its own.
+    # statement; a different query gets its own.
     engine.query(query)
-    assert engine.planner.last_key == key
-    assert engine.planner.feedback.get(key)["executions"] == 2
+    (execution,) = engine.planner.last_executions
+    assert execution.key == key and execution.hit
+    (statement,) = tracker.snapshot()
+    assert (statement["calls"], statement["plan_cache_hits"]) == (2, 1)
 
     engine.query(PREFIX + "SELECT ?s WHERE { ?s a uni:Student . }")
-    assert engine.planner.last_key != key
-    assert len(engine.planner.feedback) == 2
+    assert engine.planner.last_executions[0].key != key
+    assert len(tracker.snapshot()) == 2
 
 
-def test_skewed_reruns_accumulate_in_one_feedback_slot():
-    """Badly estimated plans still feed back under one plan-cache key.
+def test_skewed_reruns_accumulate_in_one_feedback_slot(tracker):
+    """Badly estimated plans still feed back under one statement.
 
     On the hub-skewed fixtures the static estimates miss by well over
-    4x; the store must report that q-error, and repeated runs must
-    accumulate executions in one slot — on both engines — while the
-    plan cache keeps serving the same entry.
+    4x; the tracker must report that q-error, and repeated runs must
+    accumulate in one statement — on both engines — while the plan
+    cache keeps serving the same entry.
     """
     from repro.fuzz.oracles import _skewed_pg, _skewed_rdf
 
@@ -120,22 +122,21 @@ def test_skewed_reruns_accumulate_in_one_feedback_slot():
         (CypherEngine(PropertyGraphStore(pg)), cypher_query),
     ):
         engine.query(query)
-        key = engine.planner.last_key
-        assert key is not None
-        assert engine.planner.feedback.max_q_error(key) >= 4.0
+        keys = [e.key for e in engine.planner.last_executions]
         engine.query(query)
-        assert engine.planner.last_key == key
-        assert engine.planner.feedback.get(key)["executions"] == 2
-        assert len(engine.planner.feedback) == 1
+        assert [e.key for e in engine.planner.last_executions] == keys
+        (statement,) = tracker.snapshot(lang=engine.lang)
+        assert statement["q_error_max"] >= 4.0
+        assert (statement["calls"], statement["plan_cache_hits"]) == (2, 1)
 
 
-def test_feedback_survives_catalog_versions():
-    """A statement re-run between mutations keeps one feedback slot.
+def test_feedback_survives_catalog_versions(tracker):
+    """A statement re-run between mutations keeps one tracker entry.
 
     Plan-cache keys carry the catalog version and the cache sweeps dead
-    versions; feedback is keyed by the version-free shape, so 600 runs
-    with a mutation between each accumulate in one entry instead of
-    filling the store with 512 entries no key reaches again.
+    versions; the tracker keys by the version-free fingerprint, so 600
+    runs with a mutation between each accumulate in one statement, each
+    run a plan-cache miss with its own q-error.
     """
     ex = "http://example.org/"
     graph = university_graph()
@@ -155,49 +156,24 @@ def test_feedback_survives_catalog_versions():
             engine.query(query)
             mutate(i)
         assert len(engine.planner.cache) == 1
-        assert len(engine.planner.feedback) == 1
-        summary = engine.planner.feedback.summary()
-        assert (summary["plans"], summary["executions"]) == (1, 600)
-        assert engine.planner.feedback.get(engine.planner.last_key)[
-            "executions"
-        ] == 600
+        (statement,) = tracker.snapshot(lang=engine.lang)
+        assert (statement["calls"], statement["plan_cache_misses"]) == (600, 600)
+        assert statement["q_error_max"] >= 1.0
 
 
-def test_feedback_observes_q_error_histogram():
-    obs.get_metrics().reset()
-    try:
-        engine = SparqlEngine(university_graph())
-        engine.query(PREFIX + "SELECT ?s WHERE { ?s uni:advisedBy ?p . }")
-        exposition = obs.get_metrics().to_prometheus()
-        assert "repro_plan_q_error" in exposition
-        assert 'engine="sparql"' in exposition
-    finally:
-        obs.get_metrics().reset()
-
-
-def _fake_root(est, act):
-    return ExplainNode(
-        op="Scan", detail="fake", est_rows=est, actual_rows=act
+def test_feedback_observes_q_error_histogram(tracker):
+    engine = SparqlEngine(university_graph())
+    engine.query(PREFIX + "SELECT ?s WHERE { ?s uni:advisedBy ?p . }")
+    store = PropertyGraphStore(
+        S3PG().transform(university_graph(), university_shapes()).graph
     )
-
-
-def test_feedback_store_lru_bound():
-    store = FeedbackStore("test", capacity=2)
-    store.record(("a",), _fake_root(1, 10))
-    store.record(("b",), _fake_root(2, 2))
-    store.record(("c",), _fake_root(5, 1))
-    assert len(store) == 2
-    assert store.get(("a",)) is None  # oldest evicted
-    assert store.get(("b",)) is not None
-    assert store.get(("c",))["max_q_error"] == pytest.approx(5.0)
-
-
-def test_feedback_store_ignores_unusable_nodes():
-    store = FeedbackStore("test")
-    # No actuals at all -> nothing recorded for this key.
-    store.record(("x",), ExplainNode(op="Project", est_rows=None))
-    assert store.get(("x",)) is None
-    assert len(store) == 0
-    # None key (planner cache disabled) is a silent no-op.
-    store.record(None, _fake_root(1, 1))
-    assert len(store) == 0
+    # Two MATCH clauses are two planned executions: two observations.
+    CypherEngine(store).query(
+        "MATCH (s:uni_Student)-[:uni_advisedBy]->(p) "
+        "MATCH (p)-[:uni_worksFor]->(d) RETURN s.iri AS s, d.iri AS d"
+    )
+    family = obs.get_metrics().family("repro_plan_q_error")
+    counts = {labels: child.count for labels, child in family.children()}
+    assert counts == {(("engine", "cypher"),): 2, (("engine", "sparql"),): 1}
+    exposition = obs.get_metrics().to_prometheus()
+    assert 'repro_plan_q_error_count{engine="sparql"} 1' in exposition

@@ -92,6 +92,7 @@ from collections import Counter
 
 import pytest
 
+from repro import obs
 from repro.core import S3PG
 from repro.datasets import dbpedia2022_spec, dbpedia_workload
 from repro.datasets.dbpedia import build_dbpedia2022
@@ -186,9 +187,7 @@ def point_engines():
     return graph, store, result.mapping
 
 
-def _shape_keys(planner, lang):
-    if lang == "sparql":
-        return [planner.last_key]
+def _shape_keys(planner):
     return [execution.key for execution in planner.last_executions]
 
 
@@ -209,7 +208,7 @@ def test_point_lookups_plan_once_per_shape(point_engines):
         for _, limited, sparql in statements:
             text = to_text(sparql)
             rows = planned.query(text)
-            shapes.update(_shape_keys(planned.planner, lang))
+            shapes.update(_shape_keys(planned.planner))
             expected = reference.query(text)
             if limited:
                 assert len(rows) == len(expected), text
@@ -286,14 +285,20 @@ def test_reused_plan_explains_this_executions_constant(lang):
     else:
         engine, template = CypherEngine(_skew_store()), _SKEW_CYPHER
         render = "'{}'"
-    hot = engine.explain(template.format("hot"))
-    cold = engine.explain(template.format("cold"))
+    tracker = obs.install_workload()
+    try:
+        hot = engine.explain(template.format("hot"))
+        cold = engine.explain(template.format("cold"))
+    finally:
+        obs.uninstall_workload()
     assert engine.planner.cache.stats()["hits"] == 1
     assert render.format("hot") in hot and render.format("hot") not in cold
     assert render.format("cold") in cold and render.format("cold") not in hot
-    entry = engine.planner.feedback.get(engine.planner.last_key)
-    details = " ".join(operator["detail"] for operator in entry["operators"])
-    assert render.format("cold") in details and entry["executions"] == 2
+    (execution,) = engine.planner.last_executions
+    details = " ".join(node.detail for node in execution.explain().walk())
+    assert render.format("cold") in details
+    (statement,) = tracker.snapshot()
+    assert statement["calls"] == 2 and statement["plan_cache_hits"] == 1
 
 
 def test_planners_take_no_new_argument():

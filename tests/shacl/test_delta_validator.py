@@ -287,6 +287,23 @@ shapes:Address a sh:NodeShape ; sh:targetClass :Address ;
 """)
 
 
+SUBCLASS_OF = "<http://www.w3.org/2000/01/rdf-schema#subClassOf>"
+
+#: A :Doc's author must be an :Agent; :Person is one by subclassing.
+AGENT_SHAPES = parse_shacl("""
+@prefix sh: <http://www.w3.org/ns/shacl#> .
+@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+@prefix : <http://x/> .
+@prefix shapes: <http://x/shapes#> .
+shapes:Person a sh:NodeShape ; sh:targetClass :Person ;
+  sh:property [ sh:path :name ; sh:datatype xsd:string ;
+                sh:minCount 1 ; sh:maxCount 1 ] .
+shapes:Doc a sh:NodeShape ; sh:targetClass :Doc ;
+  sh:property [ sh:path :author ; sh:nodeKind sh:IRI ; sh:class :Agent ;
+                sh:minCount 1 ] .
+""")
+
+
 class TestFlipPropagation:
     """A change reaches a referrer only through a verdict or a type that
     changed, and every scenario the induction cannot cover falls back to
@@ -395,6 +412,27 @@ class TestFlipPropagation:
             Delta(8 + i, added=(friend(f"r{i}", "c", "a"),)) for i in range(1, COPIES)])
         assert stats.batches == 2 and validator.fallbacks == 1
         assert validator.snapshot() == fresh_memo_snapshot(SHAPES, graph)
+
+    def test_retype_inside_a_tested_class_rechecks_no_referrer(self):
+        # :p is an :Agent through rdfs:subClassOf, so :d's sh:class :Agent
+        # test on it passes whether or not :p is typed :Agent directly.
+        graph = parse_turtle(PREFIX + f":Person {SUBCLASS_OF} :Agent .\n" + "".join(
+            f':r{i}_p a :Person ; :name "p" .\n'
+            f":r{i}_d a :Doc ; :author :r{i}_p .\n"
+            f":r{i}_e a :Doc ; :author :r{i}_q .\n"
+            for i in range(COPIES)))
+        validator = DeltaValidator(AGENT_SHAPES, graph)
+        assert violating(validator) == {f"r{i}_e" for i in range(COPIES)}
+        for i in range(COPIES):
+            agent = t(f"<http://x/r{i}_p> {TYPE} <http://x/Agent> .")
+            assert apply(graph, validator, added=(agent,)) == 1  # :p alone
+            assert apply(graph, validator, removed=(agent,)) == 1
+            # Typing the untyped :q :Agent flips :e's test: :e is rechecked.
+            agent = t(f"<http://x/r{i}_q> {TYPE} <http://x/Agent> .")
+            assert apply(graph, validator, added=(agent,)) == 1  # :e alone
+            assert validator.snapshot() == fresh_memo_snapshot(AGENT_SHAPES, graph)
+        assert validator.fallbacks == 0
+        assert validator.conforms
 
 
 NODE_REF_SHAPES = parse_shacl("""
